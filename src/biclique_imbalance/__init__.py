@@ -56,6 +56,7 @@ from .graph import (
     parse_ordering,
     subordering,
     vertex_imbalance,
+    vertex_imbalances,
 )
 from .oracle import DEFAULT_CAP, OracleResult, brute_force_min, enumerate_optima
 
@@ -104,5 +105,6 @@ __all__ = [
     "subordering",
     "verify_optimal_complete",
     "vertex_imbalance",
+    "vertex_imbalances",
     "y_position_profile",
 ]

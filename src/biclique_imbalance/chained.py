@@ -25,9 +25,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
-from .complete import min_imbalance_formula
+from .complete import _complete_imbalance_by_scan, min_imbalance_formula
 from .errors import (
     ConstructionInvariantViolatedError,
     GraphParseError,
@@ -35,7 +34,7 @@ from .errors import (
     NotConnectedError,
     SpecInvalidError,
 )
-from .graph import Bipartition, Graph, Ordering, bipartition
+from .graph import Bipartition, Graph, Ordering, _bipartition_and_roots
 
 __all__ = [
     "ChainComponent",
@@ -55,28 +54,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ChainComponent:
-    """One maximal complete bipartite component, split along the bipartition."""
-
-    x_part: frozenset[str]
-    y_part: frozenset[str]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x_part", frozenset(self.x_part))
-        object.__setattr__(self, "y_part", frozenset(self.y_part))
-
-    @property
-    def vertices(self) -> frozenset[str]:
-        return self.x_part | self.y_part
-
-    @property
-    def nx(self) -> int:
-        return len(self.x_part)
-
-    @property
-    def ny(self) -> int:
-        return len(self.y_part)
+# One maximal complete bipartite component, split along the bipartition.
+ChainComponent = Bipartition
 
 
 @dataclass(frozen=True)
@@ -145,23 +124,6 @@ class ChainSpec:
                     f"overlap {i} in part {part} needs component {i + 1} to have "
                     f"{part} size >= 2, got {b}"
                 )
-
-
-def _check_connected(g: Graph) -> None:
-    verts = sorted(g.vertices)
-    if not verts:
-        return
-    seen = {verts[0]}
-    queue = deque([verts[0]])
-    while queue:
-        v = queue.popleft()
-        for u in g.neighbors(v):
-            if u not in seen:
-                seen.add(u)
-                queue.append(u)
-    if len(seen) != len(verts):
-        missing = sorted(set(verts) - seen)[0]
-        raise NotConnectedError(f"graph is not connected ({missing} unreachable)")
 
 
 def _biclique_closure(g: Graph, neighborhood: frozenset[str]) -> frozenset[str]:
@@ -334,8 +296,9 @@ def decompose(g: Graph) -> ChainDecomposition:
         raise NotChainedError("graph has no vertices")
     if g.edge_count == 0:
         raise NotChainedError("graph has no edges for any component to cover")
-    b = bipartition(g)
-    _check_connected(g)
+    b, roots = _bipartition_and_roots(g)
+    if len(roots) > 1:
+        raise NotConnectedError(f"graph is not connected ({roots[1]} unreachable)")
     members = _chain_family(g)
     ordered, overlaps = _order_chain(members)
     _verify_family(g, b, ordered, overlaps)
@@ -367,21 +330,6 @@ def min_imbalance_chained(d: ChainDecomposition) -> int:
         left = g_count(d, s, i)
         right = g_count(d, s, i + 1)
         total += abs(left - right) - left - right
-    return total
-
-
-def _complete_scan_imbalance(tokens: Iterable[str], x_set: frozenset[str], nx: int, ny: int) -> int:
-    """Imbalance of a token sequence on the complete bigraph K(nx, ny)."""
-    total = 0
-    seen_x = 0
-    seen_y = 0
-    for v in tokens:
-        if v in x_set:
-            total += abs(2 * seen_y - ny)
-            seen_x += 1
-        else:
-            total += abs(2 * seen_x - nx)
-            seen_y += 1
     return total
 
 
@@ -470,7 +418,7 @@ def _validated_subordering(
         raise ConstructionInvariantViolatedError(
             "component subordering does not cover the component exactly"
         )
-    achieved = _complete_scan_imbalance(full, comp.x_part, comp.nx, comp.ny)
+    achieved = _complete_imbalance_by_scan(full, comp)
     expected = min_imbalance_formula(comp.nx, comp.ny)
     if achieved != expected:
         raise ConstructionInvariantViolatedError(

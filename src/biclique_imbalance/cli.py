@@ -40,12 +40,11 @@ from .graph import (
     Graph,
     bipartition,
     is_complete_bipartite,
-    ordering_imbalance,
     parse_edge_list,
     parse_ordering,
-    vertex_imbalance,
+    vertex_imbalances,
 )
-from .oracle import DEFAULT_CAP, brute_force_min, enumerate_optima
+from .oracle import DEFAULT_CAP, brute_force_min
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -64,7 +63,9 @@ _STRUCTURAL = (
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        # utf-8-sig drops a leading byte-order mark, which would otherwise
+        # stick to the first token.
+        return Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise GraphParseError(f"cannot read {path}: {exc}") from exc
 
@@ -89,11 +90,11 @@ def _parse_nat(text: str) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     o = parse_ordering(_read(args.ordering))
-    total = ordering_imbalance(o, g)
-    print(total)
+    per_vertex = vertex_imbalances(o, g)
+    print(sum(per_vertex))
     if args.verbose:
-        for v in o:
-            print(f"{v}\t{vertex_imbalance(v, o, g)}")
+        for v, imbalance in zip(o, per_vertex):
+            print(f"{v}\t{imbalance}")
     return EXIT_OK
 
 
@@ -144,11 +145,11 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     cap = args.max_n if args.max_n is not None else DEFAULT_CAP
-    result = brute_force_min(g, cap=cap)
+    result = brute_force_min(g, cap=cap, count_optima=args.enumerate)
     print(result.minimum)
     print(" ".join(result.witness))
     if args.enumerate:
-        print(len(enumerate_optima(g, cap=cap)))
+        print(result.optima_count)
     return EXIT_OK
 
 
@@ -237,8 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+def _run(args: argparse.Namespace) -> int:
     try:
         return args.func(args)
     except GraphParseError as exc:
@@ -256,6 +256,20 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _build_parser().parse_args(argv)
+    # Answers are exact at any size, so lift the int/str conversion limit of
+    # Python 3.10.7+ (4300 digits by default) while the command runs.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is None:
+        return _run(args)
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(args)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def main_exit() -> None:

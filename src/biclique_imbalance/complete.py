@@ -13,6 +13,7 @@ with thousands of digits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .graph import Bipartition, Ordering
 
@@ -171,8 +172,8 @@ class OptimalityVerdict:
     minimum: int
 
 
-def _complete_imbalance_by_scan(o: Ordering, b: Bipartition) -> int:
-    """Imbalance of the ordering on the implied complete bigraph, one pass."""
+def _complete_imbalance_by_scan(o: Iterable[str], b: Bipartition) -> int:
+    """Imbalance of a vertex sequence on the complete bigraph of b, one pass."""
     nx = len(b.x_part)
     ny = len(b.y_part)
     total = 0

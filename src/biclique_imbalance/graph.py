@@ -23,6 +23,7 @@ __all__ = [
     "bipartition",
     "is_complete_bipartite",
     "vertex_imbalance",
+    "vertex_imbalances",
     "ordering_imbalance",
     "subordering",
     "concat_orderings",
@@ -120,7 +121,10 @@ class Graph:
 
 @dataclass(frozen=True)
 class Bipartition:
-    """A two-coloring of a vertex set into disjoint parts X and Y."""
+    """A two-coloring of a vertex set into disjoint parts X and Y.
+
+    The same value describes one complete bipartite component of a chain.
+    """
 
     x_part: frozenset[str]
     y_part: frozenset[str]
@@ -135,6 +139,14 @@ class Bipartition:
     @property
     def vertices(self) -> frozenset[str]:
         return self.x_part | self.y_part
+
+    @property
+    def nx(self) -> int:
+        return len(self.x_part)
+
+    @property
+    def ny(self) -> int:
+        return len(self.y_part)
 
     def side(self, v: str) -> str:
         """Return "X" or "Y" for a vertex of the bipartition."""
@@ -264,12 +276,25 @@ def bipartition(g: Graph) -> Bipartition:
     Within each connected component the lexicographically smallest vertex is
     colored X; isolated vertices therefore land in X. Output is deterministic.
     """
+    return _bipartition_and_roots(g)[0]
+
+
+def _bipartition_and_roots(g: Graph) -> tuple[Bipartition, list[str]]:
+    """bipartition(g) plus the smallest vertex of each connected component.
+
+    The roots come in sorted order, so the graph is connected iff there is at
+    most one, and the second root is the smallest vertex unreachable from the
+    first. The whole graph is two-colored before this returns, so a graph
+    that is both disconnected and not bipartite raises NotBipartiteError.
+    """
+    roots: list[str] = []
     color: dict[str, bool] = {}
     parent: dict[str, str | None] = {}
     depth: dict[str, int] = {}
     for root in sorted(g.vertices):
         if root in color:
             continue
+        roots.append(root)
         color[root] = True
         parent[root] = None
         depth[root] = 0
@@ -286,7 +311,7 @@ def bipartition(g: Graph) -> Bipartition:
                     raise NotBipartiteError(_odd_cycle_witness(v, w, parent, depth))
     x = frozenset(v for v, c in color.items() if c)
     y = frozenset(v for v, c in color.items() if not c)
-    return Bipartition(x, y)
+    return Bipartition(x, y), roots
 
 
 def _check_partition_of(g: Graph, b: Bipartition) -> None:
@@ -312,17 +337,21 @@ def vertex_imbalance(v: str, o: Ordering, g: Graph) -> int:
     return abs(2 * left - g.degree(v))
 
 
-def ordering_imbalance(o: Ordering, g: Graph) -> int:
-    """Sum of vertex imbalances over all vertices."""
+def vertex_imbalances(o: Ordering, g: Graph) -> list[int]:
+    """The imbalance of every vertex, in ordering order, in one pass."""
     if o.vertices != g.vertices:
         raise ValueError("ordering does not cover exactly the graph's vertices")
     pos = o.positions()
-    total = 0
-    for v in g.vertices:
-        p = pos[v]
+    out = []
+    for p, v in enumerate(o, start=1):
         left = sum(1 for u in g.neighbors(v) if pos[u] < p)
-        total += abs(2 * left - g.degree(v))
-    return total
+        out.append(abs(2 * left - g.degree(v)))
+    return out
+
+
+def ordering_imbalance(o: Ordering, g: Graph) -> int:
+    """Sum of vertex imbalances over all vertices."""
+    return sum(vertex_imbalances(o, g))
 
 
 def subordering(o: Ordering, keep: Iterable[str]) -> Ordering:

@@ -1,16 +1,23 @@
-"""Ground-truth exact minimum-imbalance search over all orderings of small graphs.
+"""Ground-truth exact minimum imbalance of small graphs, by dynamic programming.
 
-The search walks the permutation tree in lexicographic vertex order, so the
-first optimum found is the lexicographically smallest one. Once a vertex is
-placed, every neighbor placed later sits to its right, so its imbalance is
-final at placement time; the branch-and-bound lower bound is the partial sum
-plus one per odd-degree unplaced vertex (imbalance parity equals degree
-parity). Pruning with that bound cannot change the minimum or the witness.
+A vertex's imbalance depends only on which of its neighbors are placed before
+it, so an ordering is a path from the empty vertex set to the full one that
+adds one vertex per step, and the step that adds v after the set S costs
+|2*|N(v) & S| - deg(v)|. One cost-to-go table over all 2^n vertex subsets
+(Bodlaender, Fomin, Koster, Kratsch and Thilikos, "A note on exact algorithms
+for vertex ordering problems on graphs", Theory Comput. Syst. 2012) gives the
+minimum; the optimal orderings are exactly the paths that take only tight
+steps, those whose cost plus the cost-to-go after them equals the cost-to-go
+before them. Walking tight steps in sorted vertex order yields the
+lexicographically smallest witness first. Time grows as 2^n * n and memory as
+2^n, so the vertex cap bounds both.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import SizeCapExceededError
 from .graph import Graph, Ordering
@@ -27,105 +34,96 @@ class OracleResult:
     optima_count: int | None = None
 
 
-def _bit_tables(g: Graph) -> tuple[list[str], list[int], list[int]]:
-    verts = sorted(g.vertices)
-    index = {v: i for i, v in enumerate(verts)}
-    adj = [0] * len(verts)
-    for i, v in enumerate(verts):
+class _CostToGo:
+    """The cost-to-go table of one graph, over vertex subsets as bitmasks.
+
+    Bit i stands for the i-th vertex in sorted order. rest[mask] is the least
+    total imbalance of the vertices outside mask when they are placed, in
+    some order, after the vertices in mask; rest[full] is 0.
+    """
+
+    def __init__(self, g: Graph, cap: int):
+        if g.vertex_count > cap:
+            raise SizeCapExceededError(
+                f"{g.vertex_count} vertices exceeds the search cap of {cap}"
+            )
+        self.verts = sorted(g.vertices)
+        index = {v: i for i, v in enumerate(self.verts)}
+        self.adj = [sum(1 << index[u] for u in g.neighbors(v)) for v in self.verts]
+        self.deg = [g.degree(v) for v in self.verts]
+        self.full = (1 << len(self.verts)) - 1
+        rest = array("q", [0]) * (self.full + 1)
+        for mask in range(self.full - 1, -1, -1):
+            rest[mask] = min(cost + rest[nxt] for _, nxt, cost in self._steps(mask))
+        self.rest = rest
+
+    def _steps(self, mask: int) -> Iterator[tuple[int, int, int]]:
+        """(vertex index, next mask, cost) of each step from mask, in index order."""
+        for i, nb in enumerate(self.adj):
+            bit = 1 << i
+            if not mask & bit:
+                yield i, mask | bit, abs(2 * (nb & mask).bit_count() - self.deg[i])
+
+    def tight(self, mask: int) -> Iterator[tuple[int, int]]:
+        """(vertex index, next mask) of each step from mask that stays optimal."""
+        rest = self.rest
+        for i, nxt, cost in self._steps(mask):
+            if cost + rest[nxt] == rest[mask]:
+                yield i, nxt
+
+    def witness(self) -> Ordering:
         mask = 0
-        for u in g.neighbors(v):
-            mask |= 1 << index[u]
-        adj[i] = mask
-    deg = [m.bit_count() for m in adj]
-    return verts, adj, deg
+        seq = []
+        while mask != self.full:
+            i, mask = next(self.tight(mask))
+            seq.append(self.verts[i])
+        return Ordering(seq)
 
+    def count(self) -> int:
+        ways = {self.full: 1}
 
-def _check_cap(g: Graph, cap: int) -> None:
-    if g.vertex_count > cap:
-        raise SizeCapExceededError(
-            f"{g.vertex_count} vertices exceeds the search cap of {cap}"
-        )
+        def walk(mask: int) -> int:
+            if mask not in ways:
+                ways[mask] = sum(walk(nxt) for _, nxt in self.tight(mask))
+            return ways[mask]
 
+        return walk(0)
 
-def _min_search(adj: list[int], deg: list[int], prune: bool) -> tuple[int, tuple[int, ...]]:
-    n = len(adj)
-    odd = [d & 1 for d in deg]
-    full = (1 << n) - 1
-    best_value: int | None = None
-    best_path: tuple[int, ...] = ()
-    path: list[int] = []
+    def optima(self) -> list[Ordering]:
+        found: list[Ordering] = []
+        path: list[str] = []
 
-    def rec(mask: int, partial: int, odd_left: int) -> None:
-        nonlocal best_value, best_path
-        if mask == full:
-            if best_value is None or partial < best_value:
-                best_value = partial
-                best_path = tuple(path)
-            return
-        for i in range(n):
-            bit = 1 << i
-            if mask & bit:
-                continue
-            left = (adj[i] & mask).bit_count()
-            cost = partial + abs(2 * left - deg[i])
-            rest = odd_left - odd[i]
-            if prune and best_value is not None and cost + rest >= best_value:
-                continue
-            path.append(i)
-            rec(mask | bit, cost, rest)
-            path.pop()
+        def walk(mask: int) -> None:
+            if mask == self.full:
+                found.append(Ordering(path))
+                return
+            for i, nxt in self.tight(mask):
+                path.append(self.verts[i])
+                walk(nxt)
+                path.pop()
 
-    rec(0, 0, sum(odd))
-    assert best_value is not None
-    return best_value, best_path
-
-
-def _enumerate_at(adj: list[int], deg: list[int], target: int) -> list[tuple[int, ...]]:
-    n = len(adj)
-    odd = [d & 1 for d in deg]
-    full = (1 << n) - 1
-    found: list[tuple[int, ...]] = []
-    path: list[int] = []
-
-    def rec(mask: int, partial: int, odd_left: int) -> None:
-        if mask == full:
-            if partial == target:
-                found.append(tuple(path))
-            return
-        for i in range(n):
-            bit = 1 << i
-            if mask & bit:
-                continue
-            left = (adj[i] & mask).bit_count()
-            cost = partial + abs(2 * left - deg[i])
-            if cost + (odd_left - odd[i]) > target:
-                continue
-            path.append(i)
-            rec(mask | bit, cost, odd_left - odd[i])
-            path.pop()
-
-    rec(0, 0, sum(odd))
-    return found
+        walk(0)
+        return found
 
 
 def brute_force_min(
     g: Graph,
     cap: int = DEFAULT_CAP,
-    prune: bool = True,
     count_optima: bool = False,
 ) -> OracleResult:
-    """Exact minimum imbalance with the lexicographically smallest witness."""
-    _check_cap(g, cap)
-    verts, adj, deg = _bit_tables(g)
-    value, indices = _min_search(adj, deg, prune)
-    witness = Ordering(verts[i] for i in indices)
-    count = len(_enumerate_at(adj, deg, value)) if count_optima else None
-    return OracleResult(minimum=value, witness=witness, optima_count=count)
+    """Exact minimum imbalance with the lexicographically smallest witness.
+
+    optima_count, the number of minimum-imbalance orderings, is filled only
+    when count_optima is set. Raises SizeCapExceededError above cap vertices.
+    """
+    table = _CostToGo(g, cap)
+    return OracleResult(
+        minimum=table.rest[0],
+        witness=table.witness(),
+        optima_count=table.count() if count_optima else None,
+    )
 
 
 def enumerate_optima(g: Graph, cap: int = DEFAULT_CAP) -> list[Ordering]:
     """All minimum-imbalance orderings, in lexicographic order."""
-    _check_cap(g, cap)
-    verts, adj, deg = _bit_tables(g)
-    value, _ = _min_search(adj, deg, prune=True)
-    return [Ordering(verts[i] for i in p) for p in _enumerate_at(adj, deg, value)]
+    return _CostToGo(g, cap).optima()

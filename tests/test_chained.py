@@ -103,6 +103,16 @@ class TestDecompose:
         with pytest.raises(NotConnectedError):
             decompose(Graph((), [("a", "b"), ("c", "d")]))
 
+    def test_disconnected_names_smallest_unreachable_vertex(self):
+        g = Graph((), [("a", "b"), ("e", "f"), ("d", "c")])
+        with pytest.raises(NotConnectedError, match=r"^graph is not connected \(c unreachable\)$"):
+            decompose(g)
+
+    def test_disconnected_and_not_bipartite_reports_odd_cycle(self):
+        g = Graph((), [("a", "b"), ("c", "d"), ("d", "e"), ("c", "e")])
+        with pytest.raises(NotBipartiteError):
+            decompose(g)
+
     def test_six_cycle_rejected(self):
         g = Graph(
             (),
@@ -160,6 +170,19 @@ class TestChainedFormula:
         g, d = generate_chained(GLUED_SPEC)
         assert min_imbalance_chained(d) == 4
         assert brute_force_min(g).minimum == 4
+
+    def test_random_specs_with_12_to_14_vertices_match_oracle(self):
+        rng = random.Random(1214)
+        checked = 0
+        while checked < 30:
+            spec = random_chain_spec(rng, max_comps=4, max_total=14, max_part=5)
+            if spec is None:
+                continue
+            g, d = generate_chained(spec)
+            if g.vertex_count < 12:
+                continue
+            assert brute_force_min(g, cap=14).minimum == min_imbalance_chained(d), spec
+            checked += 1
 
     def test_single_component_degenerates_to_complete_formula(self):
         g, _ = complete_bigraph(3, 3)

@@ -1,6 +1,7 @@
 """CLI behavior: outputs, exit codes, and the generate/solve pipeline."""
 
 import random
+import sys
 
 import pytest
 
@@ -19,6 +20,30 @@ def write(tmp_path):
         return str(p)
 
     return _write
+
+
+def _schoolbook_product_plus_one(a, b):
+    """Decimal string of a*b + 1, by schoolbook multiplication in base 10**9.
+
+    Works on 9-digit limbs so that no Python int ever has more digits than
+    the int/str conversion limit allows.
+    """
+    base = 10**9
+    x = [int(a[max(0, k - 9) : k]) for k in range(len(a), 0, -9)]
+    y = [int(b[max(0, k - 9) : k]) for k in range(len(b), 0, -9)]
+    out = [0] * (len(x) + len(y) + 1)
+    out[0] = 1
+    for i, dx in enumerate(x):
+        carry = 0
+        for j, dy in enumerate(y):
+            carry, out[i + j] = divmod(out[i + j] + dx * dy + carry, base)
+        k = i + len(y)
+        while carry:
+            carry, out[k] = divmod(out[k] + carry, base)
+            k += 1
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return str(out[-1]) + "".join(f"{d:09d}" for d in reversed(out[:-1]))
 
 
 def run(capsys, *argv):
@@ -71,6 +96,18 @@ class TestSolveComplete:
         assert code == 0
         assert out.strip() == str(int(a) * int(b) + 1)
 
+    def test_parts_beyond_the_int_str_digit_limit(self, capsys):
+        # 5,000-digit odd parts: the answer has 10,000 digits, past the 4,300
+        # that Python 3.10.7+ converts by default.
+        a = "1" + "234567890" * 555 + "1231"
+        b = "9" + "876543210" * 555 + "9873"
+        assert len(a) == len(b) == 5000
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out, err = run(capsys, "solve", "complete", "--parts", a, b)
+        assert (code, err) == (0, "")
+        assert out.strip() == _schoolbook_product_plus_one(a, b)
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
     def test_parts_reject_garbage(self, capsys):
         code, _, _ = run(capsys, "solve", "complete", "--parts", "-3", "4")
         assert code == 2
@@ -114,6 +151,14 @@ class TestSolveChained:
     def test_disconnected_exits_3(self, capsys, write):
         g = write("disc.txt", "a b\nc d\n")
         assert run(capsys, "solve", "chained", g)[0] == 3
+
+    def test_byte_order_mark_is_not_read_as_part_of_a_vertex(self, capsys, write):
+        g = write("bom.txt", "\ufeffx1 y1\nx1 y2\n")
+        code, out, err = run(capsys, "solve", "chained", g)
+        lines = out.splitlines()
+        assert (code, err) == (0, "")
+        assert lines[0] == "2"
+        assert sorted(lines[1].split()) == ["x1", "y1", "y2"]
 
 
 class TestVerify:

@@ -18,6 +18,7 @@ from biclique_imbalance import (
     parse_ordering,
     subordering,
     vertex_imbalance,
+    vertex_imbalances,
 )
 from conftest import CHAINED_EDGES, chained_example_graph, complete_bigraph, example_graph
 
@@ -196,6 +197,7 @@ class TestInvariants:
         assert ordering_imbalance(o, g) == sum(
             vertex_imbalance(v, o, g) for v in g.vertices
         )
+        assert vertex_imbalances(o, g) == [vertex_imbalance(v, o, g) for v in o]
 
     @given(graph_with_ordering())
     def test_reversal_invariance(self, case):

@@ -1,5 +1,6 @@
-"""Exhaustive-search oracle: exact minima, witnesses, enumeration, pruning."""
+"""Exact oracle: minima, witnesses, optimum counts and enumeration."""
 
+import itertools
 import random
 
 import pytest
@@ -83,14 +84,30 @@ def _random_graph(rng, n):
     return Graph(verts, [p for p in pairs if rng.random() < 0.5])
 
 
-def test_pruned_and_unpruned_agree():
+def _permutation_reference(g):
+    """(minimum, all optima in lexicographic order) by scoring every permutation."""
+    scored = []
+    for perm in itertools.permutations(sorted(g.vertices)):
+        pos = {v: k for k, v in enumerate(perm)}
+        cost = sum(
+            abs(sum(1 if pos[u] < pos[v] else -1 for u in g.neighbors(v))) for v in perm
+        )
+        scored.append((cost, perm))
+    best = min(cost for cost, _ in scored)
+    return best, [Ordering(perm) for cost, perm in scored if cost == best]
+
+
+def test_matches_permutation_reference():
     rng = random.Random(12)
-    for _ in range(40):
-        g = _random_graph(rng, rng.randint(1, 7))
-        pruned = brute_force_min(g, prune=True)
-        plain = brute_force_min(g, prune=False)
-        assert pruned.minimum == plain.minimum
-        assert pruned.witness == plain.witness
+    graphs = [Graph(), Graph(["c", "a", "b"])]
+    graphs += [_random_graph(rng, rng.randint(0, 8)) for _ in range(40)]
+    for g in graphs:
+        minimum, optima = _permutation_reference(g)
+        r = brute_force_min(g, count_optima=True)
+        assert r.minimum == minimum, g.edges()
+        assert r.witness == optima[0], g.edges()
+        assert r.optima_count == len(optima), g.edges()
+        assert enumerate_optima(g) == optima, g.edges()
 
 
 def test_reversal_closure_of_optima():
