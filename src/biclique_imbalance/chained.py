@@ -11,18 +11,18 @@ vertex and non-consecutive components are disjoint. Its minimum imbalance is
 where g(s, C) is the number of neighbors of overlap s inside C, i.e. the
 size of C's opposite part.
 
-The decomposer here is correctness-first and desk-scale: it computes the
-Galois closure (a maximal biclique) per distinct vertex neighborhood, then
-forces the component cover by constraint propagation starting from edges
-with a unique admissible candidate, and finally verifies every chain
-condition explicitly. Construction of optimal orderings builds one
+The decomposer walks the chain in time linear in the graph up to sorting:
+it starts from the component of a vertex the bipartition search reached
+last (never an overlap), and steps from each component to the next through
+the one vertex with neighbors beyond it, taking each component as the
+closure (a maximal biclique) of a neighborhood. It then verifies every
+chain condition explicitly. Construction of optimal orderings builds one
 subordering per component between its two boundary vertices and validates
 each against the closed form before emitting anything.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -75,10 +75,7 @@ class ChainDecomposition:
 
     @property
     def vertices(self) -> frozenset[str]:
-        out: frozenset[str] = frozenset()
-        for comp in self.components:
-            out |= comp.vertices
-        return out
+        return frozenset().union(*(c.vertices for c in self.components))
 
     def profile(self) -> tuple[tuple[tuple[int, int], ...], tuple[str, ...]]:
         """(component sizes, overlap part letters) for round-trip comparisons."""
@@ -126,187 +123,123 @@ class ChainSpec:
                 )
 
 
-def _biclique_closure(g: Graph, neighborhood: frozenset[str]) -> frozenset[str]:
-    """Vertices of the maximal biclique generated by one side = neighborhood."""
-    other = frozenset.intersection(*(g.neighbors(u) for u in neighborhood))
-    return neighborhood | other
+def _biclique_closure(g: Graph, b: Bipartition, side: frozenset[str]) -> ChainComponent:
+    """The maximal biclique with one part generated by side."""
+    members = side | frozenset.intersection(*(g.neighbors(u) for u in side))
+    return ChainComponent(members & b.x_part, members & b.y_part)
 
 
-def _chain_family(g: Graph) -> list[frozenset[str]]:
-    """The component cover of a chained graph, by closure + propagation.
-
-    Every maximal biclique arising as the closure of some vertex neighborhood
-    is a candidate. An edge whose both-endpoint candidates narrow to one
-    forces that candidate into the family, which in turn eliminates every
-    candidate sharing two or more vertices with it. On a genuine chained
-    graph this cascades from the end components inward and resolves every
-    edge; anything left over is rejected.
-    """
-    closures: dict[frozenset[str], frozenset[str]] = {}
-    for v in sorted(g.vertices):
-        nb = g.neighbors(v)
-        if nb not in closures:
-            closures[nb] = _biclique_closure(g, nb)
-    candidates = sorted(set(closures.values()), key=sorted)
-    ids_of_vertex: dict[str, set[int]] = {v: set() for v in g.vertices}
-    for cid, cand in enumerate(candidates):
-        for v in cand:
-            ids_of_vertex[v].add(cid)
-
-    edges = g.edges()
-    live: dict[tuple[str, str], set[int]] = {}
-    edges_of_cand: list[list[tuple[str, str]]] = [[] for _ in candidates]
-    for e in edges:
-        ids = ids_of_vertex[e[0]] & ids_of_vertex[e[1]]
-        if not ids:
-            raise NotChainedError(
-                f"edge {e[0]}-{e[1]} lies in no maximal complete bipartite set"
-            )
-        live[e] = set(ids)
-        for cid in ids:
-            edges_of_cand[cid].append(e)
-
-    chosen: set[int] = set()
-    eliminated: set[int] = set()
-    resolved: set[tuple[str, str]] = set()
-    pending = deque(e for e in edges if len(live[e]) == 1)
-
-    def eliminate(cid: int) -> None:
-        eliminated.add(cid)
-        for e2 in edges_of_cand[cid]:
-            if e2 in resolved:
-                continue
-            live[e2].discard(cid)
-            if not live[e2]:
-                raise NotChainedError(
-                    f"edge {e2[0]}-{e2[1]} has no admissible component left"
-                )
-            if len(live[e2]) == 1:
-                pending.append(e2)
-
-    while pending:
-        e = pending.popleft()
-        if e in resolved or len(live[e]) != 1:
-            continue
-        (cid,) = live[e]
-        if cid in chosen:
-            resolved.add(e)
-            continue
-        chosen.add(cid)
-        resolved.update(edges_of_cand[cid])
-        for other in range(len(candidates)):
-            if other == cid or other in chosen or other in eliminated:
-                continue
-            if len(candidates[cid] & candidates[other]) >= 2:
-                eliminate(other)
-
-    leftover = [e for e in edges if e not in resolved]
-    if leftover:
+def _exits(g: Graph, comp: ChainComponent, entry: str, limit: int) -> list[str]:
+    """The vertices of comp other than entry with a neighbor outside comp: comp
+    is complete, so their degree exceeds the size of the opposite part. More
+    than limit of them means the chain branches at comp."""
+    out = [
+        v
+        for v in sorted(comp.vertices)
+        if v != entry and g.degree(v) > (comp.ny if v in comp.x_part else comp.nx)
+    ]
+    if len(out) > limit:
         raise NotChainedError(
-            "cover is ambiguous: no component is forced for edge "
-            f"{leftover[0][0]}-{leftover[0][1]}"
+            f"the chain branches at the component reached through {entry}: {', '.join(out)}"
         )
-    return [candidates[cid] for cid in sorted(chosen)]
+    return out
 
 
-def _order_chain(
-    members: list[frozenset[str]],
-) -> tuple[list[frozenset[str]], list[str]]:
-    """Arrange family members into a path; return (ordered members, overlaps)."""
-    n = len(members)
-    if n == 1:
-        return members, []
-    links: dict[int, list[int]] = {i: [] for i in range(n)}
-    shared: dict[tuple[int, int], str] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            inter = members[i] & members[j]
-            if len(inter) >= 2:
+def _walk_chain(
+    g: Graph, b: Bipartition, start: str
+) -> tuple[list[ChainComponent], list[str]]:
+    """Components and overlaps, walking out from the component of start.
+
+    start is no overlap, so its component is the closure of its neighbors; it
+    may lie mid-chain, with two exits. From exit s the next component is the
+    closure of s's neighbors outside the last one. It has at most one exit
+    besides s and meets the components found before it only at s.
+    """
+    first = _biclique_closure(g, b, g.neighbors(start))
+    comps, overlaps = [first], []
+    seen = set(first.vertices)
+    for s in _exits(g, first, start, 2):
+        # Reversed, the first direction's components end at first, so the
+        # second direction extends the chain on first's other side.
+        comps.reverse()
+        overlaps.reverse()
+        while s is not None:
+            nxt = _biclique_closure(g, b, g.neighbors(s) - comps[-1].vertices)
+            clash = sorted(v for v in nxt.vertices if v in seen and v != s)
+            if clash:
                 raise NotChainedError(
-                    f"two components share more than one vertex: {sorted(inter)}"
+                    f"the component entered through {s} meets an earlier one at {clash[0]}"
                 )
-            if inter:
-                links[i].append(j)
-                links[j].append(i)
-                (s,) = inter
-                shared[(i, j)] = s
-                shared[(j, i)] = s
-    total_links = sum(len(v) for v in links.values()) // 2
-    ends = [i for i in range(n) if len(links[i]) == 1]
-    if total_links != n - 1 or len(ends) != 2 or any(len(v) > 2 for v in links.values()):
-        raise NotChainedError("components do not form a path-shaped chain")
-    start = ends[0] if min(members[ends[0]]) < min(members[ends[1]]) else ends[1]
-    order = [start]
-    prev = -1
-    while len(order) < n:
-        nxt = [j for j in links[order[-1]] if j != prev]
-        if len(nxt) != 1:
-            raise NotChainedError("components do not form a path-shaped chain")
-        prev = order[-1]
-        order.append(nxt[0])
-    overlaps = [shared[(order[k], order[k + 1])] for k in range(n - 1)]
-    return [members[i] for i in order], overlaps
+            seen.update(nxt.vertices)
+            comps.append(nxt)
+            overlaps.append(s)
+            onward = _exits(g, nxt, s, 1)
+            s = onward[0] if onward else None
+    return comps, overlaps
 
 
-def _verify_family(
-    g: Graph,
-    b: Bipartition,
-    ordered: list[frozenset[str]],
-    overlaps: list[str],
-) -> None:
-    covered = frozenset().union(*ordered)
-    if covered != g.vertices:
-        missing = sorted(g.vertices - covered)[0]
+def _verify_chain(g: Graph, d: ChainDecomposition) -> None:
+    if d.vertices != g.vertices:
+        missing = sorted(g.vertices - d.vertices)[0]
         raise NotChainedError(f"vertex {missing} lies in no component")
-    for idx, member in enumerate(ordered, start=1):
-        xs = member & b.x_part
-        ys = member & b.y_part
-        if not xs or not ys:
+    for idx, comp in enumerate(d.components, start=1):
+        if not comp.x_part or not comp.y_part:
             raise NotChainedError(f"component C{idx} has an empty part")
-        inside = sum(len(g.neighbors(u) & member) for u in member) // 2
-        if inside != len(xs) * len(ys):
+        members = comp.vertices
+        inside = sum(len(g.neighbors(u) & members) for u in members) // 2
+        if inside != comp.nx * comp.ny:
             raise NotChainedError(
                 f"component C{idx} does not induce a complete bipartite graph"
             )
-        for v in sorted(g.vertices - member):
-            opposite = ys if v in b.x_part else xs
-            if opposite <= g.neighbors(v):
-                raise NotChainedError(
-                    f"component C{idx} is not maximal: extendable by {v}"
-                )
-    for i, s in enumerate(overlaps, start=1):
-        for j in (i, i + 1):
-            member = ordered[j - 1]
-            xs = member & b.x_part
-            ys = member & b.y_part
-            if (s in xs and len(xs) == 1) or (s in ys and len(ys) == 1):
-                raise NotChainedError(
-                    f"overlap {s} sits in a singleton part of C{j}"
-                )
+        # A vertex that extends the component is adjacent to the whole
+        # opposite part, so it is a neighbor of any one vertex of that part.
+        extenders = [
+            v
+            for part, opposite in ((comp.x_part, comp.y_part), (comp.y_part, comp.x_part))
+            for v in g.neighbors(min(opposite, key=g.degree)) - part
+            if opposite <= g.neighbors(v)
+        ]
+        if extenders:
+            raise NotChainedError(
+                f"component C{idx} is not maximal: extendable by {min(extenders)}"
+            )
+        for s in d.overlaps[max(idx - 2, 0) : idx]:
+            if len(comp.x_part if s in comp.x_part else comp.y_part) == 1:
+                raise NotChainedError(f"overlap {s} sits in a singleton part of C{idx}")
+    covered_edges = sum(c.nx * c.ny for c in d.components)
+    if covered_edges != g.edge_count:
+        raise NotChainedError(
+            f"the components cover {covered_edges} of {g.edge_count} edges"
+        )
 
 
 def decompose(g: Graph) -> ChainDecomposition:
     """Decompose a connected chained complete bigraph into its components.
 
     The chain is normalized so that the lexicographically smallest
-    end-component vertex lies in C_1. Raises NotBipartiteError,
+    end-component vertex lies in C_1; when both end components have the same
+    smallest vertex (their shared overlap), the one whose sorted vertex list
+    is lexicographically larger comes first. Raises NotBipartiteError,
     NotConnectedError, or NotChainedError (with a reason) otherwise.
     """
     if g.vertex_count == 0:
         raise NotChainedError("graph has no vertices")
     if g.edge_count == 0:
         raise NotChainedError("graph has no edges for any component to cover")
-    b, roots = _bipartition_and_roots(g)
+    b, roots, last = _bipartition_and_roots(g)
     if len(roots) > 1:
         raise NotConnectedError(f"graph is not connected ({roots[1]} unreachable)")
-    members = _chain_family(g)
-    ordered, overlaps = _order_chain(members)
-    _verify_family(g, b, ordered, overlaps)
-    comps = tuple(
-        ChainComponent(m & b.x_part, m & b.y_part) for m in ordered
-    )
+    # An overlap is a cut vertex with vertices strictly farther from the root
+    # on its far side, so the vertex the search reached last is no overlap.
+    comps, overlaps = _walk_chain(g, b, last)
+    head, tail = comps[0].vertices, comps[-1].vertices
+    if min(tail) < min(head) or (min(tail) == min(head) and sorted(tail) > sorted(head)):
+        comps.reverse()
+        overlaps.reverse()
     in_x = tuple(s in b.x_part for s in overlaps)
-    return ChainDecomposition(comps, tuple(overlaps), in_x)
+    d = ChainDecomposition(tuple(comps), tuple(overlaps), in_x)
+    _verify_chain(g, d)
+    return d
 
 
 def g_count(d: ChainDecomposition, s: str, j: int) -> int:

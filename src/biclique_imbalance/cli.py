@@ -9,6 +9,7 @@ gen. Data goes to stdout, diagnostics to stderr. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 from pathlib import Path
@@ -186,6 +187,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# parse_args leaves the parser unchanged, so one parser serves every call.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="biclique-imbalance",

@@ -8,7 +8,7 @@ construction, so they are safe to share across threads.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -41,7 +41,7 @@ def _checked_token(token: str) -> str:
 class Graph:
     """Undirected simple graph. Edge endpoints are added to the vertex set."""
 
-    __slots__ = ("_adj",)
+    __slots__ = ("_adj", "_vertices")
 
     def __init__(
         self,
@@ -61,10 +61,11 @@ class Graph:
         self._adj: dict[str, frozenset[str]] = {
             v: frozenset(nb) for v, nb in adj.items()
         }
+        self._vertices = frozenset(self._adj)
 
     @property
     def vertices(self) -> frozenset[str]:
-        return frozenset(self._adj)
+        return self._vertices
 
     @property
     def vertex_count(self) -> int:
@@ -160,16 +161,17 @@ class Bipartition:
 class Ordering:
     """Immutable bijection between a vertex set and positions 1..n."""
 
-    __slots__ = ("_seq", "_pos")
+    __slots__ = ("_seq", "_pos", "_vertices")
 
     def __init__(self, sequence: Iterable[str]):
         seq = tuple(_checked_token(v) for v in sequence)
         pos = {v: k for k, v in enumerate(seq, start=1)}
         if len(pos) != len(seq):
-            dupes = sorted({v for v in seq if seq.count(v) > 1})
+            dupes = sorted(v for v, k in Counter(seq).items() if k > 1)
             raise ValueError(f"duplicate vertices in ordering: {dupes}")
         self._seq = seq
         self._pos = pos
+        self._vertices = frozenset(pos)
 
     @property
     def sequence(self) -> tuple[str, ...]:
@@ -177,7 +179,7 @@ class Ordering:
 
     @property
     def vertices(self) -> frozenset[str]:
-        return frozenset(self._pos)
+        return self._vertices
 
     def position(self, v: str) -> int:
         try:
@@ -279,8 +281,9 @@ def bipartition(g: Graph) -> Bipartition:
     return _bipartition_and_roots(g)[0]
 
 
-def _bipartition_and_roots(g: Graph) -> tuple[Bipartition, list[str]]:
-    """bipartition(g) plus the smallest vertex of each connected component.
+def _bipartition_and_roots(g: Graph) -> tuple[Bipartition, list[str], str | None]:
+    """bipartition(g), the smallest vertex of each connected component, and the
+    vertex the breadth-first search reached last (one farthest from its root).
 
     The roots come in sorted order, so the graph is connected iff there is at
     most one, and the second root is the smallest vertex unreachable from the
@@ -311,7 +314,8 @@ def _bipartition_and_roots(g: Graph) -> tuple[Bipartition, list[str]]:
                     raise NotBipartiteError(_odd_cycle_witness(v, w, parent, depth))
     x = frozenset(v for v, c in color.items() if c)
     y = frozenset(v for v, c in color.items() if not c)
-    return Bipartition(x, y), roots
+    # color holds the vertices in the order the search reached them.
+    return Bipartition(x, y), roots, next(reversed(color), None)
 
 
 def _check_partition_of(g: Graph, b: Bipartition) -> None:

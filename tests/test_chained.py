@@ -60,6 +60,128 @@ def profiles_match_up_to_reversal(d1, d2):
     return p2 == p1 or p2 == (tuple(reversed(p1[0])), tuple(reversed(p1[1])))
 
 
+def renamed(g, d, rng):
+    """g and d with every vertex renamed by a random bijection onto v<k> names."""
+    names = sorted(g.vertices)
+    fresh = [f"v{k}" for k in range(1, len(names) + 1)]
+    rng.shuffle(fresh)
+    m = dict(zip(names, fresh))
+    graph = Graph((), ((m[u], m[v]) for u, v in g.edges()))
+    comps = tuple(
+        ChainComponent(frozenset(m[v] for v in c.x_part), frozenset(m[v] for v in c.y_part))
+        for c in d.components
+    )
+    return graph, ChainDecomposition(comps, tuple(m[s] for s in d.overlaps), d.overlap_in_x)
+
+
+def unlabelled(comps):
+    """Components as unordered pairs of parts: the search root decides which
+    part of the graph is called X."""
+    return [frozenset((c.x_part, c.y_part)) for c in comps]
+
+
+def same_chain_up_to_reversal(d1, d2):
+    comps1, comps2 = unlabelled(d1.components), unlabelled(d2.components)
+    if comps2 == comps1 and d2.overlaps == d1.overlaps:
+        return True
+    return comps2 == comps1[::-1] and d2.overlaps == d1.overlaps[::-1]
+
+
+def k33_chain(n):
+    """n K(3,3) components glued alternately at X and Y overlaps."""
+    return generate_chained(ChainSpec(((3, 3),) * n, tuple("XY"[i % 2] for i in range(n - 1))))
+
+
+def maximal_bicliques(g, xs, ys):
+    """Every maximal complete bipartite subgraph with two nonempty parts.
+
+    Brute force over all pairs of nonempty subsets of the two parts, then
+    drop every pair that one more vertex would extend.
+    """
+    def subsets(part):
+        part = sorted(part)
+        for r in range(1, len(part) + 1):
+            yield from (frozenset(c) for c in itertools.combinations(part, r))
+
+    out = []
+    for a in subsets(xs):
+        for b in subsets(ys):
+            if all(g.has_edge(x, y) for x in a for y in b):
+                grow_a = any(all(g.has_edge(x, y) for y in b) for x in xs - a)
+                grow_b = any(all(g.has_edge(x, y) for x in a) for y in ys - b)
+                if not grow_a and not grow_b:
+                    out.append(ChainComponent(a, b))
+    return out
+
+
+def is_path_of_components(comps, vertices):
+    """Consecutive members share one vertex, which sits in a part of size >= 2
+    in both; non-consecutive members are disjoint; together they cover vertices."""
+    if frozenset().union(*(c.vertices for c in comps)) != vertices:
+        return False
+    links = {i: [] for i in range(len(comps))}
+    for i, j in itertools.combinations(range(len(comps)), 2):
+        shared = comps[i].vertices & comps[j].vertices
+        if len(shared) > 1:
+            return False
+        if shared:
+            (s,) = shared
+            for c in (comps[i], comps[j]):
+                if len(c.x_part if s in c.x_part else c.y_part) < 2:
+                    return False
+            links[i].append(j)
+            links[j].append(i)
+    if sum(map(len, links.values())) != 2 * (len(comps) - 1):
+        return False
+    if any(len(nb) > 2 for nb in links.values()):
+        return False
+    seen, stack = {0}, [0]
+    while stack:
+        for j in links[stack.pop()]:
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return len(seen) == len(comps)
+
+
+def recognised_chains(g, xs, ys):
+    """Every chain decomposition of g, as sets of components.
+
+    Partitions the edges into maximal bicliques by backtracking and keeps the
+    partitions whose members form a path of components.
+    """
+    cliques = [
+        (c, frozenset((x, y) for x in c.x_part for y in c.y_part))
+        for c in maximal_bicliques(g, xs, ys)
+    ]
+    oriented = frozenset((u, v) if u in xs else (v, u) for u, v in g.edges())
+    found = []
+
+    def split(uncovered, chosen):
+        if not uncovered:
+            if is_path_of_components(chosen, g.vertices):
+                found.append(frozenset(unlabelled(chosen)))
+            return
+        e = min(uncovered)
+        for c, edges in cliques:
+            if e in edges and edges <= uncovered:
+                split(uncovered - edges, chosen + [c])
+
+    split(oriented, [])
+    return found
+
+
+def assert_decompose_matches_recogniser(g, xs, ys):
+    expected = recognised_chains(g, xs, ys)
+    try:
+        d = decompose(g)
+    except (NotChainedError, NotConnectedError):
+        assert expected == [], sorted(g.edges())
+        return False
+    assert frozenset(unlabelled(d.components)) in expected, sorted(g.edges())
+    return True
+
+
 class TestDecompose:
     def test_paper_figure_graph(self):
         d = decompose(chained_example_graph())
@@ -137,6 +259,81 @@ class TestDecompose:
         )
         with pytest.raises(NotChainedError):
             decompose(g2)
+
+    def test_ring_of_k33s_rejected(self):
+        # component i has X = {s(i-1), s(i), a(i)}; s(i) also lies in component i+1
+        edges = [
+            (x, f"{y}{i}")
+            for i in range(4)
+            for x in (f"s{(i - 1) % 4}", f"s{i}", f"a{i}")
+            for y in "pqr"
+        ]
+        with pytest.raises(NotChainedError):
+            decompose(Graph((), edges))
+
+    def test_tree_of_components_rejected(self):
+        # a K(3,3) hub with a K(3,3) arm at each of its three X vertices
+        edges = [(h, y) for h in ("h1", "h2", "h3") for y in ("p", "q", "r")]
+        for k in (1, 2, 3):
+            edges += [(x, f"{y}{k}") for x in (f"h{k}", f"a{k}", f"b{k}") for y in "pqr"]
+        with pytest.raises(NotChainedError):
+            decompose(Graph((), edges))
+
+    def test_extra_edge_between_non_consecutive_components_rejected(self):
+        g, d = k33_chain(3)
+        overlaps = set(d.overlaps)
+        x = min(d.components[0].x_part - overlaps)
+        y = min(d.components[2].y_part - overlaps)
+        with pytest.raises(NotChainedError):
+            decompose(Graph((), [*g.edges(), (x, y)]))
+
+    def test_k33_chain_missing_one_edge_rejected(self):
+        g, d = k33_chain(3)
+        overlaps = set(d.overlaps)
+        x = min(d.components[1].x_part - overlaps)
+        y = min(d.components[1].y_part - overlaps)
+        with pytest.raises(NotChainedError):
+            decompose(Graph((), [e for e in g.edges() if set(e) != {x, y}]))
+
+
+class TestBruteForceRecogniser:
+    """decompose accepts exactly the graphs an independent recogniser accepts."""
+
+    def test_random_bipartite_graphs(self):
+        rng = random.Random(6789)
+        accepted = 0
+        for _ in range(2000):
+            n = rng.randint(6, 9)
+            nx_size = rng.randint(1, n - 1)
+            names = [f"v{k}" for k in range(1, n + 1)]
+            rng.shuffle(names)
+            xs, ys = frozenset(names[:nx_size]), frozenset(names[nx_size:])
+            density = rng.choice((0.3, 0.5, 0.7, 0.9))
+            edges = [(x, y) for x in sorted(xs) for y in sorted(ys) if rng.random() < density]
+            accepted += assert_decompose_matches_recogniser(Graph(names, edges), xs, ys)
+        assert accepted >= 100
+
+    def test_mutated_chains(self):
+        rng = random.Random(31)
+        accepted = rejected = 0
+        while accepted + rejected < 600:
+            spec = random_chain_spec(rng, max_comps=4, max_total=9, max_part=3)
+            if spec is None:
+                continue
+            g, d = renamed(*generate_chained(spec), rng)
+            xs = frozenset().union(*(c.x_part for c in d.components))
+            ys = frozenset().union(*(c.y_part for c in d.components))
+            edges = set(g.edges())
+            cross = sorted(tuple(sorted((x, y))) for x in xs for y in ys)
+            mutation = rng.choice(("none", "add", "remove"))
+            if mutation == "add" and len(edges) < len(cross):
+                edges.add(rng.choice([e for e in cross if e not in edges]))
+            elif mutation == "remove":
+                edges.discard(rng.choice(sorted(edges)))
+            ok = assert_decompose_matches_recogniser(Graph(g.vertices, edges), xs, ys)
+            accepted += ok
+            rejected += not ok
+        assert accepted >= 100 and rejected >= 100
 
 
 class TestGCount:
@@ -330,6 +527,24 @@ class TestRandomizedRoundTrips:
             dd = decompose(g)
             assert profiles_match_up_to_reversal(d, dd)
             done += 1
+
+    def test_renamed_chains_roundtrip(self):
+        # Names decide the BFS root, so renaming moves where the search
+        # starts. Star chains are paths, where a component centre and an
+        # overlap look the same locally.
+        rng = random.Random(5150)
+        specs = []
+        while len(specs) < 60:
+            spec = random_chain_spec(rng, max_comps=8, max_total=60, max_part=4)
+            if spec is not None:
+                specs.append(spec)
+        for n in range(1, 13):
+            specs.append(ChainSpec(((1, 2),) * n, ("Y",) * (n - 1)))
+            specs.append(ChainSpec(((2, 1),) * n, ("X",) * (n - 1)))
+        for spec in specs:
+            for _ in range(3):
+                g, d = renamed(*generate_chained(spec), rng)
+                assert same_chain_up_to_reversal(d, decompose(g)), spec
 
     def test_no_overlap_in_singleton_part(self):
         rng = random.Random(11)

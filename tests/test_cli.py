@@ -203,6 +203,17 @@ class TestDecompose:
         g = write("c6.txt", "a b\nb c\nc d\nd e\ne f\nf a\n")
         assert run(capsys, "decompose", g)[0] == 3
 
+    def test_orientation_tie_puts_the_larger_vertex_list_first(self, capsys, write):
+        # both end components have the overlap a as their smallest vertex
+        g = write("tie.txt", "a y1\na y2\nc y1\nc y2\na z1\na z2\nb z1\nb z2\n")
+        assert run(capsys, "decompose", g) == (
+            0,
+            "C1: X={a,c} Y={y1,y2}\n"
+            "C2: X={a,b} Y={z1,z2}\n"
+            "s1 = a (X)\n",
+            "",
+        )
+
 
 class TestOracle:
     def test_k22(self, capsys, write):
@@ -254,6 +265,30 @@ class TestGen:
     def test_singleton_overlap_spec_exits_3(self, capsys, write):
         spec = write("bad.txt", "component 1 2\noverlap X\ncomponent 2 2\n")
         assert run(capsys, "gen", "chained", "--spec", spec)[0] == 3
+
+
+class TestRepeatedCalls:
+    """One process, several main calls: no option leaks into the next call."""
+
+    def test_options_do_not_carry_over(self, capsys, write):
+        g = write("g.txt", EXAMPLE)
+        o = write("o.txt", "a b c d e\n")
+        assert run(capsys, "eval", "-v", g, o)[1].splitlines()[1:2] == ["a\t2"]
+        assert run(capsys, "eval", g, o) == (0, "6\n", "")
+
+        k22 = write("k22.txt", "x1 y1\nx1 y2\nx2 y1\nx2 y2\n")
+        assert run(capsys, "oracle", "--enumerate", k22) == (0, "4\nx1 y1 x2 y2\n16\n", "")
+        assert run(capsys, "oracle", k22) == (0, "4\nx1 y1 x2 y2\n", "")
+
+        spec = write("spec.txt", "component 2 2\noverlap X\ncomponent 2 2\n")
+        code, out, _ = run(capsys, "gen", "chained", "--spec", spec, "--shuffle-names", "7")
+        assert code == 0 and out.startswith("v1 v6\n")
+        code, out, err = run(capsys, "gen", "chained", "--spec", spec)
+        assert code == 0
+        assert out.splitlines() == [
+            "x1 y1", "x1 y2", "x2 y1", "x2 y2", "x2 y3", "x2 y4", "x3 y3", "x3 y4"
+        ]
+        assert err == "C1: X={x1,x2} Y={y1,y2}\nC2: X={x2,x3} Y={y3,y4}\ns1 = x2 (X)\n"
 
 
 class TestPipelineClosure:

@@ -64,6 +64,11 @@ class TestOrdering:
         with pytest.raises(ValueError, match="duplicate"):
             Ordering(["a", "b", "a"])
 
+    def test_duplicate_message_names_each_duplicate_once_in_sorted_order(self):
+        with pytest.raises(ValueError) as exc:
+            Ordering(["c", "a", "b", "a", "c", "c"])
+        assert str(exc.value) == "duplicate vertices in ordering: ['a', 'c']"
+
     def test_parse_ordering_splits_on_any_whitespace(self):
         assert parse_ordering("a b\nc") == Ordering(["a", "b", "c"])
 
