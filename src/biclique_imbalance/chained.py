@@ -16,17 +16,19 @@ it starts from the component of a vertex the bipartition search reached
 last (never an overlap), and steps from each component to the next through
 the one vertex with neighbors beyond it, taking each component as the
 closure (a maximal biclique) of a neighborhood. It then verifies every
-chain condition explicitly. Construction of optimal orderings builds one
-subordering per component between its two boundary vertices and validates
-each against the closed form before emitting anything.
+chain condition explicitly. Construction of optimal orderings lays out each
+component between its two boundary vertices as at most six alternating runs
+of its two parts, read off the run-length table of the complete case, and
+validates each against the closed form before emitting anything.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .complete import _complete_imbalance_by_scan, min_imbalance_formula
+from .complete import _complete_imbalance_by_scan, _fill_runs, min_imbalance_formula
 from .errors import (
     ConstructionInvariantViolatedError,
     GraphParseError,
@@ -73,7 +75,7 @@ class ChainDecomposition:
     def n(self) -> int:
         return len(self.components)
 
-    @property
+    @cached_property
     def vertices(self) -> frozenset[str]:
         return frozenset().union(*(c.vertices for c in self.components))
 
@@ -259,79 +261,37 @@ def min_imbalance_chained(d: ChainDecomposition) -> int:
     total = 0
     for comp in d.components:
         total += min_imbalance_formula(comp.nx, comp.ny)
-    for i, s in enumerate(d.overlaps, start=1):
-        left = g_count(d, s, i)
-        right = g_count(d, s, i + 1)
+    for i, in_x in enumerate(d.overlap_in_x):
+        left, right = (c.ny if in_x else c.nx for c in d.components[i : i + 2])
         total += abs(left - right) - left - right
     return total
 
 
-def _between_same_part(p: list[str], q: list[str], s_prev: str, s_next: str) -> list[str]:
-    rest = [v for v in p if v != s_prev and v != s_next]
-    if len(p) % 2 == 0:
-        half = len(rest) // 2
-        return rest[:half] + list(q) + rest[half:]
-    if len(p) < 3:
-        raise ConstructionInvariantViolatedError(
-            f"odd part of size {len(p)} cannot host both boundary vertices"
-        )
-    mid = len(rest) // 2
-    k = len(q) // 2
-    return rest[:mid] + q[:k] + [rest[mid]] + q[k:] + rest[mid + 1 :]
+def _between(comp: ChainComponent, s_prev: str, s_next: str) -> list[str]:
+    """Tokens between the boundary vertices of one component's subordering.
 
-
-def _between_diff_part(p: list[str], q: list[str], s_prev: str, s_next: str) -> list[str]:
-    # s_prev in p, s_next in q; requires p odd or both sizes even.
-    rest_p = [v for v in p if v != s_prev]
-    rest_q = [v for v in q if v != s_next]
-    np_, nq = len(p), len(q)
-    if np_ % 2 == 0 and nq % 2 == 0:
-        a = (np_ - 2) // 2
-        return rest_p[:a] + rest_q[: nq // 2] + rest_p[a:] + rest_q[nq // 2 :]
-    if np_ % 2 == 1 and np_ < 3:
+    The runs start with s_prev's part A and hold s_next last in its own part.
+    """
+    prev_x = s_prev in comp.x_part
+    same = prev_x == (s_next in comp.x_part)
+    a, b = (comp.x_part, comp.y_part) if prev_x else (comp.y_part, comp.x_part)
+    # Across parts, the runs need s_prev's part odd unless both are even;
+    # mirror (build from the other end, then flip) when only s_next's is odd.
+    mirror = not same and len(a) % 2 == 0 and len(b) % 2 == 1
+    if mirror:
+        a, b, s_prev, s_next = b, a, s_next, s_prev
+    if not same and len(a) == 1 < len(b):
         raise ConstructionInvariantViolatedError(
-            f"boundary vertex in a singleton part of K({np_}, {nq}) admits no "
+            f"boundary vertex in a singleton part of K({len(a)}, {len(b)}) admits no "
             "optimal ordering"
         )
-    if np_ % 2 == 1 and nq % 2 == 0:
-        a = (np_ - 3) // 2
-        return rest_p[:a] + rest_q[: nq // 2] + rest_p[a:] + rest_q[nq // 2 :]
-    if np_ % 2 == 1 and nq % 2 == 1:
-        a = (np_ - 3) // 2
-        h = (nq - 1) // 2
-        return rest_p[:a] + rest_q[:h] + [rest_p[a]] + rest_q[h:] + rest_p[a + 1 :]
-    raise ConstructionInvariantViolatedError(
-        f"unhandled parity orientation for K({np_}, {nq})"
-    )
-
-
-def _between(
-    xs: list[str],
-    ys: list[str],
-    x_set: frozenset[str],
-    s_prev: str,
-    s_next: str,
-) -> list[str]:
-    """Tokens between the boundary vertices of one component's subordering."""
-    prev_x = s_prev in x_set
-    next_x = s_next in x_set
-    if prev_x and next_x:
-        return _between_same_part(xs, ys, s_prev, s_next)
-    if not prev_x and not next_x:
-        return _between_same_part(ys, xs, s_prev, s_next)
-    if prev_x:
-        p, q, sp, sn = xs, ys, s_prev, s_next
-    else:
-        p, q, sp, sn = ys, xs, s_prev, s_next
-    if len(p) == 1 and len(q) == 1:
-        return []
-    # The displayed patterns put the left boundary in the odd part; mirror
-    # (build reversed, then flip) when only the right boundary's part is odd.
-    if len(p) % 2 == 0 and len(q) % 2 == 1:
-        mirrored = _between_diff_part(q, p, sn, sp)
-        mirrored.reverse()
-        return mirrored
-    return _between_diff_part(p, q, sp, sn)
+    a_seq = [s_prev, *sorted(a - {s_prev, s_next})]
+    b_seq = sorted(b - {s_next})
+    (a_seq if same else b_seq).append(s_next)
+    full = _fill_runs(a_seq, b_seq, same)
+    if mirror:
+        full.reverse()
+    return full[1:-1]
 
 
 def _validated_subordering(
@@ -343,9 +303,7 @@ def _validated_subordering(
             f"boundary vertices must be two distinct members of the component, "
             f"got {s_prev!r}, {s_next!r}"
         )
-    xs = sorted(comp.x_part)
-    ys = sorted(comp.y_part)
-    mid = _between(xs, ys, comp.x_part, s_prev, s_next)
+    mid = _between(comp, s_prev, s_next)
     full = [s_prev, *mid, s_next]
     if sorted(full) != sorted(comp.vertices):
         raise ConstructionInvariantViolatedError(
@@ -519,8 +477,7 @@ def overlap_inequality_probe(o: Ordering, d: ChainDecomposition) -> OverlapInequ
         counts.append((left, len(neighbors) - left))
     (l1, r1), (l2, r2) = counts
     lhs = abs(l1 - r1 + l2 - r2) - abs(l1 - r1) - abs(l2 - r2)
-    g1 = g_count(d, s, 1)
-    g2 = g_count(d, s, 2)
+    g1, g2 = l1 + r1, l2 + r2  # s's neighbors in C_i number g(s, C_i)
     rhs = abs(g1 - g2) - g1 - g2
     return OverlapInequalityProbe(lhs, rhs, l1, r1, l2, r2)
 

@@ -1,9 +1,11 @@
 """Closed-form solver for complete bipartite graphs.
 
 Minimum imbalance of K(a, b) is a*b + (a mod 2)*(b mod 2). This module also
-builds optimal orderings (sandwich / pseudo-sandwich), computes the profile
-of Y positions and the X blocks between them, applies the median shifts that
-preserve optimality, and verifies optimality of arbitrary orderings in one
+builds optimal orderings (sandwich / pseudo-sandwich) as at most six
+alternating runs of the two parts, read off one run-length table; computes
+the profile of Y positions and the X blocks between them; applies the median
+shifts that preserve optimality, each of which moves one Y vertex to an end
+of the ordering; and verifies optimality of arbitrary orderings in one
 linear pass via the three block-sum properties.
 
 Part sizes are plain Python ints, so the formula works unchanged on inputs
@@ -36,28 +38,47 @@ def min_imbalance_formula(nx: int, ny: int) -> int:
     return nx * ny + (nx % 2) * (ny % 2)
 
 
+def _run_lengths(p: int, q: int, same: bool) -> tuple[int, ...]:
+    """Run lengths of an optimal ordering of K(p, q) that starts in part A.
+
+    Runs alternate A, B, A, ... from the part A (size p) of the first
+    vertex; same says the last vertex lies in A as well.
+    """
+    if same:
+        return (p // 2, q // 2, p % 2, q - q // 2, p // 2)
+    if p % 2 and q % 2:
+        return (p // 2, q // 2, 1, q // 2, p // 2, 1)
+    return (p // 2, q - q // 2, p - p // 2, q // 2)
+
+
+def _fill_runs(a: list[str], b: list[str], same: bool) -> list[str]:
+    """Deal the lists a (part A) and b, in order, into the runs of K(|a|, |b|)."""
+    lists = (a, b)
+    taken = [0, 0]
+    out: list[str] = []
+    for k, length in enumerate(_run_lengths(len(a), len(b), same)):
+        part = k % 2
+        out += lists[part][taken[part] : taken[part] + length]
+        taken[part] += length
+    return out
+
+
 def construct_optimal_complete(b: Bipartition) -> Ordering:
     """An ordering of X ∪ Y whose imbalance on K(|X|, |Y|) meets the formula.
 
-    If a part has even size it is split into two halves that sandwich the
-    other part. If both sizes are odd, the pseudo-sandwich places one median
-    Y vertex between two near-equal halves of X, flanked by the rest of Y.
-    Ties resolve by sorted vertex order, first half left.
+    The ordering is at most five runs that start and end in the same part:
+    an even part is split into two halves that sandwich the other part; if
+    both sizes are odd, the pseudo-sandwich places one median Y vertex
+    between two near-equal halves of X, flanked by the rest of Y. Ties
+    resolve by sorted vertex order, first half left.
     """
     xs = sorted(b.x_part)
     ys = sorted(b.y_part)
     if not xs or not ys:
         raise ValueError("both parts must be non-empty")
-    if len(ys) % 2 == 0:
-        outside, inside = ys, xs
-    elif len(xs) % 2 == 0:
-        outside, inside = xs, ys
-    else:
-        k = (len(ys) - 1) // 2
-        h = len(xs) // 2
-        return Ordering(ys[:k] + xs[:h] + [ys[k]] + xs[h:] + ys[k + 1 :])
-    half = len(outside) // 2
-    return Ordering(outside[:half] + inside + outside[half:])
+    if len(ys) % 2 == 0 or len(xs) % 2 == 1:
+        return Ordering(_fill_runs(ys, xs, True))
+    return Ordering(_fill_runs(xs, ys, True))
 
 
 @dataclass(frozen=True)
@@ -81,14 +102,10 @@ class YPositionProfile:
         return self.y_vertices[rank - 1]
 
 
-def _check_orders_parts(o: Ordering, b: Bipartition) -> None:
-    if o.vertices != b.vertices:
-        raise ValueError("ordering does not cover exactly the bipartition's vertices")
-
-
 def y_position_profile(o: Ordering, b: Bipartition) -> YPositionProfile:
     """Sentinel-padded Y positions and between-gap X block sizes of an ordering."""
-    _check_orders_parts(o, b)
+    if o.vertices != b.vertices:
+        raise ValueError("ordering does not cover exactly the bipartition's vertices")
     n = len(o)
     positions = [0]
     y_vertices = []
@@ -103,65 +120,30 @@ def y_position_profile(o: Ordering, b: Bipartition) -> YPositionProfile:
     return YPositionProfile(tuple(positions), blocks, tuple(y_vertices))
 
 
-def _runs(o: Ordering, b: Bipartition) -> tuple[list[list[str]], list[str]]:
-    """Split the ordering into X runs around the Y vertices.
-
-    Returns (blocks, ys) with len(blocks) == len(ys) + 1; blocks[i] holds the
-    X vertices between the i-th and (i+1)-th Y vertices.
-    """
-    _check_orders_parts(o, b)
-    blocks: list[list[str]] = [[]]
-    ys: list[str] = []
-    for v in o:
-        if v in b.y_part:
-            ys.append(v)
-            blocks.append([])
-        else:
-            blocks[-1].append(v)
-    return blocks, ys
-
-
 def shift_left(o: Ordering, b: Bipartition) -> Ordering:
     """Move the Y vertex of rank floor(|Y|/2) to the leftmost position.
 
-    The X blocks are re-concatenated around it exactly per the displayed
-    formula; on an optimal ordering the result is optimal again.
+    Taking a Y vertex out merges the two X blocks beside it, exactly per the
+    displayed formula; on an optimal ordering the result is optimal again.
     """
-    blocks, ys = _runs(o, b)
+    ys = y_position_profile(o, b).y_vertices
     m = len(ys) // 2
     if m < 1:
         raise ValueError(f"shift_left undefined for |Y| = {len(ys)}: rank {m} does not exist")
-    seq: list[str] = [ys[m - 1]]
-    seq.extend(blocks[0])
-    for i in range(1, m):
-        seq.append(ys[i - 1])
-        seq.extend(blocks[i])
-    seq.extend(blocks[m])
-    for i in range(m + 1, len(ys) + 1):
-        seq.append(ys[i - 1])
-        seq.extend(blocks[i])
-    return Ordering(seq)
+    v = ys[m - 1]
+    return Ordering([v, *(u for u in o if u != v)])
 
 
 def shift_right(o: Ordering, b: Bipartition) -> Ordering:
     """Move the Y vertex of rank ceil(|Y|/2) + 1 to the rightmost position."""
-    blocks, ys = _runs(o, b)
-    ceil_half = (len(ys) + 1) // 2
-    moved = ceil_half + 1
+    ys = y_position_profile(o, b).y_vertices
+    moved = (len(ys) + 1) // 2 + 1
     if moved > len(ys):
         raise ValueError(
             f"shift_right undefined for |Y| = {len(ys)}: rank {moved} does not exist"
         )
-    seq: list[str] = list(blocks[0])
-    for i in range(1, ceil_half + 1):
-        seq.append(ys[i - 1])
-        seq.extend(blocks[i])
-    seq.extend(blocks[moved])
-    for i in range(moved + 1, len(ys) + 1):
-        seq.append(ys[i - 1])
-        seq.extend(blocks[i])
-    seq.append(ys[moved - 1])
-    return Ordering(seq)
+    v = ys[moved - 1]
+    return Ordering([*(u for u in o if u != v), v])
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ __all__ = [
 
 
 def _checked_token(token: str) -> str:
-    if not isinstance(token, str) or not token or any(c.isspace() for c in token):
+    if not isinstance(token, str) or token.split() != [token]:
         raise ValueError(
             f"vertex token must be a non-empty string without whitespace, got {token!r}"
         )
@@ -83,9 +83,6 @@ class Graph:
 
     def degree(self, v: str) -> int:
         return len(self.neighbors(v))
-
-    def has_vertex(self, v: str) -> bool:
-        return v in self._adj
 
     def has_edge(self, u: str, v: str) -> bool:
         return u in self._adj and v in self._adj[u]
@@ -148,14 +145,6 @@ class Bipartition:
     @property
     def ny(self) -> int:
         return len(self.y_part)
-
-    def side(self, v: str) -> str:
-        """Return "X" or "Y" for a vertex of the bipartition."""
-        if v in self.x_part:
-            return "X"
-        if v in self.y_part:
-            return "Y"
-        raise ValueError(f"vertex {v!r} not in bipartition")
 
 
 class Ordering:

@@ -21,6 +21,7 @@ from biclique_imbalance import (
     brute_force_min,
     construct_component_subordering,
     construct_optimal_chained,
+    construct_optimal_complete,
     decompose,
     format_decomposition,
     g_count,
@@ -412,7 +413,7 @@ class TestComponentSubordering:
 
     def test_all_boundary_placements_of_small_components(self):
         # every legal boundary pair must produce a block meeting the closed form
-        for a, b in [(2, 2), (2, 3), (3, 3), (1, 3), (2, 4), (3, 4), (1, 1)]:
+        for a, b in itertools.product(range(1, 7), repeat=2):
             g, bp = complete_bigraph(a, b)
             d = ChainDecomposition((ChainComponent(bp.x_part, bp.y_part),), (), ())
             want = min_imbalance_formula(a, b)
@@ -425,6 +426,31 @@ class TestComponentSubordering:
                 mid = construct_component_subordering(d, 1, s_prev, s_next)
                 full = Ordering([s_prev, *mid, s_next])
                 assert ordering_imbalance(full, g) == want, (a, b, s_prev, s_next)
+
+    def test_golden_orderings(self):
+        # One component per row (and parity) of the run-length table, the
+        # mirrored row included, then the complete constructor.
+        cases = [
+            (4, 3, "x1", "x4", "x2 y1 y2 y3 x3"),  # same part, even
+            (5, 2, "x2", "x4", "x1 y1 x3 y2 x5"),  # same part, odd
+            (3, 5, "x2", "y3", "y1 y2 x1 y4 y5 x3"),  # different parts, both odd
+            (3, 4, "x1", "y2", "y1 y3 x2 x3 y4"),  # different, first odd
+            (4, 2, "y2", "x3", "x1 x2 y1 x4"),  # different, both even
+            (4, 3, "x3", "y1", "x4 y3 y2 x2 x1"),  # mirror: first even, second odd
+        ]
+        for a, b, s_prev, s_next, want in cases:
+            _, bp = complete_bigraph(a, b)
+            d = ChainDecomposition((ChainComponent(bp.x_part, bp.y_part),), (), ())
+            mid = construct_component_subordering(d, 1, s_prev, s_next)
+            assert mid == Ordering(want.split()), (a, b, s_prev, s_next)
+        for a, b, want in [
+            (3, 3, "y1 x1 y2 x2 x3 y3"),
+            (2, 3, "x1 y1 y2 y3 x2"),
+            (3, 1, "x1 y1 x2 x3"),
+        ]:
+            assert construct_optimal_complete(complete_bigraph(a, b)[1]) == Ordering(
+                want.split()
+            )
 
     def test_bad_boundaries_rejected(self):
         d = ChainDecomposition(

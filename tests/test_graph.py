@@ -77,6 +77,17 @@ class TestOrdering:
             parse_ordering("a a")
 
 
+@pytest.mark.parametrize("token", ["", "a b", "a\u2003b", "a\x85b", "a\x1cb", 7])
+def test_graph_and_ordering_reject_bad_tokens(token):
+    for build in (
+        lambda: Graph([token]),
+        lambda: Graph((), [(token, "z")]),
+        lambda: Ordering(["z", token]),
+    ):
+        with pytest.raises(ValueError, match="vertex token must be a non-empty string"):
+            build()
+
+
 class TestBipartition:
     def test_path(self):
         g = Graph((), [("a", "b"), ("b", "c")])
