@@ -4,13 +4,22 @@ Vertices are opaque string tokens (non-empty, no whitespace); their
 lexicographic order is the tie-breaker for every "arbitrary" choice in the
 package. Ordering positions are 1-based. All values here are immutable after
 construction, so they are safe to share across threads.
+
+Reading an edge list costs one split and two set insertions per line, straight
+into the adjacency sets. Everything after that works on whole sets: the
+bipartition search tests a vertex's neighbors against its own color class by
+disjointness and sorts only the neighbors it newly reaches, and the partition
+check tests each part's adjacency sets for disjointness from the part. Both
+are linear in V + E apart from those sorts, and build an error's witness only
+when they fail.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import cached_property
+from typing import Iterable, Iterator, Mapping
 
 from .errors import GraphParseError, NotBipartiteError
 
@@ -30,38 +39,71 @@ __all__ = [
 ]
 
 
-def _checked_token(token: str) -> str:
+def _checked_token(token: str) -> None:
     if not isinstance(token, str) or token.split() != [token]:
         raise ValueError(
             f"vertex token must be a non-empty string without whitespace, got {token!r}"
         )
-    return token
+
+
+def _tokens_ok(tokens: list[str]) -> bool:
+    """True iff every token is a non-empty string without whitespace: joined
+    by spaces, they split back into themselves. One C-level pass; callers that
+    get False look at each token to raise the first error."""
+    try:
+        return " ".join(tokens).split() == tokens
+    except TypeError:  # a token that is not a str
+        return False
 
 
 class Graph:
     """Undirected simple graph. Edge endpoints are added to the vertex set."""
 
-    __slots__ = ("_adj", "_vertices")
+    __slots__ = ("_adj", "_vertices", "_edge_count")
 
     def __init__(
         self,
         vertices: Iterable[str] = (),
         edges: Iterable[tuple[str, str]] = (),
     ):
-        adj: dict[str, set[str]] = {}
+        vertices = list(vertices)
+        edges = list(edges)
+        try:
+            ok = _tokens_ok(vertices) and _tokens_ok([w for e in edges for w in e])
+        except TypeError:  # an edge that is not iterable
+            ok = False
+        if not ok:
+            # Raise the first error in input order, as a per-item check would.
+            for v in vertices:
+                _checked_token(v)
+            for u, v in edges:
+                _checked_token(u)
+                _checked_token(v)
+                if u == v:
+                    raise ValueError(f"self-loop on {u!r}")
+        adj: defaultdict[str, set[str]] = defaultdict(set)
         for v in vertices:
-            adj.setdefault(_checked_token(v), set())
+            adj.setdefault(v, set())
         for u, v in edges:
-            u = _checked_token(u)
-            v = _checked_token(v)
             if u == v:
                 raise ValueError(f"self-loop on {u!r}")
-            adj.setdefault(u, set()).add(v)
-            adj.setdefault(v, set()).add(u)
+            adj[u].add(v)
+            adj[v].add(u)
+        self._freeze(adj)
+
+    @classmethod
+    def _from_adj(cls, adj: Mapping[str, Iterable[str]]) -> "Graph":
+        """A graph over a symmetric adjacency map whose tokens are already valid."""
+        g = cls.__new__(cls)
+        g._freeze(adj)
+        return g
+
+    def _freeze(self, adj: Mapping[str, Iterable[str]]) -> None:
         self._adj: dict[str, frozenset[str]] = {
             v: frozenset(nb) for v, nb in adj.items()
         }
         self._vertices = frozenset(self._adj)
+        self._edge_count = sum(map(len, self._adj.values())) // 2
 
     @property
     def vertices(self) -> frozenset[str]:
@@ -73,7 +115,7 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return sum(len(nb) for nb in self._adj.values()) // 2
+        return self._edge_count
 
     def neighbors(self, v: str) -> frozenset[str]:
         try:
@@ -95,18 +137,10 @@ class Graph:
 
     def subgraph(self, keep: Iterable[str]) -> "Graph":
         keep_set = set(keep)
-        missing = keep_set - set(self._adj)
+        missing = keep_set - self._vertices
         if missing:
             raise ValueError(f"vertices not in graph: {sorted(missing)}")
-        return Graph(
-            keep_set,
-            (
-                (u, v)
-                for u in keep_set
-                for v in self._adj[u]
-                if v in keep_set and u < v
-            ),
-        )
+        return Graph._from_adj({u: self._adj[u] & keep_set for u in keep_set})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -134,7 +168,7 @@ class Bipartition:
         if overlap:
             raise ValueError(f"parts are not disjoint: {sorted(overlap)}")
 
-    @property
+    @cached_property
     def vertices(self) -> frozenset[str]:
         return self.x_part | self.y_part
 
@@ -153,8 +187,11 @@ class Ordering:
     __slots__ = ("_seq", "_pos", "_vertices")
 
     def __init__(self, sequence: Iterable[str]):
-        seq = tuple(_checked_token(v) for v in sequence)
-        pos = {v: k for k, v in enumerate(seq, start=1)}
+        seq = tuple(sequence)
+        if not _tokens_ok(list(seq)):
+            for v in seq:
+                _checked_token(v)
+        pos = dict(zip(seq, range(1, len(seq) + 1)))
         if len(pos) != len(seq):
             dupes = sorted(v for v, k in Counter(seq).items() if k > 1)
             raise ValueError(f"duplicate vertices in ordering: {dupes}")
@@ -211,24 +248,25 @@ def parse_edge_list(text: str) -> Graph:
     is either two whitespace-separated tokens (an edge) or one token (an
     isolated vertex). Duplicate edge lines are idempotent.
     """
-    vertices: list[str] = []
-    edges: list[tuple[str, str]] = []
+    adj: defaultdict[str, set[str]] = defaultdict(set)
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+        line = raw.partition("#")[0]
         tokens = line.split()
-        if len(tokens) == 1:
-            vertices.append(tokens[0])
-        elif len(tokens) == 2:
-            if tokens[0] == tokens[1]:
-                raise GraphParseError(f"self-loop on {tokens[0]!r}", line=lineno)
-            edges.append((tokens[0], tokens[1]))
-        else:
+        if len(tokens) == 2:
+            u, v = tokens
+            if u == v:
+                raise GraphParseError(f"self-loop on {u!r}", line=lineno)
+            adj[u].add(v)
+            adj[v].add(u)
+        elif len(tokens) == 1:
+            adj.setdefault(tokens[0], set())
+        elif tokens:
             raise GraphParseError(
-                f"expected 1 or 2 tokens, got {len(tokens)}: {line!r}", line=lineno
+                f"expected 1 or 2 tokens, got {len(tokens)}: {line.strip()!r}",
+                line=lineno,
             )
-    return Graph(vertices, edges)
+    # Tokens that str.split produced are non-empty and free of whitespace.
+    return Graph._from_adj(adj)
 
 
 def parse_ordering(text: str) -> Ordering:
@@ -281,6 +319,7 @@ def _bipartition_and_roots(g: Graph) -> tuple[Bipartition, list[str], str | None
     """
     roots: list[str] = []
     color: dict[str, bool] = {}
+    sides: dict[bool, set[str]] = {True: set(), False: set()}
     parent: dict[str, str | None] = {}
     depth: dict[str, int] = {}
     for root in sorted(g.vertices):
@@ -288,31 +327,43 @@ def _bipartition_and_roots(g: Graph) -> tuple[Bipartition, list[str], str | None
             continue
         roots.append(root)
         color[root] = True
+        sides[True].add(root)
         parent[root] = None
         depth[root] = 0
         queue = deque([root])
         while queue:
             v = queue.popleft()
-            for w in sorted(g.neighbors(v)):
-                if w not in color:
-                    color[w] = not color[v]
-                    parent[w] = v
-                    depth[w] = depth[v] + 1
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    raise NotBipartiteError(_odd_cycle_witness(v, w, parent, depth))
-    x = frozenset(v for v, c in color.items() if c)
-    y = frozenset(v for v, c in color.items() if not c)
+            c = color[v]
+            nb = g.neighbors(v)
+            same = sides[c]
+            if not nb.isdisjoint(same):
+                # The smallest clashing neighbor is the one a scan of the
+                # sorted neighbors would meet first.
+                w = min(nb & same)
+                raise NotBipartiteError(_odd_cycle_witness(v, w, parent, depth))
+            reached = sorted(nb.difference(color))
+            sides[not c].update(reached)
+            d = depth[v] + 1
+            for w in reached:
+                color[w] = not c
+                parent[w] = v
+                depth[w] = d
+            queue.extend(reached)
     # color holds the vertices in the order the search reached them.
-    return Bipartition(x, y), roots, next(reversed(color), None)
+    b = Bipartition(frozenset(sides[True]), frozenset(sides[False]))
+    return b, roots, next(reversed(color), None)
 
 
 def _check_partition_of(g: Graph, b: Bipartition) -> None:
     if b.vertices != g.vertices:
         raise ValueError("bipartition does not cover exactly the graph's vertices")
-    for u, v in g.edges():
-        if (u in b.x_part) == (v in b.x_part):
-            raise ValueError(f"edge {u}-{v} joins two vertices of the same part")
+    parts = (b.x_part, b.y_part)
+    if all(g.neighbors(u).isdisjoint(part) for part in parts for u in part):
+        return
+    u, v = min(
+        (u, v) for part in parts for u in part for v in g.neighbors(u) & part if u < v
+    )
+    raise ValueError(f"edge {u}-{v} joins two vertices of the same part")
 
 
 def is_complete_bipartite(g: Graph, b: Bipartition) -> bool:
@@ -334,7 +385,7 @@ def vertex_imbalances(o: Ordering, g: Graph) -> list[int]:
     """The imbalance of every vertex, in ordering order, in one pass."""
     if o.vertices != g.vertices:
         raise ValueError("ordering does not cover exactly the graph's vertices")
-    pos = o.positions()
+    pos = o._pos
     out = []
     for p, v in enumerate(o, start=1):
         left = sum(1 for u in g.neighbors(v) if pos[u] < p)

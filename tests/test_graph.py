@@ -20,6 +20,7 @@ from biclique_imbalance import (
     vertex_imbalance,
     vertex_imbalances,
 )
+from biclique_imbalance.graph import _bipartition_and_roots
 from conftest import CHAINED_EDGES, chained_example_graph, complete_bigraph, example_graph
 
 
@@ -52,6 +53,42 @@ class TestParseEdgeList:
     def test_self_loop_rejected(self):
         with pytest.raises(GraphParseError, match="self-loop"):
             parse_edge_list("a a")
+
+    def test_three_tokens_before_a_comment_exact_message(self):
+        with pytest.raises(GraphParseError) as exc:
+            parse_edge_list("a b\nc d e  # note\n")
+        assert str(exc.value) == "line 2: expected 1 or 2 tokens, got 3: 'c d e'"
+        assert exc.value.line == 2
+
+    def test_self_loop_exact_message(self):
+        with pytest.raises(GraphParseError) as exc:
+            parse_edge_list("a b\n\n  x\tx # loop\n")
+        assert str(exc.value) == "line 3: self-loop on 'x'"
+        assert exc.value.line == 3
+
+    @given(st.data())
+    def test_equals_graph_built_line_by_line(self, data):
+        token = st.sampled_from(["a", "b", "c", "x1", "y1", "é", "日本"])
+        gap = st.sampled_from([" ", "\t", "  ", " \t "])
+        comment = st.sampled_from(["", "#", "# note", "  # a b c"])
+        vertices: list[str] = []
+        edges: list[tuple[str, str]] = []
+        lines = []
+        for _ in range(data.draw(st.integers(0, 12))):
+            kind = data.draw(st.sampled_from(["blank", "comment", "vertex", "edge"]))
+            if kind == "blank":
+                lines.append(data.draw(st.sampled_from(["", " ", "\t"])))
+            elif kind == "comment":
+                lines.append(data.draw(comment))
+            elif kind == "vertex":
+                v = data.draw(token)
+                vertices.append(v)
+                lines.append(data.draw(gap) + v + data.draw(comment))
+            else:
+                u, v = data.draw(st.lists(token, min_size=2, max_size=2, unique=True))
+                edges.append((u, v))
+                lines.append(u + data.draw(gap) + v + data.draw(comment))
+        assert parse_edge_list("\n".join(lines)) == Graph(vertices, edges)
 
 
 class TestOrdering:
@@ -114,6 +151,41 @@ class TestBipartition:
         b = bipartition(g)
         assert "z" in b.x_part
 
+    # The search meets roots and neighbors in sorted order, so each witness
+    # cycle is fixed.
+    @pytest.mark.parametrize(
+        "edges, cycle",
+        [
+            ([("a", "b"), ("b", "c"), ("a", "c")], ["b", "a", "c"]),
+            ([("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "a")], ["c", "b", "a", "e", "d"]),
+            # b reaches c and d before it meets z, colored like b.
+            ([("a", "b"), ("a", "z"), ("b", "c"), ("b", "d"), ("b", "z")], ["b", "a", "z"]),
+            # y and z both clash with b; the smaller one is the witness.
+            ([("a", "b"), ("a", "y"), ("a", "z"), ("b", "c"), ("b", "y"), ("b", "z")], ["b", "a", "y"]),
+            (
+                [("r", "a"), ("a", "c"), ("c", "e"), ("e", "g"), ("g", "d"), ("d", "b"), ("b", "r"), ("c", "h"), ("h", "i")],
+                ["g", "e", "c", "a", "r", "b", "d"],
+            ),
+            # The first component is bipartite; the clash is in the second.
+            ([("a", "b"), ("b", "c"), ("p", "q"), ("q", "s"), ("p", "s")], ["q", "p", "s"]),
+        ],
+    )
+    def test_exact_odd_cycle_witness(self, edges, cycle):
+        with pytest.raises(NotBipartiteError) as info:
+            bipartition(Graph((), edges))
+        assert info.value.cycle == cycle
+        assert str(info.value) == "graph is not bipartite; odd cycle: " + " ".join(cycle)
+
+    def test_roots_and_last_reached_vertex(self):
+        g = Graph(["q", "h"], [("b", "a"), ("b", "c"), ("d", "e"), ("e", "f"), ("f", "g")])
+        b, roots, last = _bipartition_and_roots(g)
+        assert b.x_part == {"a", "c", "d", "f", "h", "q"}
+        assert b.y_part == {"b", "e", "g"}
+        assert roots == ["a", "d", "h", "q"]
+        assert last == "q"
+        assert _bipartition_and_roots(chained_example_graph())[1:] == (["x1"], "y6")
+        assert _bipartition_and_roots(Graph())[1:] == ([], None)
+
     def test_parts_must_be_disjoint(self):
         with pytest.raises(ValueError, match="disjoint"):
             Bipartition(frozenset({"a"}), frozenset({"a"}))
@@ -138,6 +210,25 @@ class TestIsCompleteBipartite:
         bad = Bipartition(frozenset({"x1", "y1"}), frozenset({"x2", "y2"}))
         with pytest.raises(ValueError, match="same part"):
             is_complete_bipartite(g, bad)
+
+    @pytest.mark.parametrize(
+        "x_part, y_part, message",
+        [
+            # Same-part edges x2-y3, x3-y3 in X and x1-y1, x1-y2 in Y.
+            ({"x2", "x3", "y3"}, {"x1", "y1", "y2"}, "edge x1-y1 joins two vertices of the same part"),
+            ({"x1", "x2", "y2", "y3"}, {"x3", "y1"}, "edge x1-y2 joins two vertices of the same part"),
+            ({"x1", "x2"}, {"y1", "y2", "y3"}, "bipartition does not cover exactly the graph's vertices"),
+        ],
+    )
+    def test_wrong_partition_names_the_smallest_same_part_edge(self, x_part, y_part, message):
+        g, _ = complete_bigraph(3, 3)
+        with pytest.raises(ValueError) as exc:
+            is_complete_bipartite(g, Bipartition(frozenset(x_part), frozenset(y_part)))
+        assert str(exc.value) == message
+
+    def test_swapped_parts_are_still_complete(self):
+        g, b = complete_bigraph(3, 2)
+        assert is_complete_bipartite(g, Bipartition(b.y_part, b.x_part))
 
 
 class TestImbalance:
