@@ -468,7 +468,7 @@ def overlap_inequality_probe(o: Ordering, d: ChainDecomposition) -> OverlapInequ
     if o.vertices != d.vertices:
         raise ValueError("ordering does not cover exactly the chain's vertices")
     s = d.overlaps[0]
-    pos = o._pos  # read only; positions() would copy it for every call
+    pos = o.position_map
     anchor = pos[s]
     counts = []
     for comp in d.components:

@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from .errors import GraphParseError, NotBipartiteError
@@ -66,29 +67,17 @@ class Graph:
         vertices: Iterable[str] = (),
         edges: Iterable[tuple[str, str]] = (),
     ):
-        vertices = list(vertices)
-        edges = list(edges)
-        try:
-            ok = _tokens_ok(vertices) and _tokens_ok([w for e in edges for w in e])
-        except TypeError:  # an edge that is not iterable
-            ok = False
-        if not ok:
-            # Raise the first error in input order, as a per-item check would.
-            for v in vertices:
-                _checked_token(v)
-            for u, v in edges:
-                _checked_token(u)
-                _checked_token(v)
-                if u == v:
-                    raise ValueError(f"self-loop on {u!r}")
-        adj: defaultdict[str, set[str]] = defaultdict(set)
+        adj: dict[str, set[str]] = {}
         for v in vertices:
+            _checked_token(v)
             adj.setdefault(v, set())
         for u, v in edges:
+            _checked_token(u)
+            _checked_token(v)
             if u == v:
                 raise ValueError(f"self-loop on {u!r}")
-            adj[u].add(v)
-            adj[v].add(u)
+            adj.setdefault(u, set()).add(v)
+            adj.setdefault(v, set()).add(u)
         self._freeze(adj)
 
     @classmethod
@@ -216,6 +205,11 @@ class Ordering:
     def positions(self) -> dict[str, int]:
         """Copy of the vertex -> position map (1-based)."""
         return dict(self._pos)
+
+    @property
+    def position_map(self) -> Mapping[str, int]:
+        """Read-only view of the vertex -> position map (1-based), no copy."""
+        return MappingProxyType(self._pos)
 
     def reverse(self) -> "Ordering":
         return Ordering(reversed(self._seq))
@@ -385,7 +379,7 @@ def vertex_imbalances(o: Ordering, g: Graph) -> list[int]:
     """The imbalance of every vertex, in ordering order, in one pass."""
     if o.vertices != g.vertices:
         raise ValueError("ordering does not cover exactly the graph's vertices")
-    pos = o._pos
+    pos = o.position_map
     out = []
     for p, v in enumerate(o, start=1):
         left = sum(1 for u in g.neighbors(v) if pos[u] < p)

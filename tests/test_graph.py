@@ -97,6 +97,13 @@ class TestOrdering:
         assert o.position("b") == 1
         assert o.position("c") == 3
 
+    def test_position_map_is_a_read_only_view(self):
+        o = Ordering(["b", "a", "c"])
+        assert o.position_map == o.positions() == {"b": 1, "a": 2, "c": 3}
+        with pytest.raises(TypeError):
+            o.position_map["b"] = 5  # type: ignore[index]
+        assert o.position("b") == 1
+
     def test_duplicate_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             Ordering(["a", "b", "a"])
