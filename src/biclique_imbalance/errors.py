@@ -47,7 +47,8 @@ class SpecInvalidError(Exception):
 
 
 class SizeCapExceededError(Exception):
-    """Exhaustive search refused: the instance exceeds the vertex cap."""
+    """Exact search refused: the instance exceeds the vertex cap or its
+    table would exceed the state cap."""
 
 
 class ConstructionInvariantViolatedError(Exception):

@@ -3,21 +3,38 @@
 A vertex's imbalance depends only on which of its neighbors are placed before
 it, so an ordering is a path from the empty vertex set to the full one that
 adds one vertex per step, and the step that adds v after the set S costs
-|2*|N(v) & S| - deg(v)|. One cost-to-go table over all 2^n vertex subsets
+|2*|N(v) & S| - deg(v)|. A cost-to-go table over the sets on such paths
 (Bodlaender, Fomin, Koster, Kratsch and Thilikos, "A note on exact algorithms
 for vertex ordering problems on graphs", Theory Comput. Syst. 2012) gives the
 minimum; the optimal orderings are exactly the paths that take only tight
 steps, those whose cost plus the cost-to-go after them equals the cost-to-go
-before them. Walking tight steps in sorted vertex order yields the
-lexicographically smallest witness first. Time grows as 2^n * n and memory as
-2^n, so the vertex cap bounds both.
+before them.
+
+Vertices with the same open neighborhood (false twins) form a class; the
+number of classes is the graph's neighborhood diversity (Lampis, Algorithmica
+2012). Every neighborhood is a union of whole classes and swapping two twins
+changes no imbalance, so a set matters only through how many members of each
+class it holds: the table has prod(k_i + 1) states for classes of sizes k_i,
+2^n when no two vertices are twins and (a + 1)(b + 1) on K(a, b). The step
+that places one more member of class c costs |2 * (placed members of the
+classes next to c) - deg(c)|. Each optimal class path stands for
+prod(k_i!) orderings. Taking the smallest next vertex over the tight steps
+yields the lexicographically smallest witness.
+
+Two caps bound the work: the vertex cap (DEFAULT_CAP unless the caller
+raises it) and STATE_CAP on the table size, checked before the table is
+allocated. Time grows as the state count times the class adjacencies, memory
+as the state count.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import product
+from math import factorial, prod
+from operator import itemgetter
+from typing import Iterator, Sequence
 
 from .errors import SizeCapExceededError
 from .graph import Graph, Ordering
@@ -25,6 +42,7 @@ from .graph import Graph, Ordering
 __all__ = ["OracleResult", "brute_force_min", "enumerate_optima", "DEFAULT_CAP"]
 
 DEFAULT_CAP = 10
+STATE_CAP = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -35,11 +53,15 @@ class OracleResult:
 
 
 class _CostToGo:
-    """The cost-to-go table of one graph, over vertex subsets as bitmasks.
+    """The cost-to-go table of one graph, over counts of placed twins.
 
-    Bit i stands for the i-th vertex in sorted order. rest[mask] is the least
-    total imbalance of the vertices outside mask when they are placed, in
-    some order, after the vertices in mask; rest[full] is 0.
+    Classes are numbered by their smallest member, and a class's members are
+    placed in sorted order. A state p holds the number of placed members of
+    each class, with a trailing 0 so that every neighbor lookup below returns
+    a tuple. Its index is sum(p[c] * radix[c]), where radix[c] is the product
+    of k + 1 over the sizes k of the classes after c. rest[index] is the least
+    total imbalance of the unplaced vertices when they are placed, in some
+    order, after the placed ones; rest[full] is 0.
     """
 
     def __init__(self, g: Graph, cap: int):
@@ -47,60 +69,94 @@ class _CostToGo:
             raise SizeCapExceededError(
                 f"{g.vertex_count} vertices exceeds the search cap of {cap}"
             )
-        self.verts = sorted(g.vertices)
-        index = {v: i for i, v in enumerate(self.verts)}
-        self.adj = [sum(1 << index[u] for u in g.neighbors(v)) for v in self.verts]
-        self.deg = [g.degree(v) for v in self.verts]
-        self.full = (1 << len(self.verts)) - 1
-        rest = array("q", [0]) * (self.full + 1)
-        for mask in range(self.full - 1, -1, -1):
-            rest[mask] = min(cost + rest[nxt] for _, nxt, cost in self._steps(mask))
+        by_nbhd: dict[frozenset[str], list[str]] = {}
+        for v in sorted(g.vertices):
+            by_nbhd.setdefault(g.neighbors(v), []).append(v)
+        self.members = list(by_nbhd.values())
+        self.sizes = [len(ms) for ms in self.members]
+        states = prod(k + 1 for k in self.sizes)
+        if states > STATE_CAP:
+            raise SizeCapExceededError(
+                f"{states} twin-class states exceeds the table cap of {STATE_CAP}"
+            )
+        m = len(self.members)
+        class_of = {v: c for c, ms in enumerate(self.members) for v in ms}
+        # Per class: its size, the counts of its neighbor classes, its step
+        # cost by number of placed neighbors, and its radix.
+        self.steps = [
+            (
+                self.sizes[c],
+                itemgetter(*sorted({class_of[u] for u in nbhd}), m, m),
+                [abs(2 * s - len(nbhd)) for s in range(len(nbhd) + 1)],
+                prod(k + 1 for k in self.sizes[c + 1 :]),
+            )
+            for c, nbhd in enumerate(by_nbhd)
+        ]
+        self.full = states - 1
+        rest = array("q", [0]) * states
+        for idx, p in self._states():
+            rest[idx] = min(
+                [
+                    cost[sum(nb(p))] + rest[idx + r]
+                    for c, (k, nb, cost, r) in enumerate(self.steps)
+                    if p[c] < k
+                ]
+            )
         self.rest = rest
 
-    def _steps(self, mask: int) -> Iterator[tuple[int, int, int]]:
-        """(vertex index, next mask, cost) of each step from mask, in index order."""
-        for i, nb in enumerate(self.adj):
-            bit = 1 << i
-            if not mask & bit:
-                yield i, mask | bit, abs(2 * (nb & mask).bit_count() - self.deg[i])
+    def _states(self) -> Iterator[tuple[int, tuple[int, ...]]]:
+        """(index, counts) of every state but the full one, highest index first."""
+        counts = product(*(range(k, -1, -1) for k in self.sizes), (0,))
+        next(counts)
+        return zip(range(self.full - 1, -1, -1), counts)
 
-    def tight(self, mask: int) -> Iterator[tuple[int, int]]:
-        """(vertex index, next mask) of each step from mask that stays optimal."""
+    def tight(self, idx: int, p: Sequence[int]) -> dict[int, int]:
+        """Next state index by class, for each class whose next member can be
+        placed at state idx and stay optimal."""
         rest = self.rest
-        for i, nxt, cost in self._steps(mask):
-            if cost + rest[nxt] == rest[mask]:
-                yield i, nxt
+        return {
+            c: idx + r
+            for c, (k, nb, cost, r) in enumerate(self.steps)
+            if p[c] < k and cost[sum(nb(p))] + rest[idx + r] == rest[idx]
+        }
 
     def witness(self) -> Ordering:
-        mask = 0
+        p = [0] * (len(self.members) + 1)
+        idx = 0
         seq = []
-        while mask != self.full:
-            i, mask = next(self.tight(mask))
-            seq.append(self.verts[i])
+        while idx != self.full:
+            tight = self.tight(idx, p)
+            c = min(tight, key=lambda c: self.members[c][p[c]])
+            seq.append(self.members[c][p[c]])
+            p[c] += 1
+            idx = tight[c]
         return Ordering(seq)
 
     def count(self) -> int:
-        ways = {self.full: 1}
-
-        def walk(mask: int) -> int:
-            if mask not in ways:
-                ways[mask] = sum(walk(nxt) for _, nxt in self.tight(mask))
-            return ways[mask]
-
-        return walk(0)
+        """Tight class paths from the empty state, times the orders of twins."""
+        ways = [0] * self.full + [1]
+        for idx, p in self._states():
+            ways[idx] = sum(ways[nxt] for nxt in self.tight(idx, p).values())
+        return ways[0] * prod(map(factorial, self.sizes))
 
     def optima(self) -> list[Ordering]:
+        by_name = sorted((v, c) for c, ms in enumerate(self.members) for v in ms)
         found: list[Ordering] = []
         path: list[str] = []
+        p = [0] * (len(self.members) + 1)
 
-        def walk(mask: int) -> None:
-            if mask == self.full:
+        def walk(idx: int) -> None:
+            if idx == self.full:
                 found.append(Ordering(path))
                 return
-            for i, nxt in self.tight(mask):
-                path.append(self.verts[i])
-                walk(nxt)
-                path.pop()
+            tight = self.tight(idx, p)
+            for v, c in by_name:
+                if c in tight and v not in path:
+                    path.append(v)
+                    p[c] += 1
+                    walk(tight[c])
+                    p[c] -= 1
+                    path.pop()
 
         walk(0)
         return found
@@ -114,7 +170,8 @@ def brute_force_min(
     """Exact minimum imbalance with the lexicographically smallest witness.
 
     optima_count, the number of minimum-imbalance orderings, is filled only
-    when count_optima is set. Raises SizeCapExceededError above cap vertices.
+    when count_optima is set. Raises SizeCapExceededError above cap vertices
+    or above STATE_CAP table states.
     """
     table = _CostToGo(g, cap)
     return OracleResult(

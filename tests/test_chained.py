@@ -382,6 +382,25 @@ class TestChainedFormula:
             assert brute_force_min(g, cap=14).minimum == min_imbalance_chained(d), spec
             checked += 1
 
+    def test_random_specs_with_15_to_25_vertices_match_oracle(self):
+        rng = random.Random(1525)
+        checked = 0
+        while checked < 30:
+            spec = random_chain_spec(rng, max_comps=4, max_total=25, max_part=8)
+            if spec is None:
+                continue
+            g, d = generate_chained(spec)
+            if g.vertex_count < 15:
+                continue
+            assert brute_force_min(g, cap=25).minimum == min_imbalance_chained(d), spec
+            checked += 1
+
+    def test_complete_graphs_up_to_60_vertices_match_oracle(self):
+        for a in range(1, 31):
+            for b in range(a, 61 - a):
+                g, _ = complete_bigraph(a, b)
+                assert brute_force_min(g, cap=a + b).minimum == min_imbalance_formula(a, b), (a, b)
+
     def test_single_component_degenerates_to_complete_formula(self):
         g, _ = complete_bigraph(3, 3)
         assert min_imbalance_chained(decompose(g)) == min_imbalance_formula(3, 3)

@@ -1,5 +1,6 @@
 """CLI behavior: outputs, exit codes, and the generate/solve pipeline."""
 
+import math
 import random
 import sys
 
@@ -236,6 +237,23 @@ class TestOracle:
         code, out, _ = run(capsys, "oracle", g, "--enumerate")
         assert code == 0
         assert out.splitlines() == ["2", "u v", "2"]
+
+    def test_enumerate_large_star(self, capsys, write):
+        g = write("star.txt", "".join(f"x1 y{i}\n" for i in range(1, 1201)))
+        code, out, _ = run(capsys, "oracle", g, "--max-n", "1201", "--enumerate")
+        assert code == 0
+        minimum, witness, count = out.splitlines()
+        assert minimum == "1200"
+        assert witness.split()[600] == "x1"
+        assert count == str(math.factorial(1200))
+
+    def test_state_cap_exits_4(self, capsys, write):
+        g = write("path.txt", "".join(f"p{i} p{i + 1}\n" for i in range(1, 40)))
+        assert run(capsys, "oracle", g, "--max-n", "40") == (
+            4,
+            "",
+            "error: 1099511627776 twin-class states exceeds the table cap of 4194304\n",
+        )
 
 
 class TestGen:

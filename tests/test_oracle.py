@@ -1,6 +1,7 @@
 """Exact oracle: minima, witnesses, optimum counts and enumeration."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from biclique_imbalance import (
     enumerate_optima,
     ordering_imbalance,
 )
+from biclique_imbalance import oracle
 from conftest import chained_example_graph, complete_bigraph, example_graph
 
 
@@ -108,6 +110,60 @@ def test_matches_permutation_reference():
         assert r.witness == optima[0], g.edges()
         assert r.optima_count == len(optima), g.edges()
         assert enumerate_optima(g) == optima, g.edges()
+
+
+def _blow_up(rng, h, copies, names):
+    """Each vertex i of a random h-vertex graph replaced by copies[i] false
+    twins, named from names in a shuffled order."""
+    base = [(i, j) for i in range(h) for j in range(i + 1, h) if rng.random() < 0.5]
+    names = rng.sample(names, sum(copies))
+    twins = [[names.pop() for _ in range(k)] for k in copies]
+    return Graph(
+        itertools.chain.from_iterable(twins),
+        [(u, v) for i, j in base for u in twins[i] for v in twins[j]],
+    )
+
+
+def test_matches_permutation_reference_on_twin_classes():
+    rng = random.Random(2012)
+    names = [f"t{i}" for i in range(12)]
+    graphs = []
+    while len(graphs) < 12:
+        h = rng.randint(2, 4)
+        copies = [rng.randint(1, 3) for _ in range(h)]
+        if sum(copies) <= 8:
+            graphs.append(_blow_up(rng, h, copies, names))
+    for _ in range(6):  # several isolated vertices form one class
+        g = _random_graph(rng, rng.randint(0, 5))
+        isolated = [f"i{k}" for k in rng.sample(range(10), rng.randint(2, 3))]
+        graphs.append(Graph(list(g.vertices) + isolated, g.edges()))
+    graphs += [complete_bigraph(a, b)[0] for a in range(1, 8) for b in range(a, 9 - a)]
+    for g in graphs:
+        minimum, optima = _permutation_reference(g)
+        r = brute_force_min(g, count_optima=True)
+        assert r.minimum == minimum, g.edges()
+        assert r.witness == optima[0], g.edges()
+        assert r.optima_count == len(optima), g.edges()
+        assert enumerate_optima(g) == optima, g.edges()
+
+
+def test_star_count_needs_no_recursion():
+    # The centre of K(1, 1200) sits exactly in the middle of every optimum,
+    # with any order of the leaves around it.
+    g, _ = complete_bigraph(1, 1200)
+    r = brute_force_min(g, cap=1201, count_optima=True)
+    assert r.minimum == 1200
+    assert r.optima_count == math.factorial(1200)
+
+
+def test_state_cap_refuses_before_allocating(monkeypatch):
+    def no_table(*args):
+        raise AssertionError("the table was allocated")
+
+    monkeypatch.setattr(oracle, "array", no_table)
+    path = Graph((), [(f"p{i}", f"p{i + 1}") for i in range(1, 40)])  # no twins
+    with pytest.raises(SizeCapExceededError, match=f"^{2**40} twin-class states"):
+        brute_force_min(path, cap=40)
 
 
 def test_reversal_closure_of_optima():
