@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .complete import _complete_imbalance_by_scan, _fill_runs, min_imbalance_formula
+from .complete import _fill_runs, _signed_imbalances, min_imbalance_formula
 from .errors import (
     ConstructionInvariantViolatedError,
     GraphParseError,
@@ -309,7 +309,7 @@ def _validated_subordering(
         raise ConstructionInvariantViolatedError(
             "component subordering does not cover the component exactly"
         )
-    achieved = _complete_imbalance_by_scan(full, comp)
+    achieved = sum(abs(s) for part in _signed_imbalances(full, comp) for s in part)
     expected = min_imbalance_formula(comp.nx, comp.ny)
     if achieved != expected:
         raise ConstructionInvariantViolatedError(

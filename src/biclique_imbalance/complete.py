@@ -154,71 +154,63 @@ class OptimalityVerdict:
     minimum: int
 
 
-def _complete_imbalance_by_scan(o: Iterable[str], b: Bipartition) -> int:
-    """Imbalance of a vertex sequence on the complete bigraph of b, one pass."""
-    nx = len(b.x_part)
-    ny = len(b.y_part)
-    total = 0
-    seen_x = 0
-    seen_y = 0
-    for v in o:
-        if v in b.x_part:
-            total += abs(2 * seen_y - ny)
-            seen_x += 1
-        else:
-            total += abs(2 * seen_x - nx)
-            seen_y += 1
-    return total
-
-
-def _property_failure(blocks: tuple[int, ...], nx: int, ny: int) -> str | None:
-    """First failing property name for one choice of profile part, or None.
-
-    P1: the blocks left of rank floor(ny/2) weigh at most as much as the
-    rest. P2: the blocks up to rank ceil(ny/2) weigh at least as much as the
-    rest. P3 (both parts odd): the profile-part vertex at rank ceil(ny/2)
-    has imbalance exactly 1.
+def _signed_imbalances(seq: Iterable[str], b: Bipartition) -> tuple[list[int], list[int]]:
+    """Signed imbalances (neighbors before minus neighbors after) of the X and
+    of the Y vertices of seq, in sequence order, on the complete bigraph of b.
     """
-    floor_half = ny // 2
-    ceil_half = (ny + 1) // 2
-    if sum(blocks[:floor_half]) > sum(blocks[floor_half:]):
+    nx, ny = len(b.x_part), len(b.y_part)
+    xs: list[int] = []
+    ys: list[int] = []
+    for v in seq:
+        if v in b.x_part:
+            xs.append(2 * len(ys) - ny)
+        else:
+            ys.append(2 * len(xs) - nx)
+    return xs, ys
+
+
+def _property_failure(signed: list[int], other: int) -> str | None:
+    """First failing property for one profile part, from its signed imbalances.
+
+    The blocks left of the rank-r profile vertex hold L of the other vertices,
+    the rest other - L, so each block-sum comparison is the sign of 2L - other,
+    the vertex's signed imbalance (rank 0 reads -other, rank n + 1 +other).
+    P1: rank floor(n/2) is not positive. P2: rank ceil(n/2) + 1 is not
+    negative. P3 (both parts odd): rank ceil(n/2) has imbalance exactly 1.
+    """
+    n = len(signed)
+    padded = [-other, *signed, other]
+    if padded[n // 2] > 0:
         return "P1"
-    if sum(blocks[: ceil_half + 1]) < sum(blocks[ceil_half + 1 :]):
+    if padded[(n + 1) // 2 + 1] < 0:
         return "P2"
-    if nx % 2 == 1 and ny % 2 == 1:
-        left_of_median = sum(blocks[:ceil_half])
-        if abs(2 * left_of_median - nx) != 1:
-            return "P3"
+    if n % 2 == other % 2 == 1 and abs(padded[(n + 1) // 2]) != 1:
+        return "P3"
     return None
 
 
 def verify_optimal_complete(o: Ordering, b: Bipartition) -> OptimalityVerdict:
     """Check the block-sum properties that characterize optimal orderings.
 
-    The properties are evaluated for the given Y designation first and then
-    with the parts swapped: each direction is necessary (the median shift
-    that motivates it would otherwise strictly improve the ordering), and
-    one designation alone misses degenerate profiles that the other
-    catches, e.g. (x1, y1, x2, y2, y3) on K(2, 3). The conjunction is
-    cross-validated as exactly equivalent to optimality against the
-    exhaustive oracle in the test suite.
-
-    The achieved/minimum diagnostics are computed independently of the
-    property logic, so a disagreement between the two paths is itself a bug
-    signal. Two passes over the ordering, linear time.
+    They are checked with the given Y designation first, then with the parts
+    swapped: each is necessary (its median shift would otherwise strictly
+    improve the ordering), and one designation alone misses degenerate
+    profiles such as (x1, y1, x2, y2, y3) on K(2, 3). One pass, linear time:
+    P1-P3 are sign tests on the signed imbalances whose absolute values sum
+    to the achieved value. The independent checks are the graph evaluator
+    and the exhaustive oracle in the test suite, which cross-validate the
+    properties as exactly equivalent to optimality.
     """
-    nx = len(b.x_part)
-    ny = len(b.y_part)
+    nx, ny = len(b.x_part), len(b.y_part)
     if nx < 1 or ny < 1:
         raise ValueError("verification requires both parts non-empty")
-    profile = y_position_profile(o, b)
-    failed = _property_failure(profile.blocks, nx, ny)
-    if failed is None:
-        swapped = y_position_profile(o, Bipartition(b.y_part, b.x_part))
-        failed = _property_failure(swapped.blocks, ny, nx)
+    if o.vertices != b.vertices:
+        raise ValueError("ordering does not cover exactly the bipartition's vertices")
+    xs, ys = _signed_imbalances(o, b)
+    failed = _property_failure(ys, nx) or _property_failure(xs, ny)
     return OptimalityVerdict(
         optimal=failed is None,
         failed_property=failed,
-        achieved=_complete_imbalance_by_scan(o, b),
+        achieved=sum(map(abs, xs)) + sum(map(abs, ys)),
         minimum=min_imbalance_formula(nx, ny),
     )

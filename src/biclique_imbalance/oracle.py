@@ -133,11 +133,19 @@ class _CostToGo:
         return Ordering(seq)
 
     def count(self) -> int:
-        """Tight class paths from the empty state, times the orders of twins."""
-        ways = [0] * self.full + [1]
-        for idx, p in self._states():
-            ways[idx] = sum(ways[nxt] for nxt in self.tight(idx, p).values())
-        return ways[0] * prod(map(factorial, self.sizes))
+        """Tight class paths from the empty state, times the orders of twins.
+
+        Every step raises the state index, so one ascending pass suffices; it
+        keeps only the path counts of reached states it has not passed yet.
+        """
+        ways = {0: 1}
+        counts = product(*(range(k + 1) for k in self.sizes), (0,))
+        for idx, p in zip(range(self.full), counts):
+            if idx in ways:
+                n = ways.pop(idx)
+                for nxt in self.tight(idx, p).values():
+                    ways[nxt] = ways.get(nxt, 0) + n
+        return ways[self.full] * prod(map(factorial, self.sizes))
 
     def optima(self) -> list[Ordering]:
         by_name = sorted((v, c) for c, ms in enumerate(self.members) for v in ms)

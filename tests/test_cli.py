@@ -180,6 +180,16 @@ class TestVerify:
         o = write("o.txt", "a b c\n")
         assert run(capsys, "verify", g, o)[0] == 3
 
+    @pytest.mark.parametrize("ordering", ["y1 x1 x2\n", "y1 x1 x2 y2 z\n"])
+    def test_ordering_missing_or_adding_a_vertex_exits_2(self, capsys, write, ordering):
+        g = write("k22.txt", "x1 y1\nx1 y2\nx2 y1\nx2 y2\n")
+        o = write("o.txt", ordering)
+        assert run(capsys, "verify", g, o) == (
+            2,
+            "",
+            "error: ordering does not cover exactly the bipartition's vertices\n",
+        )
+
 
 class TestDecompose:
     def test_paper_figure_report(self, capsys, write):

@@ -208,6 +208,39 @@ class TestVerifier:
             assert v.optimal == (v.achieved == v.minimum)
             assert v.achieved == ordering_imbalance(Ordering(perm), g)
 
+    def test_failed_property_matches_the_block_sum_statement(self):
+        # The properties as the paper states them, on the X blocks between
+        # the Y positions, with Y designated first and then X.
+        def block_failure(blocks, nx, ny):
+            floor_half, ceil_half = ny // 2, (ny + 1) // 2
+            if sum(blocks[:floor_half]) > sum(blocks[floor_half:]):
+                return "P1"
+            if sum(blocks[: ceil_half + 1]) < sum(blocks[ceil_half + 1 :]):
+                return "P2"
+            if nx % 2 == 1 and ny % 2 == 1:
+                if abs(2 * sum(blocks[:ceil_half]) - nx) != 1:
+                    return "P3"
+            return None
+
+        def reference(o, bp):
+            nx, ny = len(bp.x_part), len(bp.y_part)
+            swapped = Bipartition(bp.y_part, bp.x_part)
+            return block_failure(y_position_profile(o, bp).blocks, nx, ny) or (
+                block_failure(y_position_profile(o, swapped).blocks, ny, nx)
+            )
+
+        seen = set()
+        for a, b in ((a, b) for a in range(1, 7) for b in range(1, 8 - a)):
+            g, bp = complete_bigraph(a, b)
+            swapped = Bipartition(bp.y_part, bp.x_part)
+            for perm in itertools.permutations(sorted(g.vertices)):
+                o = Ordering(perm)
+                for designation in (bp, swapped):
+                    want = reference(o, designation)
+                    assert verify_optimal_complete(o, designation).failed_property == want
+                    seen.add(want)
+        assert seen == {None, "P1", "P2", "P3"}
+
 
 class TestShiftInvarianceOnOptima:
     @pytest.mark.parametrize("a,b", [(2, 2), (1, 3), (3, 2), (2, 3), (3, 3)])

@@ -3,15 +3,18 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
 from biclique_imbalance import (
+    ChainSpec,
     Graph,
     Ordering,
     SizeCapExceededError,
     brute_force_min,
     enumerate_optima,
+    generate_chained,
     ordering_imbalance,
 )
 from biclique_imbalance import oracle
@@ -154,6 +157,20 @@ def test_star_count_needs_no_recursion():
     r = brute_force_min(g, cap=1201, count_optima=True)
     assert r.minimum == 1200
     assert r.optima_count == math.factorial(1200)
+
+
+def test_count_keeps_only_the_states_it_has_reached():
+    # This 4 x K(3, 3) chain has 73,728 twin-class states; a count with a slot
+    # per state would hold megabytes, the reached frontier a few entries.
+    g, _ = generate_chained(ChainSpec(((3, 3),) * 4, ("X",) * 3))
+    table = oracle._CostToGo(g, g.vertex_count)
+    tracemalloc.start()
+    try:
+        table.count()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
 
 
 def test_state_cap_refuses_before_allocating(monkeypatch):
