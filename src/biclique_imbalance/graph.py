@@ -5,17 +5,21 @@ lexicographic order is the tie-breaker for every "arbitrary" choice in the
 package. Ordering positions are 1-based. All values here are immutable after
 construction, so they are safe to share across threads.
 
-Reading an edge list costs one split and two set insertions per line, straight
-into the adjacency sets. Everything after that works on whole sets: the
-bipartition search tests a vertex's neighbors against its own color class by
-disjointness and sorts only the neighbors it newly reaches, and the partition
-check tests each part's adjacency sets for disjointness from the part. Both
-are linear in V + E apart from those sorts, and build an error's witness only
-when they fail.
+Reading an edge list first tests the whole text against one pattern of plain
+`u v` lines. Text that matches is split once into its tokens; any other text
+is read line by line, and only that reader raises parse errors. Both feed one
+adjacency map of lists, two appends per edge, that the graph freezes into
+sets. Everything after that works on whole sets: the bipartition search takes
+one set difference per vertex, its neighbors minus the other color class,
+which holds the clashing neighbors and the ones it newly reaches, and sorts
+only the latter; the partition check tests each part's adjacency sets for
+disjointness from the part. Both are linear in V + E apart from those sorts,
+and build an error's witness only when they fail.
 """
 
 from __future__ import annotations
 
+import re
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -235,14 +239,22 @@ class Ordering:
         return f"Ordering({', '.join(self._seq)})"
 
 
-def parse_edge_list(text: str) -> Graph:
-    """Parse the edge-list text format.
+# Text made only of `u v` lines: one space between two tokens, a newline after
+# each line but maybe the last. For str patterns `\s` is `str.isspace`, the
+# set `str.split()` splits on, and every `str.splitlines` boundary is in it.
+# So on matching text the line reader sees exactly these lines, with no
+# comment, blank line, or line of other than two tokens, and `text.split()`
+# yields the same tokens in the same order. Only a self-loop can still be
+# wrong. (No possessive quantifiers: they need Python 3.11.)
+_PLAIN_EDGES = re.compile(r"(?:[^\s#]+ [^\s#]+\n)*(?:[^\s#]+ [^\s#]+)?")
 
-    `#` starts a comment to end of line, blank lines are ignored, a data line
-    is either two whitespace-separated tokens (an edge) or one token (an
-    isolated vertex). Duplicate edge lines are idempotent.
-    """
-    adj: defaultdict[str, set[str]] = defaultdict(set)
+
+def _tokenize_lines(text: str) -> tuple[list[str], list[str], list[str]]:
+    """Edge endpoints and isolated vertices of an edge-list text, line by
+    line; raises GraphParseError at the first bad line."""
+    us: list[str] = []
+    vs: list[str] = []
+    isolated: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.partition("#")[0]
         tokens = line.split()
@@ -250,17 +262,44 @@ def parse_edge_list(text: str) -> Graph:
             u, v = tokens
             if u == v:
                 raise GraphParseError(f"self-loop on {u!r}", line=lineno)
-            adj[u].add(v)
-            adj[v].add(u)
+            us.append(u)
+            vs.append(v)
         elif len(tokens) == 1:
-            adj.setdefault(tokens[0], set())
+            isolated.append(tokens[0])
         elif tokens:
             raise GraphParseError(
                 f"expected 1 or 2 tokens, got {len(tokens)}: {line.strip()!r}",
                 line=lineno,
             )
+    return us, vs, isolated
+
+
+def parse_edge_list(text: str) -> Graph:
+    """Parse the edge-list text format.
+
+    `#` starts a comment to end of line, blank lines are ignored, a data line
+    is either two whitespace-separated tokens (an edge) or one token (an
+    isolated vertex). Duplicate edge lines are idempotent.
+    """
+    # The longest match, not fullmatch: on text that is not plain, fullmatch
+    # backtracks through every line it matched before giving up.
+    plain = _PLAIN_EDGES.match(text).end() == len(text)  # type: ignore[union-attr]
+    if plain:
+        tokens = text.split()
+        us, vs, isolated = tokens[0::2], tokens[1::2], []
+    else:
+        us, vs, isolated = _tokenize_lines(text)
+    adj: defaultdict[str, list[str]] = defaultdict(list)
+    for u, v in zip(us, vs):
+        adj[u].append(v)
+        adj[v].append(u)
+    for v in isolated:
+        adj.setdefault(v, [])
     # Tokens that str.split produced are non-empty and free of whitespace.
-    return Graph._from_adj(adj)
+    g = Graph._from_adj(adj)
+    if plain and any(v in nb for v, nb in g._adj.items()):
+        _tokenize_lines(text)  # raises at the first self-loop, with its line
+    return g
 
 
 def parse_ordering(text: str) -> Ordering:
@@ -328,14 +367,16 @@ def _bipartition_and_roots(g: Graph) -> tuple[Bipartition, list[str], str | None
         while queue:
             v = queue.popleft()
             c = color[v]
-            nb = g.neighbors(v)
+            # Neighbors not in the other color class: the clashing ones and
+            # the ones this search has not reached yet.
+            rest = g.neighbors(v).difference(sides[not c])
             same = sides[c]
-            if not nb.isdisjoint(same):
+            if not rest.isdisjoint(same):
                 # The smallest clashing neighbor is the one a scan of the
                 # sorted neighbors would meet first.
-                w = min(nb & same)
+                w = min(rest & same)
                 raise NotBipartiteError(_odd_cycle_witness(v, w, parent, depth))
-            reached = sorted(nb.difference(color))
+            reached = sorted(rest)
             sides[not c].update(reached)
             d = depth[v] + 1
             for w in reached:

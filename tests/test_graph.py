@@ -1,5 +1,8 @@
 """Core graph types, parsing, bipartition, and the imbalance evaluators."""
 
+import random
+from collections import deque
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -65,6 +68,43 @@ class TestParseEdgeList:
             parse_edge_list("a b\n\n  x\tx # loop\n")
         assert str(exc.value) == "line 3: self-loop on 'x'"
         assert exc.value.line == 3
+
+    # Text of plain `u v` lines is split in one go; these pin that route.
+    def test_self_loop_in_plain_text_exact_message(self):
+        with pytest.raises(GraphParseError) as exc:
+            parse_edge_list("a b\nc d\ne e\nf g\n")
+        assert str(exc.value) == "line 3: self-loop on 'e'"
+        assert exc.value.line == 3
+
+    def test_plain_text_without_final_newline(self):
+        assert parse_edge_list("a b\nb c") == Graph((), [("a", "b"), ("b", "c")])
+
+    def test_reversed_duplicate_edge_counts_once(self):
+        g = parse_edge_list("a b\nb a\n")
+        assert g.vertex_count == 2
+        assert g.edge_count == 1
+
+    # One character away from plain text, each is read line by line.
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a\tb\nc d\n",
+            "a  b\nc d\n",
+            "a b\r\nc d\r\n",
+            "a b\x1cc d\n",
+            "a b\x85c d\n",
+            "a b\u2028c d\n",
+            "a b\n\nc d\n",
+            " a b\nc d\n",
+        ],
+    )
+    def test_near_plain_text_is_read_line_by_line(self, text):
+        assert parse_edge_list(text) == Graph((), [("a", "b"), ("c", "d")])
+
+    def test_comment_inside_a_token_leaves_an_isolated_vertex(self):
+        g = parse_edge_list("a#b c\nd e\n")
+        assert g == Graph(["a"], [("d", "e")])
+        assert g.degree("a") == 0
 
     @given(st.data())
     def test_equals_graph_built_line_by_line(self, data):
@@ -132,6 +172,37 @@ def test_graph_and_ordering_reject_bad_tokens(token):
             build()
 
 
+def _sorted_scan_bipartition(g):
+    """Reference two-coloring: breadth-first from each smallest uncolored
+    vertex, scanning every vertex's neighbors in sorted order. Returns the
+    X part, the Y part, the roots and the vertex colored last."""
+    color, parent, depth, roots = {}, {}, {}, []
+    for root in sorted(g.vertices):
+        if root in color:
+            continue
+        roots.append(root)
+        color[root], parent[root], depth[root] = True, None, 0
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for w in sorted(g.neighbors(v)):
+                if w not in color:
+                    color[w], parent[w], depth[w] = not color[v], v, depth[v] + 1
+                    queue.append(w)
+                elif color[w] == color[v]:
+                    # Walk both tree paths up to their common ancestor.
+                    path_v, path_w = [v], [w]
+                    while path_v[-1] != path_w[-1]:
+                        if depth[path_v[-1]] >= depth[path_w[-1]]:
+                            path_v.append(parent[path_v[-1]])
+                        else:
+                            path_w.append(parent[path_w[-1]])
+                    raise NotBipartiteError(path_v + path_w[-2::-1])
+    x = frozenset(v for v, c in color.items() if c)
+    y = frozenset(v for v, c in color.items() if not c)
+    return x, y, roots, next(reversed(color), None)
+
+
 class TestBipartition:
     def test_path(self):
         g = Graph((), [("a", "b"), ("b", "c")])
@@ -192,6 +263,29 @@ class TestBipartition:
         assert last == "q"
         assert _bipartition_and_roots(chained_example_graph())[1:] == (["x1"], "y6")
         assert _bipartition_and_roots(Graph())[1:] == ([], None)
+
+    def test_matches_sorted_scan_reference_on_random_graphs(self):
+        rng = random.Random(20211101)
+        names = ["a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "v10", "v2", "v9"]
+        for trial in range(2000):
+            vertices = rng.sample(names, rng.randint(1, 10))
+            if trial % 3 == 0:  # bipartite: cross edges of a random two-coloring
+                side = {v: rng.random() < 0.5 for v in vertices}
+                pairs = [(u, v) for u in vertices for v in vertices if u < v and side[u] != side[v]]
+            else:
+                pairs = [(u, v) for u in vertices for v in vertices if u < v]
+            p = rng.choice([0.2, 0.4, 0.7, 1.0])
+            g = Graph(vertices, [e for e in pairs if rng.random() < p])
+            try:
+                expected = _sorted_scan_bipartition(g)
+            except NotBipartiteError as ref:
+                with pytest.raises(NotBipartiteError) as info:
+                    _bipartition_and_roots(g)
+                assert info.value.cycle == ref.cycle
+                assert str(info.value) == str(ref)
+                continue
+            b, roots, last = _bipartition_and_roots(g)
+            assert (b.x_part, b.y_part, roots, last) == expected
 
     def test_parts_must_be_disjoint(self):
         with pytest.raises(ValueError, match="disjoint"):
