@@ -6,6 +6,9 @@ graph is the minimum over all orderings of the per-vertex sum. This package
 provides the closed forms, optimal-ordering constructions, an optimality
 verifier, a chain decomposer with interval representations, and an
 exhaustive-search oracle for cross-validation on small instances.
+
+Result records are named tuples; Bipartition (alias ChainComponent) is an
+immutable slotted class.
 """
 
 from .chained import (

@@ -24,8 +24,7 @@ validates each against the closed form before emitting anything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from functools import cached_property
 
 from .complete import _fill_runs, _signed_imbalances, min_imbalance_formula
@@ -60,16 +59,12 @@ __all__ = [
 ChainComponent = Bipartition
 
 
-@dataclass(frozen=True)
-class ChainDecomposition:
+# No __slots__, so that cached_property has a __dict__ to fill.
+class ChainDecomposition(namedtuple("ChainDecomposition", "components overlaps overlap_in_x")):
     """Ordered components C_1..C_n plus the overlap vertices s_1..s_{n-1}.
 
     overlap_in_x[i] is True iff s_{i+1} belongs to the global X part.
     """
-
-    components: tuple[ChainComponent, ...]
-    overlaps: tuple[str, ...]
-    overlap_in_x: tuple[bool, ...]
 
     @property
     def n(self) -> int:
@@ -86,12 +81,10 @@ class ChainDecomposition:
         return sizes, parts
 
 
-@dataclass(frozen=True)
-class ChainSpec:
+class ChainSpec(namedtuple("ChainSpec", "sizes overlap_parts")):
     """Generator input: per-component part sizes and per-overlap part choice."""
 
-    sizes: tuple[tuple[int, int], ...]
-    overlap_parts: tuple[str, ...]
+    __slots__ = ()
 
     def validate(self) -> None:
         if len(self.sizes) < 1:
@@ -111,18 +104,13 @@ class ChainSpec:
                 raise SpecInvalidError(f"overlap {i} part must be X or Y, got {part!r}")
             # The overlap is counted inside both components; a singleton part
             # cannot host an overlap without breaking maximality.
-            a = self.sizes[i - 1][0 if part == "X" else 1]
-            b = self.sizes[i][0 if part == "X" else 1]
-            if a < 2:
-                raise SpecInvalidError(
-                    f"overlap {i} in part {part} needs component {i} to have "
-                    f"{part} size >= 2, got {a}"
-                )
-            if b < 2:
-                raise SpecInvalidError(
-                    f"overlap {i} in part {part} needs component {i + 1} to have "
-                    f"{part} size >= 2, got {b}"
-                )
+            for k in (i, i + 1):
+                size = self.sizes[k - 1][0 if part == "X" else 1]
+                if size < 2:
+                    raise SpecInvalidError(
+                        f"overlap {i} in part {part} needs component {k} to have "
+                        f"{part} size >= 2, got {size}"
+                    )
 
 
 def _biclique_closure(g: Graph, b: Bipartition, side: frozenset[str]) -> ChainComponent:
@@ -432,6 +420,8 @@ def interval_representation(d: ChainDecomposition) -> dict[str, tuple[Fraction, 
     of its components' windows. Touching closed intervals count as
     intersecting.
     """
+    from fractions import Fraction  # no CLI command needs it at import
+
     rep: dict[str, tuple[Fraction, Fraction]] = {}
     overlap_set = set(d.overlaps)
     for i, comp in enumerate(d.components, start=1):
@@ -444,16 +434,11 @@ def interval_representation(d: ChainDecomposition) -> dict[str, tuple[Fraction, 
     return rep
 
 
-@dataclass(frozen=True)
-class OverlapInequalityProbe:
-    """Both sides of the two-component overlap inequality, plus the counts."""
-
-    lhs: int
-    rhs: int
-    left_in_first: int
-    right_in_first: int
-    left_in_second: int
-    right_in_second: int
+# Both sides of the two-component overlap inequality, plus the counts.
+OverlapInequalityProbe = namedtuple(
+    "OverlapInequalityProbe",
+    "lhs rhs left_in_first right_in_first left_in_second right_in_second",
+)
 
 
 def overlap_inequality_probe(o: Ordering, d: ChainDecomposition) -> OverlapInequalityProbe:

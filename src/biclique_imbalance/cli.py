@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
-import random
 import sys
-from pathlib import Path
 
 from .chained import (
     construct_optimal_chained,
@@ -66,7 +64,8 @@ def _read(path: str) -> str:
     try:
         # utf-8-sig drops a leading byte-order mark, which would otherwise
         # stick to the first token.
-        return Path(path).read_text(encoding="utf-8-sig")
+        with open(path, encoding="utf-8-sig") as f:
+            return f.read()
     except OSError as exc:
         raise GraphParseError(f"cannot read {path}: {exc}") from exc
 
@@ -83,7 +82,8 @@ def _complete_bipartition(g: Graph):
 
 
 def _parse_nat(text: str) -> int:
-    if not text.isdigit():
+    # Exactly the digits int() reads: '٣' is one, '²' is not.
+    if not text.isdecimal():
         raise GraphParseError(f"expected a decimal natural number, got {text!r}")
     return int(text)
 
@@ -101,8 +101,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_solve_complete(args: argparse.Namespace) -> int:
     if args.parts is not None:
-        nx_size = _parse_nat(args.parts[0])
-        ny_size = _parse_nat(args.parts[1])
+        nx_size, ny_size = map(_parse_nat, args.parts)
         print(min_imbalance_formula(nx_size, ny_size))
         return EXIT_OK
     if args.graph is None:
@@ -145,7 +144,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    cap = args.max_n if args.max_n is not None else DEFAULT_CAP
+    cap = _parse_nat(args.max_n) if args.max_n is not None else DEFAULT_CAP
     result = brute_force_min(g, cap=cap, count_optima=args.enumerate)
     print(result.minimum)
     print(" ".join(result.witness))
@@ -164,8 +163,7 @@ def _emit_edge_list(g: Graph) -> None:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     if args.kind == "complete":
-        nx_size = _parse_nat(args.nx)
-        ny_size = _parse_nat(args.ny)
+        nx_size, ny_size = map(_parse_nat, (args.nx, args.ny))
         if nx_size < 1 or ny_size < 1:
             raise GraphParseError("part sizes must be at least 1")
         for i in range(1, nx_size + 1):
@@ -177,6 +175,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     if args.shuffle_names is not None:
         names = sorted(graph.vertices)
         fresh = [f"v{k}" for k in range(1, len(names) + 1)]
+        import random  # only this option needs it
         random.Random(args.shuffle_names).shuffle(fresh)
         mapping = dict(zip(names, fresh))
         graph = Graph((), ((mapping[u], mapping[v]) for u, v in graph.edges()))
@@ -223,7 +222,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="exhaustive search on a small graph")
     p_oracle.add_argument("graph")
-    p_oracle.add_argument("--max-n", type=int, default=None)
+    p_oracle.add_argument("--max-n", default=None)
     p_oracle.add_argument("--enumerate", action="store_true")
     p_oracle.set_defaults(func=_cmd_oracle)
 

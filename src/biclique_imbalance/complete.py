@@ -14,8 +14,8 @@ with thousands of digits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from collections import namedtuple
+from collections.abc import Iterable
 
 from .graph import Bipartition, Ordering
 
@@ -81,8 +81,7 @@ def construct_optimal_complete(b: Bipartition) -> Ordering:
     return Ordering(_fill_runs(xs, ys, True))
 
 
-@dataclass(frozen=True)
-class YPositionProfile:
+class YPositionProfile(namedtuple("YPositionProfile", "positions blocks y_vertices")):
     """Positions of the Y vertices and the X blocks between them.
 
     positions[i] is the position of the i-th Y vertex (by position order),
@@ -91,9 +90,7 @@ class YPositionProfile:
     positions[i+1]; y_vertices[i-1] is the vertex sitting at positions[i].
     """
 
-    positions: tuple[int, ...]
-    blocks: tuple[int, ...]
-    y_vertices: tuple[str, ...]
+    __slots__ = ()
 
     def y_at(self, rank: int) -> str:
         """The Y vertex with the rank-th smallest position (1-based)."""
@@ -146,12 +143,8 @@ def shift_right(o: Ordering, b: Bipartition) -> Ordering:
     return Ordering([*(u for u in o if u != v), v])
 
 
-@dataclass(frozen=True)
-class OptimalityVerdict:
-    optimal: bool
-    failed_property: str | None  # "P1" | "P2" | "P3" | None
-    achieved: int
-    minimum: int
+# failed_property is "P1", "P2", "P3" or None.
+OptimalityVerdict = namedtuple("OptimalityVerdict", "optimal failed_property achieved minimum")
 
 
 def _signed_imbalances(seq: Iterable[str], b: Bipartition) -> tuple[list[int], list[int]]:

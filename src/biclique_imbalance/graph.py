@@ -21,10 +21,8 @@ from __future__ import annotations
 
 import re
 from collections import Counter, defaultdict, deque
-from dataclasses import dataclass
-from functools import cached_property
+from collections.abc import Iterable, Iterator, Mapping
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
 
 from .errors import GraphParseError, NotBipartiteError
 
@@ -144,26 +142,42 @@ class Graph:
         return f"Graph({self.vertex_count} vertices, {self.edge_count} edges)"
 
 
-@dataclass(frozen=True)
 class Bipartition:
     """A two-coloring of a vertex set into disjoint parts X and Y.
 
     The same value describes one complete bipartite component of a chain.
+    Immutable; compared, hashed and shown by its parts like a frozen dataclass.
     """
 
-    x_part: frozenset[str]
-    y_part: frozenset[str]
+    __slots__ = ("x_part", "y_part", "vertices")
+    __match_args__ = ("x_part", "y_part")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x_part", frozenset(self.x_part))
-        object.__setattr__(self, "y_part", frozenset(self.y_part))
-        overlap = self.x_part & self.y_part
-        if overlap:
-            raise ValueError(f"parts are not disjoint: {sorted(overlap)}")
+    def __init__(self, x_part: Iterable[str], y_part: Iterable[str]):
+        x, y = frozenset(x_part), frozenset(y_part)
+        if not x.isdisjoint(y):
+            raise ValueError(f"parts are not disjoint: {sorted(x & y)}")
+        object.__setattr__(self, "x_part", x)
+        object.__setattr__(self, "y_part", y)
+        object.__setattr__(self, "vertices", x | y)
 
-    @cached_property
-    def vertices(self) -> frozenset[str]:
-        return self.x_part | self.y_part
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple[type, tuple[frozenset[str], frozenset[str]]]:
+        return type(self), (self.x_part, self.y_part)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.x_part, self.y_part) == (other.x_part, other.y_part)
+
+    def __hash__(self) -> int:
+        return hash((self.x_part, self.y_part))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(x_part={self.x_part!r}, y_part={self.y_part!r})"
 
     @property
     def nx(self) -> int:
@@ -177,7 +191,8 @@ class Bipartition:
 class Ordering:
     """Immutable bijection between a vertex set and positions 1..n."""
 
-    __slots__ = ("_seq", "_pos", "_vertices")
+    # _matched caches the last graph vertex set found equal to _vertices.
+    __slots__ = ("_seq", "_pos", "_vertices", "_matched")
 
     def __init__(self, sequence: Iterable[str]):
         seq = tuple(sequence)
@@ -191,6 +206,7 @@ class Ordering:
         self._seq = seq
         self._pos = pos
         self._vertices = frozenset(pos)
+        self._matched: frozenset[str] | None = None
 
     @property
     def sequence(self) -> tuple[str, ...]:
@@ -407,10 +423,19 @@ def is_complete_bipartite(g: Graph, b: Bipartition) -> bool:
     return g.edge_count == len(b.x_part) * len(b.y_part)
 
 
+def _check_cover(o: Ordering, g: Graph) -> None:
+    """Raise unless o orders exactly g's vertices. A frozenset never changes,
+    so o skips the comparison with the set it last matched."""
+    if o._matched is g._vertices:
+        return
+    if o._vertices != g._vertices:
+        raise ValueError("ordering does not cover exactly the graph's vertices")
+    o._matched = g._vertices
+
+
 def vertex_imbalance(v: str, o: Ordering, g: Graph) -> int:
     """|neighbors left of v| minus |neighbors right of v|, in absolute value."""
-    if o.vertices != g.vertices:
-        raise ValueError("ordering does not cover exactly the graph's vertices")
+    _check_cover(o, g)
     p = o.position(v)
     left = sum(1 for u in g.neighbors(v) if o.position(u) < p)
     return abs(2 * left - g.degree(v))
@@ -418,8 +443,7 @@ def vertex_imbalance(v: str, o: Ordering, g: Graph) -> int:
 
 def vertex_imbalances(o: Ordering, g: Graph) -> list[int]:
     """The imbalance of every vertex, in ordering order, in one pass."""
-    if o.vertices != g.vertices:
-        raise ValueError("ordering does not cover exactly the graph's vertices")
+    _check_cover(o, g)
     pos = o.position_map
     out = []
     for p, v in enumerate(o, start=1):

@@ -30,11 +30,11 @@ as the state count.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator, Sequence
 from itertools import product
 from math import factorial, prod
 from operator import itemgetter
-from typing import Iterator, Sequence
 
 from .errors import SizeCapExceededError
 from .graph import Graph, Ordering
@@ -45,11 +45,7 @@ DEFAULT_CAP = 10
 STATE_CAP = 1 << 22
 
 
-@dataclass(frozen=True)
-class OracleResult:
-    minimum: int
-    witness: Ordering
-    optima_count: int | None = None
+OracleResult = namedtuple("OracleResult", "minimum witness optima_count", defaults=(None,))
 
 
 class _CostToGo:

@@ -2,7 +2,9 @@
 
 import math
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -114,6 +116,16 @@ class TestSolveComplete:
         assert code == 2
         code, _, _ = run(capsys, "solve", "complete", "--parts", "0", "4")
         assert code == 2
+
+    def test_parts_reject_digits_that_are_not_decimal(self, capsys):
+        assert run(capsys, "solve", "complete", "--parts", "²", "3") == (
+            2,
+            "",
+            "error: expected a decimal natural number, got '²'\n",
+        )
+
+    def test_parts_accept_decimal_digits_of_any_script(self, capsys):
+        assert run(capsys, "solve", "complete", "--parts", "٣", "3") == (0, "10\n", "")
 
     def test_graph_input(self, capsys, write):
         g = write("k22.txt", "x1 y1\nx1 y2\nx2 y1\nx2 y2\n")
@@ -257,6 +269,23 @@ class TestOracle:
         assert witness.split()[600] == "x1"
         assert count == str(math.factorial(1200))
 
+    @pytest.mark.parametrize("cap", ["-1", "abc"])
+    def test_cap_that_is_no_natural_number_exits_2(self, capsys, write, cap):
+        g = write("e.txt", "u v\n")
+        assert run(capsys, "oracle", g, "--max-n", cap) == (
+            2,
+            "",
+            f"error: expected a decimal natural number, got {cap!r}\n",
+        )
+
+    def test_zero_cap_exits_4(self, capsys, write):
+        g = write("e.txt", "u v\n")
+        assert run(capsys, "oracle", g, "--max-n", "0") == (
+            4,
+            "",
+            "error: 2 vertices exceeds the search cap of 0\n",
+        )
+
     def test_state_cap_exits_4(self, capsys, write):
         g = write("path.txt", "".join(f"p{i} p{i + 1}\n" for i in range(1, 40)))
         assert run(capsys, "oracle", g, "--max-n", "40") == (
@@ -271,6 +300,13 @@ class TestGen:
         code, out, _ = run(capsys, "gen", "complete", "2", "2")
         assert code == 0
         assert out.splitlines() == ["x1 y1", "x1 y2", "x2 y1", "x2 y2"]
+
+    def test_complete_rejects_digits_that_are_not_decimal(self, capsys):
+        assert run(capsys, "gen", "complete", "3", "²") == (
+            2,
+            "",
+            "error: expected a decimal natural number, got '²'\n",
+        )
 
     def test_chained_with_sidecar_report(self, capsys, write):
         spec = write(
@@ -370,3 +406,43 @@ class TestOutputHygiene:
             assert code == 0
             assert out.endswith("\n")
             assert not out.endswith("\n\n")
+
+
+# Run in a fresh `python -I` as: python -I -c COLD_START_PROBE SRC GRAPH CHAIN
+# ORDERING. Its last stdout line lists the modules that no CLI command needs
+# but the import or the calls loaded.
+COLD_START_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+from biclique_imbalance.cli import main
+assert {"argparse", "re"} <= set(sys.modules), "argparse and re load at import"
+graph, chain, ordering = sys.argv[2:]
+for argv in (
+    ["eval", "-v", graph, ordering],
+    ["solve", "complete", graph],
+    ["solve", "chained", chain],
+    ["verify", graph, ordering],
+    ["decompose", chain],
+    ["oracle", "--enumerate", graph],
+):
+    assert main(argv) == 0, argv
+unused = {"dataclasses", "inspect", "fractions", "decimal", "pathlib", "random", "typing"}
+print("unused modules loaded:", sorted(unused & (set(sys.modules) - before)))
+"""
+
+
+class TestColdStart:
+    def test_cli_loads_only_what_its_commands_use(self, write):
+        graph = write("k23.txt", "x1 y1\nx1 y2\nx1 y3\nx2 y1\nx2 y2\nx2 y3\n")
+        chain = write("chain.txt", "".join(f"{u} {v}\n" for u, v in CHAINED_EDGES))
+        ordering = write("o.txt", "y1 x1 y2 x2 y3\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-I", "-c", COLD_START_PROBE, str(src), graph, chain, ordering],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "unused modules loaded: []"

@@ -1,6 +1,8 @@
 """Core graph types, parsing, bipartition, and the imbalance evaluators."""
 
+import math
 import random
+import time
 from collections import deque
 
 import pytest
@@ -15,6 +17,7 @@ from biclique_imbalance import (
     Ordering,
     bipartition,
     concat_orderings,
+    construct_optimal_chained,
     is_complete_bipartite,
     ordering_imbalance,
     parse_edge_list,
@@ -25,6 +28,7 @@ from biclique_imbalance import (
 )
 from biclique_imbalance.graph import _bipartition_and_roots
 from conftest import CHAINED_EDGES, chained_example_graph, complete_bigraph, example_graph
+from test_chained import k33_chain
 
 
 class TestParseEdgeList:
@@ -360,6 +364,37 @@ class TestImbalance:
         g = example_graph()
         with pytest.raises(ValueError):
             ordering_imbalance(Ordering(["a", "b", "c", "d"]), g)
+
+    def test_vertex_imbalances_sum_to_the_ordering_imbalance(self):
+        g, d = k33_chain(800)
+        o = construct_optimal_chained(d)
+        assert sum(vertex_imbalance(v, o, g) for v in o) == ordering_imbalance(o, g)
+
+    def test_cover_is_checked_against_each_graph(self):
+        o = Ordering(["a", "b"])
+        g_ab, g_ac = Graph((), [("a", "b")]), Graph((), [("a", "c")])
+        assert vertex_imbalance("a", o, g_ab) == 1
+        for _ in range(2):
+            with pytest.raises(ValueError, match="does not cover exactly the graph's vertices"):
+                vertex_imbalance("a", o, g_ac)
+        with pytest.raises(ValueError, match="does not cover exactly the graph's vertices"):
+            vertex_imbalances(o, Graph(["a", "b", "c"]))
+        assert vertex_imbalance("b", o, g_ab) == 1
+        assert vertex_imbalance("b", o, Graph(["a", "b"])) == 0
+
+    def test_vertex_imbalance_checks_the_cover_once(self):
+        # The cover check of the first call is not repeated on the next ones:
+        # 4,001 calls on the 800-component K(3,3) chain took 0.31 s when every
+        # call compared the two vertex sets.
+        g, d = k33_chain(800)
+        o = construct_optimal_chained(d)
+        best = math.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            for v in o:
+                vertex_imbalance(v, o, g)
+            best = min(best, time.perf_counter() - start)
+        assert best < 0.05
 
 
 class TestSuborderingConcat:
