@@ -11,15 +11,17 @@ vertex and non-consecutive components are disjoint. Its minimum imbalance is
 where g(s, C) is the number of neighbors of overlap s inside C, i.e. the
 size of C's opposite part.
 
-The decomposer walks the chain in time linear in the graph up to sorting:
-it starts from the component of a vertex the bipartition search reached
-last (never an overlap), and steps from each component to the next through
-the one vertex with neighbors beyond it, taking each component as the
-closure (a maximal biclique) of a neighborhood. It then verifies every
-chain condition explicitly. Construction of optimal orderings lays out each
-component between its two boundary vertices as at most six alternating runs
-of its two parts, read off the run-length table of the complete case, and
-validates each against the closed form before emitting anything.
+The decomposer walks the chain in time linear in the graph up to sorting: it
+starts from the component of a vertex the bipartition search reached last
+(never an overlap), and steps from each component to the next through the
+one vertex with neighbors beyond it. Each component, the closure (a maximal
+biclique) of a neighborhood, is one intersection of adjacency sets, and a
+degree scan finds its exits. Every chain condition is then verified
+explicitly; completeness and maximality are subset tests, and only exits and
+failure witnesses get sorted. Construction of optimal orderings lays out
+each component between its two boundary vertices as at most six alternating
+runs of its two parts, read off the run-length table of the complete case,
+and validates each against the closed form before emitting anything.
 """
 
 from __future__ import annotations
@@ -114,20 +116,23 @@ class ChainSpec(namedtuple("ChainSpec", "sizes overlap_parts")):
 
 
 def _biclique_closure(g: Graph, b: Bipartition, side: frozenset[str]) -> ChainComponent:
-    """The maximal biclique with one part generated by side."""
-    members = side | frozenset.intersection(*(g.neighbors(u) for u in side))
-    return ChainComponent(members & b.x_part, members & b.y_part)
+    """The maximal biclique with one part generated by side, a color class: the
+    common neighbors of side, all in the other class, are the other part."""
+    pair = (side, frozenset.intersection(*map(g._adj.__getitem__, side)))
+    return ChainComponent(*(pair if next(iter(side)) in b.x_part else pair[::-1]))
 
 
 def _exits(g: Graph, comp: ChainComponent, entry: str, limit: int) -> list[str]:
     """The vertices of comp other than entry with a neighbor outside comp: comp
     is complete, so their degree exceeds the size of the opposite part. More
     than limit of them means the chain branches at comp."""
-    out = [
+    adj = g._adj
+    out = sorted(
         v
-        for v in sorted(comp.vertices)
-        if v != entry and g.degree(v) > (comp.ny if v in comp.x_part else comp.nx)
-    ]
+        for part, opposite in ((comp.x_part, comp.ny), (comp.y_part, comp.nx))
+        for v in part
+        if len(adj[v]) > opposite and v != entry
+    )
     if len(out) > limit:
         raise NotChainedError(
             f"the chain branches at the component reached through {entry}: {', '.join(out)}"
@@ -145,7 +150,7 @@ def _walk_chain(
     closure of s's neighbors outside the last one. It has at most one exit
     besides s and meets the components found before it only at s.
     """
-    first = _biclique_closure(g, b, g.neighbors(start))
+    first = _biclique_closure(g, b, g._adj[start])
     comps, overlaps = [first], []
     seen = set(first.vertices)
     for s in _exits(g, first, start, 2):
@@ -154,13 +159,13 @@ def _walk_chain(
         comps.reverse()
         overlaps.reverse()
         while s is not None:
-            nxt = _biclique_closure(g, b, g.neighbors(s) - comps[-1].vertices)
-            clash = sorted(v for v in nxt.vertices if v in seen and v != s)
-            if clash:
+            nxt = _biclique_closure(g, b, g._adj[s] - comps[-1].vertices)
+            if len(seen & nxt.vertices) > 1:  # s lies in both
                 raise NotChainedError(
-                    f"the component entered through {s} meets an earlier one at {clash[0]}"
+                    f"the component entered through {s} meets an earlier one at "
+                    f"{min(seen & nxt.vertices - {s})}"
                 )
-            seen.update(nxt.vertices)
+            seen |= nxt.vertices
             comps.append(nxt)
             overlaps.append(s)
             onward = _exits(g, nxt, s, 1)
@@ -169,15 +174,14 @@ def _walk_chain(
 
 
 def _verify_chain(g: Graph, d: ChainDecomposition) -> None:
+    adj = g._adj
     if d.vertices != g.vertices:
-        missing = sorted(g.vertices - d.vertices)[0]
-        raise NotChainedError(f"vertex {missing} lies in no component")
+        raise NotChainedError(f"vertex {min(g.vertices - d.vertices)} lies in no component")
     for idx, comp in enumerate(d.components, start=1):
         if not comp.x_part or not comp.y_part:
             raise NotChainedError(f"component C{idx} has an empty part")
-        members = comp.vertices
-        inside = sum(len(g.neighbors(u) & members) for u in members) // 2
-        if inside != comp.nx * comp.ny:
+        # The parts are color classes: complete iff each X vertex sees all of Y.
+        if not all(comp.y_part <= adj[x] for x in comp.x_part):
             raise NotChainedError(
                 f"component C{idx} does not induce a complete bipartite graph"
             )
@@ -186,8 +190,8 @@ def _verify_chain(g: Graph, d: ChainDecomposition) -> None:
         extenders = [
             v
             for part, opposite in ((comp.x_part, comp.y_part), (comp.y_part, comp.x_part))
-            for v in g.neighbors(min(opposite, key=g.degree)) - part
-            if opposite <= g.neighbors(v)
+            for v in adj[min(opposite, key=lambda u: len(adj[u]))] - part
+            if opposite <= adj[v]
         ]
         if extenders:
             raise NotChainedError(
@@ -196,11 +200,9 @@ def _verify_chain(g: Graph, d: ChainDecomposition) -> None:
         for s in d.overlaps[max(idx - 2, 0) : idx]:
             if len(comp.x_part if s in comp.x_part else comp.y_part) == 1:
                 raise NotChainedError(f"overlap {s} sits in a singleton part of C{idx}")
-    covered_edges = sum(c.nx * c.ny for c in d.components)
-    if covered_edges != g.edge_count:
-        raise NotChainedError(
-            f"the components cover {covered_edges} of {g.edge_count} edges"
-        )
+    covered = sum(c.nx * c.ny for c in d.components)
+    if covered != g.edge_count:
+        raise NotChainedError(f"the components cover {covered} of {g.edge_count} edges")
 
 
 def decompose(g: Graph) -> ChainDecomposition:
@@ -246,11 +248,9 @@ def g_count(d: ChainDecomposition, s: str, j: int) -> int:
 
 def min_imbalance_chained(d: ChainDecomposition) -> int:
     """Closed-form minimum imbalance of the chained graph."""
-    total = 0
-    for comp in d.components:
-        total += min_imbalance_formula(comp.nx, comp.ny)
-    for i, in_x in enumerate(d.overlap_in_x):
-        left, right = (c.ny if in_x else c.nx for c in d.components[i : i + 2])
+    total = sum(min_imbalance_formula(c.nx, c.ny) for c in d.components)
+    for a, c, in_x in zip(d.components, d.components[1:], d.overlap_in_x):
+        left, right = (a.ny, c.ny) if in_x else (a.nx, c.nx)
         total += abs(left - right) - left - right
     return total
 
@@ -285,15 +285,14 @@ def _between(comp: ChainComponent, s_prev: str, s_next: str) -> list[str]:
 def _validated_subordering(
     comp: ChainComponent, s_prev: str, s_next: str
 ) -> list[str]:
-    boundary = {s_prev, s_next}
-    if s_prev == s_next or not boundary <= comp.vertices:
+    if s_prev == s_next or not {s_prev, s_next} <= comp.vertices:
         raise ValueError(
             f"boundary vertices must be two distinct members of the component, "
             f"got {s_prev!r}, {s_next!r}"
         )
     mid = _between(comp, s_prev, s_next)
     full = [s_prev, *mid, s_next]
-    if sorted(full) != sorted(comp.vertices):
+    if len(full) != len(comp.vertices) or frozenset(full) != comp.vertices:
         raise ConstructionInvariantViolatedError(
             "component subordering does not cover the component exactly"
         )
@@ -489,13 +488,12 @@ def parse_chain_spec(text: str) -> ChainSpec:
                 raise GraphParseError(
                     f"component line needs two sizes: {line!r}", line=lineno
                 )
-            try:
-                nx_size, ny_size = int(tokens[1]), int(tokens[2])
-            except ValueError:
+            # The digits int() reads, without signs or '_': '٣' is one, '²' is not.
+            if not (tokens[1].isdecimal() and tokens[2].isdecimal()):
                 raise GraphParseError(
-                    f"component sizes must be integers: {line!r}", line=lineno
-                ) from None
-            sizes.append((nx_size, ny_size))
+                    f"component sizes must be decimal natural numbers: {line!r}", line=lineno
+                )
+            sizes.append((int(tokens[1]), int(tokens[2])))
         elif tokens[0] == "overlap":
             if len(tokens) != 2 or tokens[1] not in ("X", "Y"):
                 raise GraphParseError(

@@ -385,13 +385,15 @@ def _bipartition_and_roots(g: Graph) -> tuple[Bipartition, list[str], str | None
             c = color[v]
             # Neighbors not in the other color class: the clashing ones and
             # the ones this search has not reached yet.
-            rest = g.neighbors(v).difference(sides[not c])
+            rest = g._adj[v].difference(sides[not c])
             same = sides[c]
             if not rest.isdisjoint(same):
                 # The smallest clashing neighbor is the one a scan of the
                 # sorted neighbors would meet first.
                 w = min(rest & same)
                 raise NotBipartiteError(_odd_cycle_witness(v, w, parent, depth))
+            if not rest:
+                continue
             reached = sorted(rest)
             sides[not c].update(reached)
             d = depth[v] + 1

@@ -3,6 +3,7 @@ interval representations, and the overlap inequality probe."""
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -35,6 +36,7 @@ from biclique_imbalance import (
     subordering,
     vertex_imbalance,
 )
+from biclique_imbalance.chained import _verify_chain
 from conftest import chained_example_graph, complete_bigraph
 
 FIG_SPEC = ChainSpec(((2, 2), (2, 2), (2, 3)), ("X", "Y"))
@@ -91,6 +93,12 @@ def same_chain_up_to_reversal(d1, d2):
 def k33_chain(n):
     """n K(3,3) components glued alternately at X and Y overlaps."""
     return generate_chained(ChainSpec(((3, 3),) * n, tuple("XY"[i % 2] for i in range(n - 1))))
+
+
+def rejects(reason):
+    """pytest.raises for a NotChainedError whose whole message gives reason."""
+    message = f"not a chained complete bipartite graph: {reason}"
+    return pytest.raises(NotChainedError, match=f"^{re.escape(message)}$")
 
 
 def maximal_bicliques(g, xs, ys):
@@ -241,11 +249,11 @@ class TestDecompose:
             (),
             [("x1", "y1"), ("y1", "x2"), ("x2", "y2"), ("y2", "x3"), ("x3", "y3"), ("y3", "x1")],
         )
-        with pytest.raises(NotChainedError):
+        with rejects("the component entered through x1 meets an earlier one at x3"):
             decompose(g)
 
     def test_edgeless_rejected(self):
-        with pytest.raises(NotChainedError):
+        with rejects("graph has no edges for any component to cover"):
             decompose(Graph(["a"]))
 
     def test_star_of_three_paths_rejected(self):
@@ -258,7 +266,7 @@ class TestDecompose:
             (),
             [("c", "m1"), ("m1", "e1"), ("c", "m2"), ("m2", "e2"), ("c", "m3"), ("m3", "e3")],
         )
-        with pytest.raises(NotChainedError):
+        with rejects("the chain branches at the component reached through c: m1, m2"):
             decompose(g2)
 
     def test_ring_of_k33s_rejected(self):
@@ -269,7 +277,7 @@ class TestDecompose:
             for x in (f"s{(i - 1) % 4}", f"s{i}", f"a{i}")
             for y in "pqr"
         ]
-        with pytest.raises(NotChainedError):
+        with rejects("the component entered through s3 meets an earlier one at s2"):
             decompose(Graph((), edges))
 
     def test_tree_of_components_rejected(self):
@@ -277,7 +285,7 @@ class TestDecompose:
         edges = [(h, y) for h in ("h1", "h2", "h3") for y in ("p", "q", "r")]
         for k in (1, 2, 3):
             edges += [(x, f"{y}{k}") for x in (f"h{k}", f"a{k}", f"b{k}") for y in "pqr"]
-        with pytest.raises(NotChainedError):
+        with rejects("the chain branches at the component reached through h3: h1, h2"):
             decompose(Graph((), edges))
 
     def test_extra_edge_between_non_consecutive_components_rejected(self):
@@ -285,7 +293,7 @@ class TestDecompose:
         overlaps = set(d.overlaps)
         x = min(d.components[0].x_part - overlaps)
         y = min(d.components[2].y_part - overlaps)
-        with pytest.raises(NotChainedError):
+        with rejects("the chain branches at the component reached through x1: x6, x7, x8"):
             decompose(Graph((), [*g.edges(), (x, y)]))
 
     def test_k33_chain_missing_one_edge_rejected(self):
@@ -293,8 +301,63 @@ class TestDecompose:
         overlaps = set(d.overlaps)
         x = min(d.components[1].x_part - overlaps)
         y = min(d.components[1].y_part - overlaps)
-        with pytest.raises(NotChainedError):
+        with rejects("the chain branches at the component reached through y6: x3, x5"):
             decompose(Graph((), [e for e in g.edges() if set(e) != {x, y}]))
+
+
+class TestVerifyChain:
+    """_verify_chain on hand-built decompositions: each failure's exact text."""
+
+    @staticmethod
+    def chain(graph_edges, comps, overlaps=(), vertices=()):
+        g = Graph(vertices, graph_edges)
+        built = tuple(ChainComponent(frozenset(x), frozenset(y)) for x, y in comps)
+        in_x = tuple(any(s in c.x_part for c in built) for s in overlaps)
+        return g, ChainDecomposition(built, tuple(overlaps), in_x)
+
+    def test_component_missing_one_edge(self):
+        # the path x1-y1-x2-y2 split along its color classes is K(2,2) less x1y2
+        g, d = self.chain(
+            [("x1", "y1"), ("y1", "x2"), ("x2", "y2")], [({"x1", "x2"}, {"y1", "y2"})]
+        )
+        with rejects("component C1 does not induce a complete bipartite graph"):
+            _verify_chain(g, d)
+
+    def test_component_extendable_by_a_vertex(self):
+        g, d = self.chain(
+            [(x, y) for x in ("x1", "x2") for y in ("y1", "y2")],
+            [({"x1"}, {"y1", "y2"}), ({"x2"}, {"y1", "y2"})],
+        )
+        with rejects("component C1 is not maximal: extendable by x2"):
+            _verify_chain(g, d)
+
+    def test_overlap_in_a_singleton_part(self):
+        # the path a-b-c-d as the stars b:{a,c} and c:{b,d}, glued at b
+        g, d = self.chain(
+            [("a", "b"), ("b", "c"), ("c", "d")],
+            [({"b"}, {"a", "c"}), ({"b", "d"}, {"c"})],
+            overlaps=["b"],
+        )
+        with rejects("overlap b sits in a singleton part of C1"):
+            _verify_chain(g, d)
+
+    def test_vertex_in_no_component(self):
+        g, d = self.chain(
+            [(x, y) for x in ("x1", "x2") for y in ("y1", "y2")],
+            [({"x1", "x2"}, {"y1", "y2"})],
+            vertices=["z", "w"],
+        )
+        with rejects("vertex w lies in no component"):
+            _verify_chain(g, d)
+
+    def test_edges_outside_every_component(self):
+        # the path a-b-c-d-e-f as the stars b:{a,c} and e:{d,f}, missing cd
+        g, d = self.chain(
+            [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "f")],
+            [({"b"}, {"a", "c"}), ({"e"}, {"d", "f"})],
+        )
+        with rejects("the components cover 4 of 5 edges"):
+            _verify_chain(g, d)
 
 
 class TestBruteForceRecogniser:
@@ -717,6 +780,24 @@ class TestSpecTextFormat:
             parse_chain_spec("widget 1 2\n")
         with pytest.raises(GraphParseError):
             parse_chain_spec("")
+
+    @pytest.mark.parametrize("size", ["1_0", "+2", "-1", "²"])
+    def test_sizes_must_be_decimal_natural_numbers(self, size):
+        message = (
+            f"line 2: component sizes must be decimal natural numbers: 'component 2 {size}'"
+        )
+        with pytest.raises(GraphParseError, match=f"^{re.escape(message)}$") as caught:
+            parse_chain_spec(f"# spec\ncomponent 2 {size}\n")
+        assert caught.value.line == 2
+
+    def test_sizes_in_other_decimal_digits_are_read(self):
+        assert parse_chain_spec("component ٣ 12\n") == ChainSpec(((3, 12),), ())
+
+    def test_size_zero_parses_and_fails_validation(self):
+        spec = parse_chain_spec("component 0 2\n")
+        assert spec == ChainSpec(((0, 2),), ())
+        with pytest.raises(SpecInvalidError, match=r"^component 1 has an empty part: \(0, 2\)$"):
+            spec.validate()
 
     def test_format_report(self):
         d = decompose(chained_example_graph())

@@ -330,6 +330,32 @@ class TestGen:
         spec = write("bad.txt", "component 1 2\noverlap X\ncomponent 2 2\n")
         assert run(capsys, "gen", "chained", "--spec", spec)[0] == 3
 
+    @pytest.mark.parametrize("size", ["1_0", "+2", "-1", "²"])
+    def test_spec_size_that_is_no_decimal_natural_number_exits_2(self, capsys, write, size):
+        spec = write("bad.txt", f"component 2 2\noverlap X\ncomponent {size} 2\n")
+        assert run(capsys, "gen", "chained", "--spec", spec) == (
+            2,
+            "",
+            f"error: line 3: component sizes must be decimal natural numbers: "
+            f"'component {size} 2'\n",
+        )
+
+    def test_spec_size_in_other_decimal_digits_is_read(self, capsys, write):
+        spec = write("spec.txt", "component ٣ 1\n")
+        assert run(capsys, "gen", "chained", "--spec", spec) == (
+            0,
+            "x1 y1\nx2 y1\nx3 y1\n",
+            "C1: X={x1,x2,x3} Y={y1}\n",
+        )
+
+    def test_spec_size_zero_exits_3(self, capsys, write):
+        spec = write("bad.txt", "component 0 2\n")
+        assert run(capsys, "gen", "chained", "--spec", spec) == (
+            3,
+            "",
+            "error: component 1 has an empty part: (0, 2)\n",
+        )
+
 
 class TestRepeatedCalls:
     """One process, several main calls: no option leaks into the next call."""
