@@ -4,8 +4,11 @@ interval representations, and the overlap inequality probe."""
 import itertools
 import random
 import re
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biclique_imbalance import (
     ChainComponent,
@@ -36,7 +39,7 @@ from biclique_imbalance import (
     subordering,
     vertex_imbalance,
 )
-from biclique_imbalance.chained import _verify_chain
+from biclique_imbalance.chained import _check_maximal
 from conftest import chained_example_graph, complete_bigraph
 
 FIG_SPEC = ChainSpec(((2, 2), (2, 2), (2, 3)), ("X", "Y"))
@@ -180,15 +183,68 @@ def recognised_chains(g, xs, ys):
     return found
 
 
+def chain_condition_failures(g, d):
+    """The chain conditions that d breaks as a decomposition of g, each tested
+    from its definition in polynomial time: an empty list for a chain."""
+    comps, n = d.components, len(d.components)
+    xs = frozenset().union(*(c.x_part for c in comps))
+    ys = frozenset().union(*(c.y_part for c in comps))
+
+    def in_one(u, v):
+        return any({u, v} <= c.vertices and (u in c.x_part) != (v in c.x_part) for c in comps)
+
+    checks = [
+        ("empty part", any(not c.x_part or not c.y_part for c in comps)),
+        (
+            "incomplete",
+            any(not g.has_edge(x, y) for c in comps for x in c.x_part for y in c.y_part),
+        ),
+        (
+            "not maximal",
+            any(
+                v not in c.vertices and (c.x_part <= g.neighbors(v) or c.y_part <= g.neighbors(v))
+                for c in comps
+                for v in g.vertices
+            ),
+        ),
+        # The X parts lie in one color class and the Y parts in the other.
+        ("sides", bool(xs & ys) or any({u, v} <= xs or {u, v} <= ys for u, v in g.edges())),
+        (
+            "overlaps",
+            len(d.overlaps) != n - 1
+            or any(
+                comps[i].vertices & comps[j].vertices != ({d.overlaps[i]} if j == i + 1 else set())
+                for i, j in itertools.combinations(range(n), 2)
+            ),
+        ),
+        (
+            "singleton overlap",
+            any(
+                len(c.x_part if s in c.x_part else c.y_part) < 2
+                for i, s in enumerate(d.overlaps)
+                for c in comps[i : i + 2]
+                if s in c.vertices
+            ),
+        ),
+        ("overlap side", d.overlap_in_x != tuple(s in xs for s in d.overlaps)),
+        ("vertex cover", xs | ys != g.vertices),
+        ("edge cover", not all(in_one(u, v) for u, v in g.edges())),
+    ]
+    return [name for name, broken in checks if broken]
+
+
 def assert_decompose_matches_recogniser(g, xs, ys):
+    """decompose(g), or None, after checking it against the recogniser and
+    the chain conditions."""
     expected = recognised_chains(g, xs, ys)
     try:
         d = decompose(g)
     except (NotChainedError, NotConnectedError):
         assert expected == [], sorted(g.edges())
-        return False
+        return None
     assert frozenset(unlabelled(d.components)) in expected, sorted(g.edges())
-    return True
+    assert chain_condition_failures(g, d) == [], sorted(g.edges())
+    return d
 
 
 class TestDecompose:
@@ -306,7 +362,9 @@ class TestDecompose:
 
 
 class TestVerifyChain:
-    """_verify_chain on hand-built decompositions: each failure's exact text."""
+    """Hand-built broken decompositions. The walk cannot build the first four
+    (see decompose's proof), so the test-side checker names what each breaks;
+    maximality is the one condition decompose tests after its walk."""
 
     @staticmethod
     def chain(graph_edges, comps, overlaps=(), vertices=()):
@@ -320,8 +378,7 @@ class TestVerifyChain:
         g, d = self.chain(
             [("x1", "y1"), ("y1", "x2"), ("x2", "y2")], [({"x1", "x2"}, {"y1", "y2"})]
         )
-        with rejects("component C1 does not induce a complete bipartite graph"):
-            _verify_chain(g, d)
+        assert chain_condition_failures(g, d) == ["incomplete"]
 
     def test_component_extendable_by_a_vertex(self):
         g, d = self.chain(
@@ -329,17 +386,18 @@ class TestVerifyChain:
             [({"x1"}, {"y1", "y2"}), ({"x2"}, {"y1", "y2"})],
         )
         with rejects("component C1 is not maximal: extendable by x2"):
-            _verify_chain(g, d)
+            _check_maximal(g, d)
+        # the two stars also share two vertices and have no overlap listed
+        assert chain_condition_failures(g, d) == ["not maximal", "overlaps"]
 
     def test_overlap_in_a_singleton_part(self):
-        # the path a-b-c-d as the stars b:{a,c} and c:{b,d}, glued at b
+        # the path a-b-c-d as the stars b:{a,c} and c:{b,d}, glued at b and c
         g, d = self.chain(
             [("a", "b"), ("b", "c"), ("c", "d")],
             [({"b"}, {"a", "c"}), ({"b", "d"}, {"c"})],
             overlaps=["b"],
         )
-        with rejects("overlap b sits in a singleton part of C1"):
-            _verify_chain(g, d)
+        assert chain_condition_failures(g, d) == ["overlaps", "singleton overlap"]
 
     def test_vertex_in_no_component(self):
         g, d = self.chain(
@@ -347,17 +405,16 @@ class TestVerifyChain:
             [({"x1", "x2"}, {"y1", "y2"})],
             vertices=["z", "w"],
         )
-        with rejects("vertex w lies in no component"):
-            _verify_chain(g, d)
+        assert chain_condition_failures(g, d) == ["vertex cover"]
 
     def test_edges_outside_every_component(self):
-        # the path a-b-c-d-e-f as the stars b:{a,c} and e:{d,f}, missing cd
+        # the path a-b-c-d-e-f as the stars b:{a,c} and e:{d,f}, missing cd;
+        # the stars put c and d, and b and e, on one side, with no overlap
         g, d = self.chain(
             [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "f")],
             [({"b"}, {"a", "c"}), ({"e"}, {"d", "f"})],
         )
-        with rejects("the components cover 4 of 5 edges"):
-            _verify_chain(g, d)
+        assert chain_condition_failures(g, d) == ["sides", "overlaps", "edge cover"]
 
 
 class TestBruteForceRecogniser:
@@ -374,7 +431,8 @@ class TestBruteForceRecogniser:
             xs, ys = frozenset(names[:nx_size]), frozenset(names[nx_size:])
             density = rng.choice((0.3, 0.5, 0.7, 0.9))
             edges = [(x, y) for x in sorted(xs) for y in sorted(ys) if rng.random() < density]
-            accepted += assert_decompose_matches_recogniser(Graph(names, edges), xs, ys)
+            d = assert_decompose_matches_recogniser(Graph(names, edges), xs, ys)
+            accepted += d is not None
         assert accepted >= 100
 
     def test_mutated_chains(self):
@@ -394,10 +452,62 @@ class TestBruteForceRecogniser:
                 edges.add(rng.choice([e for e in cross if e not in edges]))
             elif mutation == "remove":
                 edges.discard(rng.choice(sorted(edges)))
-            ok = assert_decompose_matches_recogniser(Graph(g.vertices, edges), xs, ys)
+            ok = assert_decompose_matches_recogniser(Graph(g.vertices, edges), xs, ys) is not None
             accepted += ok
             rejected += not ok
         assert accepted >= 100 and rejected >= 100
+
+
+@st.composite
+def mutated_chains(draw):
+    """A renamed generated chain of at most 10 vertices after 0-2 mutations,
+    with its color classes: a cross edge added, an edge removed, a pendant
+    vertex attached, or a K(a, b) glued at a vertex."""
+    n = draw(st.integers(1, 3))
+    parts = draw(st.lists(st.sampled_from("XY"), min_size=n - 1, max_size=n - 1))
+    sizes = []
+    for i in range(n):
+        touching = parts[max(i - 1, 0) : i + 1]
+        sizes.append(tuple(draw(st.integers(1 + (p in touching), 3)) for p in "XY"))
+    while sum(a + b for a, b in sizes) - len(parts) > 10:  # drop the last component
+        sizes.pop()
+        parts.pop()
+    spec = ChainSpec(tuple(sizes), tuple(parts))
+    g, d = renamed(*generate_chained(spec), draw(st.randoms(use_true_random=False)))
+    xs = set().union(*(c.x_part for c in d.components))
+    ys = set().union(*(c.y_part for c in d.components))
+    edges = set(g.edges())
+    fresh = (f"w{k}" for k in itertools.count(1))
+    for _ in range(draw(st.integers(0, 2))):
+        mutation = draw(st.sampled_from(("add", "remove", "pendant", "glue")))
+        cross = sorted(tuple(sorted((x, y))) for x in xs for y in ys)
+        if mutation == "add" and len(edges) < len(cross):
+            edges.add(draw(st.sampled_from([e for e in cross if e not in edges])))
+        elif mutation == "remove" and edges:
+            edges.discard(draw(st.sampled_from(sorted(edges))))
+        elif mutation in ("pendant", "glue"):
+            v = draw(st.sampled_from(sorted(xs | ys)))
+            own, other = (xs, ys) if v in xs else (ys, xs)
+            a, b = (1, 1) if mutation == "pendant" else draw(st.tuples(*[st.integers(1, 2)] * 2))
+            side = [v, *(next(fresh) for _ in range(a - 1))]
+            opposite = [next(fresh) for _ in range(b)]
+            own.update(side)
+            other.update(opposite)
+            edges.update(tuple(sorted((u, w))) for u in side for w in opposite)
+    return Graph(xs | ys, edges), frozenset(xs), frozenset(ys)
+
+
+class TestMutationFuzz:
+    """decompose on mutated chains: a rejection means no chain exists, an
+    acceptance is a chain whose closed form meets the oracle."""
+
+    @given(mutated_chains())
+    @settings(max_examples=150, deadline=None)
+    def test_decompose_agrees_with_recogniser_and_oracle(self, case):
+        g, xs, ys = case
+        d = assert_decompose_matches_recogniser(g, xs, ys)
+        if d is not None:
+            assert min_imbalance_chained(d) == brute_force_min(g, cap=g.vertex_count).minimum
 
 
 class TestGCount:
@@ -634,6 +744,7 @@ class TestRandomizedRoundTrips:
             assert ordering_imbalance(o, g) == min_imbalance_chained(d)
             dd = decompose(g)
             assert profiles_match_up_to_reversal(d, dd)
+            assert chain_condition_failures(g, dd) == []
             done += 1
 
     def test_renamed_chains_roundtrip(self):
@@ -652,7 +763,9 @@ class TestRandomizedRoundTrips:
         for spec in specs:
             for _ in range(3):
                 g, d = renamed(*generate_chained(spec), rng)
-                assert same_chain_up_to_reversal(d, decompose(g)), spec
+                dd = decompose(g)
+                assert same_chain_up_to_reversal(d, dd), spec
+                assert chain_condition_failures(g, dd) == [], spec
 
     def test_no_overlap_in_singleton_part(self):
         rng = random.Random(11)
@@ -661,12 +774,8 @@ class TestRandomizedRoundTrips:
             spec = random_chain_spec(rng, max_comps=6, max_total=60, max_part=6)
             if spec is None:
                 continue
-            d = decompose(generate_chained(spec)[0])
-            for i, s in enumerate(d.overlaps, start=1):
-                for j in (i, i + 1):
-                    comp = d.components[j - 1]
-                    part = comp.x_part if s in comp.x_part else comp.y_part
-                    assert len(part) >= 2
+            g = generate_chained(spec)[0]
+            assert chain_condition_failures(g, decompose(g)) == [], spec
             done += 1
 
 
@@ -788,6 +897,18 @@ class TestSpecTextFormat:
         )
         with pytest.raises(GraphParseError, match=f"^{re.escape(message)}$") as caught:
             parse_chain_spec(f"# spec\ncomponent 2 {size}\n")
+        assert caught.value.line == 2
+
+    def test_size_past_the_int_str_digit_limit_is_a_parse_error(self):
+        if not hasattr(sys, "get_int_max_str_digits"):
+            pytest.skip("this Python converts integer strings of any length")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            with pytest.raises(GraphParseError, match="^line 2: component size too long: ") as caught:
+                parse_chain_spec(f"# spec\ncomponent {'7' * 5000} 2\n")
+        finally:
+            sys.set_int_max_str_digits(limit)
         assert caught.value.line == 2
 
     def test_sizes_in_other_decimal_digits_are_read(self):

@@ -348,6 +348,16 @@ class TestGen:
             "C1: X={x1,x2,x3} Y={y1}\n",
         )
 
+    def test_spec_size_beyond_the_int_str_digit_limit_is_read_exactly(self, capsys, write):
+        size = "1" + "234567890" * 555 + "1231"
+        assert len(size) == 5000
+        spec = write("big.txt", f"component {size} 0\n")
+        assert run(capsys, "gen", "chained", "--spec", spec) == (
+            3,
+            "",
+            f"error: component 1 has an empty part: ({size}, 0)\n",
+        )
+
     def test_spec_size_zero_exits_3(self, capsys, write):
         spec = write("bad.txt", "component 0 2\n")
         assert run(capsys, "gen", "chained", "--spec", spec) == (

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import biclique_imbalance
 from biclique_imbalance import (
     Bipartition,
     ChainComponent,
@@ -166,3 +167,60 @@ def test_interval_representation_is_exact():
     rep = interval_representation(d)
     assert rep["x2"] == (Fraction(7), Fraction(11))
     assert all(type(end) is Fraction for pair in rep.values() for end in pair)
+
+
+# The public names, sorted. Dropping or adding one changes this list.
+PUBLIC_NAMES = [
+    "Bipartition",
+    "ChainComponent",
+    "ChainDecomposition",
+    "ChainSpec",
+    "ConstructionInvariantViolatedError",
+    "DEFAULT_CAP",
+    "Graph",
+    "GraphParseError",
+    "NotBipartiteError",
+    "NotChainedError",
+    "NotCompleteBipartiteError",
+    "NotConnectedError",
+    "OptimalityVerdict",
+    "OracleResult",
+    "Ordering",
+    "OverlapInequalityProbe",
+    "SizeCapExceededError",
+    "SpecInvalidError",
+    "YPositionProfile",
+    "bipartition",
+    "brute_force_min",
+    "concat_orderings",
+    "construct_component_subordering",
+    "construct_optimal_chained",
+    "construct_optimal_complete",
+    "decompose",
+    "enumerate_optima",
+    "format_decomposition",
+    "g_count",
+    "generate_chained",
+    "interval_representation",
+    "is_complete_bipartite",
+    "min_imbalance_chained",
+    "min_imbalance_formula",
+    "ordering_imbalance",
+    "overlap_inequality_probe",
+    "parse_chain_spec",
+    "parse_edge_list",
+    "parse_ordering",
+    "shift_left",
+    "shift_right",
+    "subordering",
+    "verify_optimal_complete",
+    "vertex_imbalance",
+    "vertex_imbalances",
+    "y_position_profile",
+]
+
+
+def test_public_api_is_pinned():
+    assert biclique_imbalance.__all__ == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert getattr(biclique_imbalance, name) is not None
