@@ -8,106 +8,17 @@ verifier, a chain decomposer with interval representations, and an
 exhaustive-search oracle for cross-validation on small instances.
 
 Result records are named tuples; Bipartition (alias ChainComponent) is an
-immutable slotted class.
+immutable slotted class. The package namespace is the union of the modules'
+`__all__` lists; each public name is listed once, in its own module.
 """
 
-from .chained import (
-    ChainComponent,
-    ChainDecomposition,
-    ChainSpec,
-    OverlapInequalityProbe,
-    construct_component_subordering,
-    construct_optimal_chained,
-    decompose,
-    format_decomposition,
-    g_count,
-    generate_chained,
-    interval_representation,
-    min_imbalance_chained,
-    overlap_inequality_probe,
-    parse_chain_spec,
-)
-from .complete import (
-    OptimalityVerdict,
-    YPositionProfile,
-    construct_optimal_complete,
-    min_imbalance_formula,
-    shift_left,
-    shift_right,
-    verify_optimal_complete,
-    y_position_profile,
-)
-from .errors import (
-    ConstructionInvariantViolatedError,
-    GraphParseError,
-    NotBipartiteError,
-    NotChainedError,
-    NotCompleteBipartiteError,
-    NotConnectedError,
-    SizeCapExceededError,
-    SpecInvalidError,
-)
-from .graph import (
-    Bipartition,
-    Graph,
-    Ordering,
-    bipartition,
-    concat_orderings,
-    is_complete_bipartite,
-    ordering_imbalance,
-    parse_edge_list,
-    parse_ordering,
-    subordering,
-    vertex_imbalance,
-    vertex_imbalances,
-)
-from .oracle import DEFAULT_CAP, OracleResult, brute_force_min, enumerate_optima
+from . import chained, complete, errors, graph, oracle
+from .chained import *
+from .complete import *
+from .errors import *
+from .graph import *
+from .oracle import *
 
-__all__ = [
-    "Bipartition",
-    "ChainComponent",
-    "ChainDecomposition",
-    "ChainSpec",
-    "ConstructionInvariantViolatedError",
-    "DEFAULT_CAP",
-    "Graph",
-    "GraphParseError",
-    "NotBipartiteError",
-    "NotChainedError",
-    "NotCompleteBipartiteError",
-    "NotConnectedError",
-    "OptimalityVerdict",
-    "OracleResult",
-    "Ordering",
-    "OverlapInequalityProbe",
-    "SizeCapExceededError",
-    "SpecInvalidError",
-    "YPositionProfile",
-    "bipartition",
-    "brute_force_min",
-    "concat_orderings",
-    "construct_component_subordering",
-    "construct_optimal_chained",
-    "construct_optimal_complete",
-    "decompose",
-    "enumerate_optima",
-    "format_decomposition",
-    "g_count",
-    "generate_chained",
-    "interval_representation",
-    "is_complete_bipartite",
-    "min_imbalance_chained",
-    "min_imbalance_formula",
-    "ordering_imbalance",
-    "overlap_inequality_probe",
-    "parse_chain_spec",
-    "parse_edge_list",
-    "parse_ordering",
-    "shift_left",
-    "shift_right",
-    "subordering",
-    "verify_optimal_complete",
-    "vertex_imbalance",
-    "vertex_imbalances",
-    "y_position_profile",
-]
+__all__ = sorted(
+    chained.__all__ + complete.__all__ + errors.__all__ + graph.__all__ + oracle.__all__
+)

@@ -37,7 +37,7 @@ from .errors import (
     NotConnectedError,
     SpecInvalidError,
 )
-from .graph import Bipartition, Graph, Ordering, _bipartition_and_roots
+from .graph import Bipartition, Graph, Ordering, _bipartition_and_roots, _check_cover
 
 __all__ = [
     "ChainComponent",
@@ -445,8 +445,7 @@ def overlap_inequality_probe(o: Ordering, d: ChainDecomposition) -> OverlapInequ
     """
     if d.n != 2:
         raise ValueError(f"probe requires exactly two components, got {d.n}")
-    if o.vertices != d.vertices:
-        raise ValueError("ordering does not cover exactly the chain's vertices")
+    _check_cover(o, d.vertices, "chain")
     s = d.overlaps[0]
     pos = o.position_map
     anchor = pos[s]

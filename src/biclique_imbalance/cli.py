@@ -75,6 +75,11 @@ def _load_graph(path: str) -> Graph:
 
 
 def _complete_bipartition(g: Graph):
+    # is_complete_bipartite accepts K(n, 0); the commands need two parts.
+    if not g.edge_count:
+        raise NotCompleteBipartiteError(
+            "graph is not a complete bipartite graph: it has no edges"
+        )
     b = bipartition(g)
     if not is_complete_bipartite(g, b):
         raise NotCompleteBipartiteError("graph is not a complete bipartite graph")
@@ -231,11 +236,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gc = gen_sub.add_parser("complete")
     p_gc.add_argument("nx")
     p_gc.add_argument("ny")
-    p_gc.set_defaults(func=_cmd_gen, kind="complete")
+    p_gc.set_defaults(func=_cmd_gen)
     p_gch = gen_sub.add_parser("chained")
     p_gch.add_argument("--spec", required=True)
     p_gch.add_argument("--shuffle-names", type=int, default=None, metavar="SEED")
-    p_gch.set_defaults(func=_cmd_gen, kind="chained")
+    p_gch.set_defaults(func=_cmd_gen)
 
     return parser
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable
 
-from .graph import Bipartition, Ordering
+from .graph import Bipartition, Ordering, _check_cover
 
 __all__ = [
     "min_imbalance_formula",
@@ -101,8 +101,7 @@ class YPositionProfile(namedtuple("YPositionProfile", "positions blocks y_vertic
 
 def y_position_profile(o: Ordering, b: Bipartition) -> YPositionProfile:
     """Sentinel-padded Y positions and between-gap X block sizes of an ordering."""
-    if o.vertices != b.vertices:
-        raise ValueError("ordering does not cover exactly the bipartition's vertices")
+    _check_cover(o, b.vertices, "bipartition")
     n = len(o)
     positions = [0]
     y_vertices = []
@@ -197,8 +196,7 @@ def verify_optimal_complete(o: Ordering, b: Bipartition) -> OptimalityVerdict:
     nx, ny = len(b.x_part), len(b.y_part)
     if nx < 1 or ny < 1:
         raise ValueError("verification requires both parts non-empty")
-    if o.vertices != b.vertices:
-        raise ValueError("ordering does not cover exactly the bipartition's vertices")
+    _check_cover(o, b.vertices, "bipartition")
     xs, ys = _signed_imbalances(o, b)
     failed = _property_failure(ys, nx) or _property_failure(xs, ny)
     return OptimalityVerdict(

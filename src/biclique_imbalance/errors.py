@@ -7,6 +7,17 @@ bare ValueError).
 
 from __future__ import annotations
 
+__all__ = [
+    "GraphParseError",
+    "NotBipartiteError",
+    "NotCompleteBipartiteError",
+    "NotConnectedError",
+    "NotChainedError",
+    "SpecInvalidError",
+    "SizeCapExceededError",
+    "ConstructionInvariantViolatedError",
+]
+
 
 class GraphParseError(ValueError):
     """Malformed text input (edge list, ordering, or chain spec)."""

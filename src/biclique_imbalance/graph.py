@@ -12,7 +12,8 @@ adjacency map of lists, two appends per edge, that the graph freezes into
 sets. Everything after that works on whole sets: the bipartition search takes
 one set difference per vertex, its neighbors minus the other color class,
 which holds the clashing neighbors and the ones it newly reaches, and sorts
-only the latter; the partition check tests each part's adjacency sets for
+only the latter. Its whole state is the two color classes and a parent link
+per reached vertex. The partition check tests each part's adjacency sets for
 disjointness from the part. Both are linear in V + E apart from those sorts,
 and build an error's witness only when they fail.
 """
@@ -191,7 +192,7 @@ class Bipartition:
 class Ordering:
     """Immutable bijection between a vertex set and positions 1..n."""
 
-    # _matched caches the last graph vertex set found equal to _vertices.
+    # _matched caches the last vertex set found equal to _vertices.
     __slots__ = ("_seq", "_pos", "_vertices", "_matched")
 
     def __init__(self, sequence: Iterable[str]):
@@ -326,26 +327,21 @@ def parse_ordering(text: str) -> Ordering:
         raise GraphParseError(str(exc)) from exc
 
 
-def _odd_cycle_witness(
-    u: str, v: str, parent: dict[str, str | None], depth: dict[str, int]
-) -> list[str]:
-    """Cycle through the tree paths of u and v plus the conflicting edge uv."""
+def _odd_cycle_witness(u: str, v: str, parent: dict[str, str | None]) -> list[str]:
+    """Cycle through the tree paths of u and v plus the conflicting edge uv.
+
+    u's path runs up to its root; v's path runs up until it meets u's, at the
+    two vertices' lowest common ancestor.
+    """
     path_u = [u]
+    while (a := parent[path_u[-1]]) is not None:
+        path_u.append(a)
+    on_path_u = set(path_u)
     path_v = [v]
-    a, b = u, v
-    while depth[a] > depth[b]:
-        a = parent[a]  # type: ignore[assignment]
-        path_u.append(a)
-    while depth[b] > depth[a]:
-        b = parent[b]  # type: ignore[assignment]
-        path_v.append(b)
-    while a != b:
-        a = parent[a]  # type: ignore[assignment]
-        b = parent[b]  # type: ignore[assignment]
-        path_u.append(a)
-        path_v.append(b)
-    # path_u ends at the common ancestor; stitch the two paths into a cycle.
-    return path_u + path_v[-2::-1]
+    while path_v[-1] not in on_path_u:
+        path_v.append(parent[path_v[-1]])  # type: ignore[arg-type]
+    # Cut path_u at the common ancestor; stitch the two paths into a cycle.
+    return path_u[: path_u.index(path_v[-1]) + 1] + path_v[-2::-1]
 
 
 def bipartition(g: Graph) -> Bipartition:
@@ -365,24 +361,24 @@ def _bipartition_and_roots(g: Graph) -> tuple[Bipartition, list[str], str | None
     most one, and the second root is the smallest vertex unreachable from the
     first. The whole graph is two-colored before this returns, so a graph
     that is both disconnected and not bipartite raises NotBipartiteError.
+
+    The search keeps two records: the color classes, as the sets sides[True]
+    (X) and sides[False] (Y), and the parent links, in the order the search
+    reached the vertices. A vertex's color is its membership in sides[True].
     """
     roots: list[str] = []
-    color: dict[str, bool] = {}
     sides: dict[bool, set[str]] = {True: set(), False: set()}
     parent: dict[str, str | None] = {}
-    depth: dict[str, int] = {}
     for root in sorted(g.vertices):
-        if root in color:
+        if root in parent:
             continue
         roots.append(root)
-        color[root] = True
         sides[True].add(root)
         parent[root] = None
-        depth[root] = 0
         queue = deque([root])
         while queue:
             v = queue.popleft()
-            c = color[v]
+            c = v in sides[True]
             # Neighbors not in the other color class: the clashing ones and
             # the ones this search has not reached yet.
             rest = g._adj[v].difference(sides[not c])
@@ -391,20 +387,17 @@ def _bipartition_and_roots(g: Graph) -> tuple[Bipartition, list[str], str | None
                 # The smallest clashing neighbor is the one a scan of the
                 # sorted neighbors would meet first.
                 w = min(rest & same)
-                raise NotBipartiteError(_odd_cycle_witness(v, w, parent, depth))
+                raise NotBipartiteError(_odd_cycle_witness(v, w, parent))
             if not rest:
                 continue
             reached = sorted(rest)
             sides[not c].update(reached)
-            d = depth[v] + 1
             for w in reached:
-                color[w] = not c
                 parent[w] = v
-                depth[w] = d
             queue.extend(reached)
-    # color holds the vertices in the order the search reached them.
+    # parent holds the vertices in the order the search reached them.
     b = Bipartition(frozenset(sides[True]), frozenset(sides[False]))
-    return b, roots, next(reversed(color), None)
+    return b, roots, next(reversed(parent), None)
 
 
 def _check_partition_of(g: Graph, b: Bipartition) -> None:
@@ -425,19 +418,20 @@ def is_complete_bipartite(g: Graph, b: Bipartition) -> bool:
     return g.edge_count == len(b.x_part) * len(b.y_part)
 
 
-def _check_cover(o: Ordering, g: Graph) -> None:
-    """Raise unless o orders exactly g's vertices. A frozenset never changes,
-    so o skips the comparison with the set it last matched."""
-    if o._matched is g._vertices:
+def _check_cover(o: Ordering, vertices: frozenset[str], owner: str) -> None:
+    """Raise unless o orders exactly the vertices of its owner (a graph, a
+    bipartition or a chain). A frozenset never changes, so o skips the
+    comparison with the set it last matched."""
+    if o._matched is vertices:
         return
-    if o._vertices != g._vertices:
-        raise ValueError("ordering does not cover exactly the graph's vertices")
-    o._matched = g._vertices
+    if o._vertices != vertices:
+        raise ValueError(f"ordering does not cover exactly the {owner}'s vertices")
+    o._matched = vertices
 
 
 def vertex_imbalance(v: str, o: Ordering, g: Graph) -> int:
     """|neighbors left of v| minus |neighbors right of v|, in absolute value."""
-    _check_cover(o, g)
+    _check_cover(o, g._vertices, "graph")
     p = o.position(v)
     left = sum(1 for u in g.neighbors(v) if o.position(u) < p)
     return abs(2 * left - g.degree(v))
@@ -445,7 +439,7 @@ def vertex_imbalance(v: str, o: Ordering, g: Graph) -> int:
 
 def vertex_imbalances(o: Ordering, g: Graph) -> list[int]:
     """The imbalance of every vertex, in ordering order, in one pass."""
-    _check_cover(o, g)
+    _check_cover(o, g._vertices, "graph")
     pos = o.position_map
     out = []
     for p, v in enumerate(o, start=1):

@@ -1,6 +1,8 @@
 """CLI behavior: outputs, exit codes, and the generate/solve pipeline."""
 
+import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -8,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
+from biclique_imbalance import ChainSpec, generate_chained
 from biclique_imbalance.cli import main
 from conftest import CHAINED_EDGES
-from test_chained import random_chain_spec
+from test_chained import random_chain_spec, renamed
 
 EXAMPLE = "a b\na c\nb c\nb d\nc e\n"
 
@@ -141,6 +144,21 @@ class TestSolveComplete:
 
     def test_no_input_exits_2(self, capsys):
         assert run(capsys, "solve", "complete")[0] == 2
+
+
+class TestEdgelessGraph:
+    """A graph without edges has no two nonempty parts: exit 3, not exit 2."""
+
+    @pytest.mark.parametrize("text", ["", "a\n", "a\nb\n"])
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_rejected_as_not_complete_bipartite(self, capsys, write, text, command):
+        g = write("g.txt", text)
+        argv = ["solve", "complete", g] if command == "solve" else ["verify", g, g]
+        assert run(capsys, *argv) == (
+            3,
+            "",
+            "error: graph is not a complete bipartite graph: it has no edges\n",
+        )
 
 
 class TestSolveChained:
@@ -482,3 +500,69 @@ class TestColdStart:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "unused modules loaded: []"
+
+
+# Run as: python -c HASH_SEED_PROBE SRC ARGV_LISTS_JSON. Prints the hash of a
+# fixed string, then one line per command: its argv, exit code, stdout, stderr.
+HASH_SEED_PROBE = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from biclique_imbalance.cli import main
+print(hash("biclique"))
+for argv in json.loads(sys.argv[2]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    print(json.dumps([argv, code, out.getvalue(), err.getvalue()]))
+"""
+
+
+def _edge_text(edges):
+    return "".join(f"{u} {v}\n" for u, v in edges)
+
+
+class TestHashSeedDeterminism:
+    """Set iteration order changes with the hash seed; the output must not."""
+
+    def test_outputs_are_identical_under_three_hash_seeds(self, write):
+        sizes = tuple((2 + k % 3, 2 + k % 4) for k in range(40))
+        spec = ChainSpec(sizes, tuple("XY"[k % 3 == 0] for k in range(39)))
+        chain_graph = renamed(*generate_chained(spec), random.Random(5))[0]
+        chain = write("chain.txt", _edge_text(chain_graph.edges()))
+        xs, ys = [f"x{i}" for i in range(1, 6)], [f"y{j}" for j in range(1, 5)]
+        k54 = write("k54.txt", _edge_text((x, y) for x in xs for y in ys))
+        slow = write("o.txt", " ".join(xs + ys))
+        # A seven-cycle with a pendant vertex.
+        odd = write("odd.txt", _edge_text(zip("qcmazkbz", "cmazkbqp")))
+        # Six K(2,2)s {u_k, u_k+1} x {a_k, b_k} glued into a ring at the u's.
+        ring = write("ring.txt", _edge_text(
+            (f"u{j % 6}", f"{y}{k}") for k in range(6) for y in "ab" for j in (k, k + 1)
+        ))
+        commands = [
+            ["solve", "chained", chain],
+            ["decompose", chain],
+            ["solve", "complete", k54],
+            ["verify", k54, slow],
+            ["oracle", "--enumerate", write("small.txt", EXAMPLE)],
+            ["decompose", odd],
+            ["solve", "complete", odd],
+            ["decompose", ring],
+        ]
+        src = Path(__file__).resolve().parents[1] / "src"
+        runs = []
+        for seed in ("0", "1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-c", HASH_SEED_PROBE, str(src), json.dumps(commands)],
+                capture_output=True,
+                text=True,
+                timeout=60,
+                env={**os.environ, "PYTHONHASHSEED": seed},
+            )
+            assert proc.returncode == 0, proc.stderr
+            runs.append(proc.stdout.splitlines())
+        hashes = {lines[0] for lines in runs}
+        assert len(hashes) == 3, "the hash seeds did not take effect"
+        results = [lines[1:] for lines in runs]
+        assert results[0] == results[1] == results[2]
+        codes = [json.loads(line)[1] for line in results[0]]
+        assert codes == [0, 0, 0, 0, 0, 3, 3, 3]

@@ -291,6 +291,47 @@ class TestBipartition:
             b, roots, last = _bipartition_and_roots(g)
             assert (b.x_part, b.y_part, roots, last) == expected
 
+    def test_matches_sorted_scan_reference_on_deep_graphs(self):
+        # Long cycles, trees plus one edge and sparse random graphs of 50-600
+        # vertices, under shuffled names: the witness walks long tree paths.
+        rng = random.Random(20261018)
+        outcomes = []
+        for trial in range(48):
+            n = rng.randint(50, 600)
+            names = [f"v{k}" for k in range(n)]
+            rng.shuffle(names)
+            kind = trial % 4
+            if kind == 0:  # one cycle, odd or even
+                edges = [(k, (k + 1) % n) for k in range(n)]
+            elif kind in (1, 2):  # a tree, shallow or path-like, plus one edge
+                reach = n if kind == 1 else 3
+                edges = [(k, rng.randint(max(0, k - reach), k - 1)) for k in range(1, n)]
+                u, v = rng.sample(range(n), 2)
+                if (u, v) not in edges and (v, u) not in edges:
+                    edges.append((u, v))
+            else:  # sparse random, bipartite on even trials of this kind
+                side = [rng.random() < 0.5 for _ in range(n)]
+                edges = []
+                while len(edges) < n + n // 4:
+                    u, v = rng.sample(range(n), 2)
+                    if trial % 8 == 3 or side[u] != side[v]:
+                        edges.append((u, v))
+            g = Graph(names, [(names[u], names[v]) for u, v in edges])
+            try:
+                expected = _sorted_scan_bipartition(g)
+            except NotBipartiteError as ref:
+                with pytest.raises(NotBipartiteError) as info:
+                    _bipartition_and_roots(g)
+                assert info.value.cycle == ref.cycle
+                assert str(info.value) == str(ref)
+                outcomes.append(len(ref.cycle))
+                continue
+            b, roots, last = _bipartition_and_roots(g)
+            assert (b.x_part, b.y_part, roots, last) == expected
+            outcomes.append(0)
+        # Both verdicts occur, and some witness cycles are long.
+        assert 0 in outcomes and max(outcomes) > 100
+
     def test_parts_must_be_disjoint(self):
         with pytest.raises(ValueError, match="disjoint"):
             Bipartition(frozenset({"a"}), frozenset({"a"}))

@@ -224,3 +224,30 @@ def test_public_api_is_pinned():
     assert biclique_imbalance.__all__ == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(biclique_imbalance, name) is not None
+
+
+MODULES = ("chained", "complete", "errors", "graph", "oracle")
+
+
+def test_namespace_is_the_union_of_the_modules_all():
+    owner = {}
+    for mod_name in MODULES:
+        module = getattr(biclique_imbalance, mod_name)
+        for name in module.__all__:
+            assert name not in owner, f"{name} is in {owner.get(name)} and {mod_name}"
+            owner[name] = mod_name
+            assert getattr(biclique_imbalance, name) is getattr(module, name)
+    assert sorted(owner) == biclique_imbalance.__all__
+
+
+def test_errors_all_names_every_exception_class():
+    errors = biclique_imbalance.errors
+    classes = {
+        name
+        for name, value in vars(errors).items()
+        if isinstance(value, type)
+        and issubclass(value, BaseException)
+        and value.__module__ == errors.__name__
+    }
+    assert len(classes) == 8
+    assert sorted(errors.__all__) == sorted(classes)
