@@ -16,18 +16,20 @@ starts from the component of a vertex the bipartition search reached last
 (never an overlap), and steps from each component to the next through the
 one vertex with neighbors beyond it. Each component, the closure of a
 neighborhood, is one intersection of adjacency sets, and a degree scan finds
-its exits. The walk guarantees every chain condition but maximality (see
-_walk_chain), which alone is tested afterwards, by subset tests; only exits
-and failure witnesses get sorted. Construction of optimal orderings lays out
-each component between its two boundary vertices as at most six alternating
-runs of its two parts, read off the run-length table of the complete case,
-and validates each against the closed form before emitting anything.
+its exits. The walk guarantees every chain condition, maximality too except
+at an overlap alone in its part of a component (see _walk_chain), so
+maximality is a size test at each overlap; only exits and failure witnesses
+get sorted. Construction of optimal orderings lays out each component
+between its two boundary vertices as at most six alternating runs of its two
+parts, read off the run-length table of the complete case, and validates
+each against the closed form before emitting anything.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property
+from itertools import count, islice
 
 from .complete import _fill_runs, _signed_imbalances, min_imbalance_formula
 from .errors import (
@@ -160,6 +162,16 @@ def _walk_chain(
     in C and the component before it, so p is an exit, and the walk branched
     or put p and q in the next component. An overlap alone in its part of C
     is extended by its neighbors in the other component, so C is not maximal.
+
+    Conversely, that is the only way to lose maximality. Write a component as
+    (P, Q), P its side and Q all common neighbors of P, so only P can grow.
+    Q holds the entry e, start or the overlap s it was entered through, so a
+    v growing P lies in N(e) - P: empty for the first component, where
+    P = N(start), and s's opposite part in the one before for a later one.
+    Such v lies only in earlier components, which meet this one only at s,
+    so v is adjacent to all of Q iff Q = {s}. An exit t is never alone in its
+    part of the component it leaves: Q also holds the entry, and P = {t}
+    makes Q = N(t). So maximality is a test on part sizes (_check_maximal).
     """
     first = _biclique_closure(g, b, g._adj[start])
     comps, overlaps = [first], []
@@ -184,21 +196,18 @@ def _walk_chain(
     return comps, overlaps
 
 
-def _check_maximal(g: Graph, d: ChainDecomposition) -> None:
-    adj = g._adj
-    for idx, comp in enumerate(d.components, start=1):
-        # A vertex that extends the component is adjacent to the whole
-        # opposite part, so it is a neighbor of any one vertex of that part.
-        extenders = [
-            v
-            for part, opposite in ((comp.x_part, comp.y_part), (comp.y_part, comp.x_part))
-            for v in adj[min(opposite, key=lambda u: len(adj[u]))] - part
-            if opposite <= adj[v]
-        ]
-        if extenders:
-            raise NotChainedError(
-                f"component C{idx} is not maximal: extendable by {min(extenders)}"
-            )
+def _check_maximal(d: ChainDecomposition) -> None:
+    """Reject an overlap alone in its part of a component, which the overlap's
+    opposite part in the other component extends (see _walk_chain)."""
+    for i, in_x in enumerate(d.overlap_in_x):
+        # Left component first, so the first hit is the lowest-numbered one.
+        for k, other in ((i, i + 1), (i + 1, i)):
+            if (d.components[k].nx if in_x else d.components[k].ny) == 1:
+                o = d.components[other]
+                raise NotChainedError(
+                    f"component C{k + 1} is not maximal: extendable by "
+                    f"{min(o.y_part if in_x else o.x_part)}"
+                )
 
 
 def decompose(g: Graph) -> ChainDecomposition:
@@ -226,7 +235,7 @@ def decompose(g: Graph) -> ChainDecomposition:
         overlaps.reverse()
     in_x = tuple(s in b.x_part for s in overlaps)
     d = ChainDecomposition(tuple(comps), tuple(overlaps), in_x)
-    _check_maximal(g, d)
+    _check_maximal(d)
     return d
 
 
@@ -326,17 +335,11 @@ def _pick_endpoint(comp: ChainComponent, exclude: set[str]) -> str:
     component ordering unless the component is a single edge, in which case
     any vertex works.
     """
-    eligible = sorted(
-        v
-        for v in comp.vertices - exclude
-        if len(comp.x_part if v in comp.x_part else comp.y_part) >= 2
-    )
-    if eligible:
-        return eligible[0]
-    fallback = sorted(comp.vertices - exclude)
-    if not fallback:
+    candidates = comp.vertices - exclude
+    if not candidates:
         raise ValueError("component has no available endpoint vertex")
-    return fallback[0]
+    lone = {v for part in (comp.x_part, comp.y_part) if len(part) == 1 for v in part}
+    return min(candidates, key=lambda v: (v in lone, v))
 
 
 def construct_optimal_chained(d: ChainDecomposition) -> Ordering:
@@ -347,19 +350,11 @@ def construct_optimal_chained(d: ChainDecomposition) -> Ordering:
     optimal ordering of that component with the boundary vertices at its
     extremes.
     """
-    first = d.components[0]
-    last = d.components[-1]
-    s0 = _pick_endpoint(first, set(d.overlaps[:1]))
-    if d.n == 1:
-        sn = _pick_endpoint(last, {s0})
-    else:
-        sn = _pick_endpoint(last, {d.overlaps[-1]})
-    bounds = [s0, *d.overlaps, sn]
+    s0 = _pick_endpoint(d.components[0], set(d.overlaps[:1]))
+    bounds = [s0, *d.overlaps, _pick_endpoint(d.components[-1], set(d.overlaps[-1:]) or {s0})]
     seq = [s0]
-    for i in range(1, d.n + 1):
-        mid = _validated_subordering(d.components[i - 1], bounds[i - 1], bounds[i])
-        seq.extend(mid)
-        seq.append(bounds[i])
+    for comp, s_prev, s_next in zip(d.components, bounds, bounds[1:]):
+        seq += [*_validated_subordering(comp, s_prev, s_next), s_next]
     return Ordering(seq)
 
 
@@ -370,40 +365,20 @@ def generate_chained(spec: ChainSpec) -> tuple[Graph, ChainDecomposition]:
     vertex of the chosen part of component i.
     """
     spec.validate()
-    x_count = 0
-    y_count = 0
-    comps: list[ChainComponent] = []
-    overlaps: list[str] = []
-    in_x: list[bool] = []
-    carry: tuple[str, bool] | None = None
-    for idx, (nx_size, ny_size) in enumerate(spec.sizes):
-        xs: list[str] = []
-        ys: list[str] = []
-        if carry is not None:
-            vertex, carried_in_x = carry
-            (xs if carried_in_x else ys).append(vertex)
-        while len(xs) < nx_size:
-            x_count += 1
-            xs.append(f"x{x_count}")
-        while len(ys) < ny_size:
-            y_count += 1
-            ys.append(f"y{y_count}")
-        if idx < len(spec.sizes) - 1:
-            part = spec.overlap_parts[idx]
-            s = xs[-1] if part == "X" else ys[-1]
-            overlaps.append(s)
-            in_x.append(part == "X")
-            carry = (s, part == "X")
+    names = {"X": map("x{}".format, count(1)), "Y": map("y{}".format, count(1))}
+    comps, overlaps, edges = [], [], []
+    for i, sizes in enumerate(spec.sizes):
+        xs, ys = parts = [], []
+        for letter, size, part in zip("XY", sizes, parts):
+            if i and spec.overlap_parts[i - 1] == letter:
+                part.append(overlaps[-1])
+            part += islice(names[letter], size - len(part))
+        if i < len(spec.overlap_parts):
+            overlaps.append(parts[spec.overlap_parts[i] == "Y"][-1])
         comps.append(ChainComponent(frozenset(xs), frozenset(ys)))
-    edges = [
-        (x, y)
-        for comp in comps
-        for x in sorted(comp.x_part)
-        for y in sorted(comp.y_part)
-    ]
-    graph = Graph((), edges)
-    dec = ChainDecomposition(tuple(comps), tuple(overlaps), tuple(in_x))
-    return graph, dec
+        edges += [(x, y) for x in xs for y in ys]
+    in_x = tuple(p == "X" for p in spec.overlap_parts)
+    return Graph((), edges), ChainDecomposition(tuple(comps), tuple(overlaps), in_x)
 
 
 def interval_representation(d: ChainDecomposition) -> dict[str, tuple[Fraction, Fraction]]:

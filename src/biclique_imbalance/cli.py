@@ -66,7 +66,7 @@ def _read(path: str) -> str:
         # stick to the first token.
         with open(path, encoding="utf-8-sig") as f:
             return f.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise GraphParseError(f"cannot read {path}: {exc}") from exc
 
 
@@ -106,6 +106,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_solve_complete(args: argparse.Namespace) -> int:
     if args.parts is not None:
+        if args.graph is not None:
+            raise GraphParseError("solve complete takes a graph file or --parts NX NY, not both")
         nx_size, ny_size = map(_parse_nat, args.parts)
         print(min_imbalance_formula(nx_size, ny_size))
         return EXIT_OK
@@ -248,9 +250,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _run(args: argparse.Namespace) -> int:
     try:
         return args.func(args)
-    except GraphParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except _STRUCTURAL as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STRUCTURAL

@@ -104,6 +104,57 @@ def rejects(reason):
     return pytest.raises(NotChainedError, match=f"^{re.escape(message)}$")
 
 
+def glued_chain(sizes, parts, rng):
+    """K(a, b)s in a row, each glued to the next at the last vertex of its
+    part parts[i], then renamed onto shuffled v<k> names: generate_chained
+    without the spec check, so a glued vertex may be alone in its part."""
+    count = {"X": itertools.count(1), "Y": itertools.count(1)}
+    edges, carry = [], None
+    for i, (a, b) in enumerate(sizes):
+        side = {p: [carry[1]] if carry and carry[0] == p else [] for p in "XY"}
+        for p, size in zip("XY", (a, b)):
+            side[p] += [f"{p}{next(count[p])}" for _ in range(size - len(side[p]))]
+        edges += [(x, y) for x in side["X"] for y in side["Y"]]
+        carry = (parts[i], side[parts[i]][-1]) if i < len(parts) else None
+    names = sorted({v for e in edges for v in e})
+    fresh = [f"v{k}" for k in range(1, len(names) + 1)]
+    rng.shuffle(fresh)
+    m = dict(zip(names, fresh))
+    return Graph((), [(m[u], m[v]) for u, v in edges])
+
+
+def lone_overlap_chains(seed=2468, per_kind=12):
+    """(kind, graph) for glued chains of 2-6 K(a, b)s with one or two
+    overlaps alone in their part of one of their two components; kind says
+    which overlaps are lone: the first, a middle one, the last, or two."""
+    rng = random.Random(seed)
+    quota = dict.fromkeys(("first", "middle", "last", "two"), per_kind)
+    while any(quota.values()):
+        n = rng.randint(2, 6)
+        parts = [rng.choice("XY") for _ in range(n - 1)]
+        sizes = [(rng.randint(1, 3), rng.randint(1, 3)) for _ in range(n)]
+        ones = [
+            [sizes[k]["XY".index(p)] == 1 for k in (i, i + 1)] for i, p in enumerate(parts)
+        ]
+        # Lone on both sides would merge the two stars; a part holding two
+        # overlaps needs two vertices.
+        if any(all(o) for o in ones) or any(
+            p == q and sizes[i + 1]["XY".index(p)] < 2
+            for i, (p, q) in enumerate(zip(parts, parts[1:]))
+        ):
+            continue
+        lone = [i for i, o in enumerate(ones) if any(o)]
+        if len(lone) == 2:
+            kind = "two"
+        elif len(lone) == 1:
+            kind = "first" if lone == [0] else "last" if lone == [n - 2] else "middle"
+        else:
+            continue
+        if quota[kind]:
+            quota[kind] -= 1
+            yield kind, glued_chain(sizes, parts, rng)
+
+
 def maximal_bicliques(g, xs, ys):
     """Every maximal complete bipartite subgraph with two nonempty parts.
 
@@ -385,8 +436,6 @@ class TestVerifyChain:
             [(x, y) for x in ("x1", "x2") for y in ("y1", "y2")],
             [({"x1"}, {"y1", "y2"}), ({"x2"}, {"y1", "y2"})],
         )
-        with rejects("component C1 is not maximal: extendable by x2"):
-            _check_maximal(g, d)
         # the two stars also share two vertices and have no overlap listed
         assert chain_condition_failures(g, d) == ["not maximal", "overlaps"]
 
@@ -415,6 +464,83 @@ class TestVerifyChain:
             [({"b"}, {"a", "c"}), ({"e"}, {"d", "f"})],
         )
         assert chain_condition_failures(g, d) == ["sides", "overlaps", "edge cover"]
+
+
+# decompose's messages on lone_overlap_chains(), recorded with the maximality
+# check that scanned every component's adjacency sets.
+LONE_OVERLAP_REJECTIONS = [
+    "component C1 is not maximal: extendable by v9",
+    "component C1 is not maximal: extendable by v9",
+    "the chain branches at the component reached through v11: v6, v7",
+    "component C1 is not maximal: extendable by v12",
+    "component C3 is not maximal: extendable by v1",
+    "component C2 is not maximal: extendable by v2",
+    "component C3 is not maximal: extendable by v1",
+    "component C4 is not maximal: extendable by v1",
+    "component C3 is not maximal: extendable by v4",
+    "component C1 is not maximal: extendable by v5",
+    "the chain branches at the component reached through v8: v12, v3",
+    "the chain branches at the component reached through v6: v1, v9",
+    "the component entered through v18 meets an earlier one at v2",
+    "component C2 is not maximal: extendable by v12",
+    "the chain branches at the component reached through v11: v3, v7, v8",
+    "component C3 is not maximal: extendable by v2",
+    "component C1 is not maximal: extendable by v7",
+    "component C1 is not maximal: extendable by v11",
+    "component C2 is not maximal: extendable by v11",
+    "the chain branches at the component reached through v18: v14, v20, v8",
+    "component C3 is not maximal: extendable by v1",
+    "the chain branches at the component reached through v14: v10, v9",
+    "component C2 is not maximal: extendable by v3",
+    "the component entered through v4 meets an earlier one at v7",
+    "the chain branches at the component reached through v8: v10, v7, v9",
+    "the chain branches at the component reached through v1: v15, v4, v8",
+    "component C4 is not maximal: extendable by v10",
+    "the component entered through v11 meets an earlier one at v5",
+    "the component entered through v2 meets an earlier one at v4",
+    "the chain branches at the component reached through v1: v2, v4",
+    "the chain branches at the component reached through v4: v20, v5, v7",
+    "the component entered through v3 meets an earlier one at v5",
+    "the chain branches at the component reached through v10: v5, v9",
+    "component C1 is not maximal: extendable by v18",
+    "the chain branches at the component reached through v8: v5, v7",
+    "component C1 is not maximal: extendable by v4",
+    "component C1 is not maximal: extendable by v1",
+    "component C1 is not maximal: extendable by v10",
+    "component C2 is not maximal: extendable by v4",
+    "component C2 is not maximal: extendable by v5",
+    "component C2 is not maximal: extendable by v10",
+    "component C4 is not maximal: extendable by v2",
+    "component C4 is not maximal: extendable by v1",
+    "component C4 is not maximal: extendable by v17",
+    "component C4 is not maximal: extendable by v7",
+    "component C1 is not maximal: extendable by v11",
+    "component C3 is not maximal: extendable by v13",
+    "component C2 is not maximal: extendable by v22",
+]
+
+
+class TestLoneOverlap:
+    """Chains glued at a vertex alone in its part of one component, which the
+    other component's part opposite that vertex extends."""
+
+    def test_glued_chains_rejected_with_pinned_messages(self):
+        cases = list(lone_overlap_chains())
+        assert [kind for kind, _ in cases].count("two") == 12
+        assert len(cases) == len(LONE_OVERLAP_REJECTIONS) == 48
+        for (_, g), reason in zip(cases, LONE_OVERLAP_REJECTIONS):
+            with rejects(reason):
+                decompose(g)
+
+    def test_size_check_on_hand_built_decompositions(self):
+        k22 = ChainComponent(frozenset({"x1", "x2"}), frozenset({"y1", "y2"}))
+        star = ChainComponent(frozenset({"x2"}), frozenset({"y3", "y4"}))
+        d = ChainDecomposition((k22, star), ("x2",), (True,))
+        with rejects("component C2 is not maximal: extendable by y1"):
+            _check_maximal(d)
+        with rejects("component C1 is not maximal: extendable by y1"):
+            _check_maximal(ChainDecomposition((star, k22), ("x2",), (True,)))
+        _check_maximal(generate_chained(FIG_SPEC)[1])
 
 
 class TestBruteForceRecogniser:

@@ -90,6 +90,46 @@ class TestEval:
         assert code == 2
 
 
+class TestUnreadableInput:
+    """A file that cannot be read or decoded is named in the error, exit 2."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        (tmp_path / "bad.txt").write_bytes(b"\xffa b\n")
+        (tmp_path / "g.txt").write_text("a b\n", encoding="utf-8")
+        (tmp_path / "o.txt").write_text("a b\n", encoding="utf-8")
+        return {name: str(tmp_path / name) for name in ("bad.txt", "g.txt", "o.txt", "nope")}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "bad.txt", "o.txt"],
+            ["eval", "g.txt", "bad.txt"],
+            ["verify", "bad.txt", "o.txt"],
+            ["verify", "g.txt", "bad.txt"],
+            ["decompose", "bad.txt"],
+            ["solve", "chained", "bad.txt"],
+            ["oracle", "bad.txt"],
+        ],
+    )
+    def test_undecodable_file(self, capsys, files, argv):
+        bad = files["bad.txt"]
+        assert run(capsys, *(files.get(a, a) for a in argv)) == (
+            2,
+            "",
+            f"error: cannot read {bad}: "
+            "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n",
+        )
+
+    def test_missing_file(self, capsys, files):
+        nope = files["nope"]
+        assert run(capsys, "eval", files["g.txt"], nope) == (
+            2,
+            "",
+            f"error: cannot read {nope}: [Errno 2] No such file or directory: {nope!r}\n",
+        )
+
+
 class TestSolveComplete:
     def test_parts(self, capsys):
         assert run(capsys, "solve", "complete", "--parts", "4", "9") == (0, "36\n", "")
@@ -144,6 +184,14 @@ class TestSolveComplete:
 
     def test_no_input_exits_2(self, capsys):
         assert run(capsys, "solve", "complete")[0] == 2
+
+    def test_graph_and_parts_together_exit_2(self, capsys, write):
+        g = write("k22.txt", "x1 y1\nx1 y2\nx2 y1\nx2 y2\n")
+        assert run(capsys, "solve", "complete", g, "--parts", "2", "2") == (
+            2,
+            "",
+            "error: solve complete takes a graph file or --parts NX NY, not both\n",
+        )
 
 
 class TestEdgelessGraph:
