@@ -97,10 +97,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     o = parse_ordering(_read(args.ordering))
     per_vertex = vertex_imbalances(o, g)
-    print(sum(per_vertex))
+    report = [str(sum(per_vertex))]
     if args.verbose:
-        for v, imbalance in zip(o, per_vertex):
-            print(f"{v}\t{imbalance}")
+        report += map("{}\t{}".format, o, per_vertex)
+    print("\n".join(report))
     return EXIT_OK
 
 
@@ -161,11 +161,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _emit_edge_list(g: Graph) -> None:
-    isolated = sorted(v for v in g.vertices if g.degree(v) == 0)
-    for v in isolated:
-        print(v)
-    for u, v in g.edges():
-        print(f"{u} {v}")
+    lines = sorted(v for v in g.vertices if g.degree(v) == 0)
+    lines += map(" ".join, g.edges())
+    print("\n".join(lines))
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -173,9 +171,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         nx_size, ny_size = map(_parse_nat, (args.nx, args.ny))
         if nx_size < 1 or ny_size < 1:
             raise GraphParseError("part sizes must be at least 1")
+        # One write per row: "x{i}" joins the row's line tails.
+        tails = [f" y{j}\n" for j in range(1, ny_size + 1)]
         for i in range(1, nx_size + 1):
-            for j in range(1, ny_size + 1):
-                print(f"x{i} y{j}")
+            x = f"x{i}"
+            sys.stdout.write(x + x.join(tails))
         return EXIT_OK
     spec = parse_chain_spec(_read(args.spec))
     graph, _ = generate_chained(spec)

@@ -15,7 +15,9 @@ which holds the clashing neighbors and the ones it newly reaches, and sorts
 only the latter. Its whole state is the two color classes and a parent link
 per reached vertex. The partition check tests each part's adjacency sets for
 disjointness from the part. Both are linear in V + E apart from those sorts,
-and build an error's witness only when they fail.
+and build an error's witness only when they fail. The evaluator walks the
+ordering once with the set of vertices not yet placed, and counts each
+vertex's later neighbors as the size of one intersection with that set.
 """
 
 from __future__ import annotations
@@ -438,13 +440,15 @@ def vertex_imbalance(v: str, o: Ordering, g: Graph) -> int:
 
 
 def vertex_imbalances(o: Ordering, g: Graph) -> list[int]:
-    """The imbalance of every vertex, in ordering order, in one pass."""
+    """The imbalance of every vertex, in ordering order, in one pass. A
+    vertex's later neighbors are those still unplaced when it is placed."""
     _check_cover(o, g._vertices, "graph")
-    pos = o.position_map
+    unplaced = set(g._vertices)
     out = []
-    for p, v in enumerate(o, start=1):
-        left = sum(1 for u in g.neighbors(v) if pos[u] < p)
-        out.append(abs(2 * left - g.degree(v)))
+    for v in o._seq:
+        unplaced.remove(v)
+        nb = g._adj[v]
+        out.append(abs(len(nb) - 2 * len(nb & unplaced)))
     return out
 
 

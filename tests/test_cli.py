@@ -78,6 +78,20 @@ class TestEval:
         o = write("o.txt", "b a\n")
         assert run(capsys, "eval", g, o) == (0, "0\n", "")
 
+    @pytest.mark.parametrize(
+        "graph, ordering, stdout",
+        [
+            (EXAMPLE, "a b c d e\n", "6\na\t2\nb\t1\nc\t1\nd\t1\ne\t1\n"),
+            ("a\nb\n", "b a\n", "0\nb\t0\na\t0\n"),
+            ("", "", "0\n"),
+        ],
+        ids=["example", "edgeless", "empty"],
+    )
+    def test_verbose_report_bytes(self, capsys, write, graph, ordering, stdout):
+        g = write("g.txt", graph)
+        o = write("o.txt", ordering)
+        assert run(capsys, "eval", g, o, "-v") == (0, stdout, "")
+
     def test_missing_vertex_exits_2(self, capsys, write):
         g = write("g.txt", EXAMPLE)
         o = write("o.txt", "a b c d\n")
@@ -366,6 +380,25 @@ class TestGen:
         code, out, _ = run(capsys, "gen", "complete", "2", "2")
         assert code == 0
         assert out.splitlines() == ["x1 y1", "x1 y2", "x2 y1", "x2 y2"]
+
+    def test_complete_stdout_bytes(self, capsys):
+        assert run(capsys, "gen", "complete", "2", "3") == (
+            0,
+            "x1 y1\nx1 y2\nx1 y3\nx2 y1\nx2 y2\nx2 y3\n",
+            "",
+        )
+
+    def test_chained_paper_figure_bytes(self, capsys, write):
+        spec = write(
+            "spec.txt", "component 2 2\noverlap X\ncomponent 2 2\noverlap Y\ncomponent 2 3\n"
+        )
+        assert run(capsys, "gen", "chained", "--spec", spec) == (
+            0,
+            "x1 y1\nx1 y2\nx2 y1\nx2 y2\nx2 y3\nx2 y4\nx3 y3\nx3 y4\n"
+            "x4 y4\nx4 y5\nx4 y6\nx5 y4\nx5 y5\nx5 y6\n",
+            "C1: X={x1,x2} Y={y1,y2}\nC2: X={x2,x3} Y={y3,y4}\nC3: X={x4,x5} Y={y4,y5,y6}\n"
+            "s1 = x2 (X)\ns2 = y4 (Y)\n",
+        )
 
     def test_complete_rejects_digits_that_are_not_decimal(self, capsys):
         assert run(capsys, "gen", "complete", "3", "²") == (

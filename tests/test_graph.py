@@ -18,6 +18,7 @@ from biclique_imbalance import (
     bipartition,
     concat_orderings,
     construct_optimal_chained,
+    generate_chained,
     is_complete_bipartite,
     ordering_imbalance,
     parse_edge_list,
@@ -28,7 +29,7 @@ from biclique_imbalance import (
 )
 from biclique_imbalance.graph import _bipartition_and_roots
 from conftest import CHAINED_EDGES, chained_example_graph, complete_bigraph, example_graph
-from test_chained import k33_chain
+from test_chained import k33_chain, random_chain_spec, renamed
 
 
 class TestParseEdgeList:
@@ -436,6 +437,56 @@ class TestImbalance:
                 vertex_imbalance(v, o, g)
             best = min(best, time.perf_counter() - start)
         assert best < 0.05
+
+
+def _edge_by_edge_imbalances(o, g):
+    """Per-vertex imbalances in ordering order, counted edge by edge: of each
+    edge's endpoints, the first in the ordering gains a later neighbor and the
+    other an earlier one. Calls no evaluator of the package."""
+    pos = {v: k for k, v in enumerate(o.sequence)}
+    before_minus_after = dict.fromkeys(o.sequence, 0)
+    for u, v in g.edges():
+        first, second = (u, v) if pos[u] < pos[v] else (v, u)
+        before_minus_after[first] -= 1
+        before_minus_after[second] += 1
+    return [abs(before_minus_after[v]) for v in o.sequence]
+
+
+def _differential_graphs(rng):
+    """Seeded graphs of four kinds, 12 of each, plus the empty graph."""
+    yield Graph()
+    for _ in range(12):
+        # Random graphs on up to 60 vertices, some of them isolated.
+        names = [f"v{k}" for k in range(rng.randint(1, 60))]
+        wired = rng.sample(names, rng.randint(0, len(names)))
+        p = rng.choice([0.05, 0.2, 0.6])
+        yield Graph(names, [(u, v) for u in wired for v in wired if u < v and rng.random() < p])
+        # Non-bipartite: a random graph plus a triangle.
+        names = [f"n{k}" for k in range(rng.randint(3, 50))]
+        a, b, c = rng.sample(names, 3)
+        edges = [(u, v) for u in names for v in names if u < v and rng.random() < 0.3]
+        yield Graph(names, edges + [(a, b), (b, c), (a, c)])
+        yield complete_bigraph(rng.randint(1, 40), rng.randint(1, 40))[0]
+        while (spec := random_chain_spec(rng, max_comps=300, max_total=2000, max_part=8)) is None:
+            pass
+        yield renamed(*generate_chained(spec), rng)[0]
+
+
+def test_evaluators_match_an_edge_by_edge_count():
+    rng = random.Random(20261018)
+    checked = 0
+    for g in _differential_graphs(rng):
+        vertices = sorted(g.vertices)
+        orderings = [Ordering(vertices)]
+        for _ in range(2):
+            rng.shuffle(vertices)
+            orderings.append(Ordering(vertices))
+        for o in orderings:
+            expected = _edge_by_edge_imbalances(o, g)
+            assert vertex_imbalances(o, g) == expected
+            assert ordering_imbalance(o, g) == sum(expected)
+            checked += 1
+    assert checked == 147
 
 
 class TestSuborderingConcat:
