@@ -24,7 +24,8 @@ yields the lexicographically smallest witness.
 Two caps bound the work: the vertex cap (DEFAULT_CAP unless the caller
 raises it) and STATE_CAP on the table size, checked before the table is
 allocated. Time grows as the state count times the class adjacencies, memory
-as the state count.
+as the state count. The per-state work is written as plain loops, because
+before Python 3.12 every comprehension is a call with a frame of its own.
 """
 
 from __future__ import annotations
@@ -77,10 +78,11 @@ class _CostToGo:
             )
         m = len(self.members)
         class_of = {v: c for c, ms in enumerate(self.members) for v in ms}
-        # Per class: its size, the counts of its neighbor classes, its step
-        # cost by number of placed neighbors, and its radix.
-        self.steps = [
+        # Per class: its index, its size, the counts of its neighbor classes,
+        # its step cost by number of placed neighbors, and its radix.
+        self.steps = steps = [
             (
+                c,
                 self.sizes[c],
                 itemgetter(*sorted({class_of[u] for u in nbhd}), m, m),
                 [abs(2 * s - len(nbhd)) for s in range(len(nbhd) + 1)],
@@ -91,13 +93,13 @@ class _CostToGo:
         self.full = states - 1
         rest = array("q", [0]) * states
         for idx, p in self._states():
-            rest[idx] = min(
-                [
-                    cost[sum(nb(p))] + rest[idx + r]
-                    for c, (k, nb, cost, r) in enumerate(self.steps)
-                    if p[c] < k
-                ]
-            )
+            best = None
+            for c, k, nb, cost, r in steps:
+                if p[c] < k:
+                    here = cost[sum(nb(p))] + rest[idx + r]
+                    if best is None or here < best:
+                        best = here
+            rest[idx] = best
         self.rest = rest
 
     def _states(self) -> Iterator[tuple[int, tuple[int, ...]]]:
@@ -110,11 +112,12 @@ class _CostToGo:
         """Next state index by class, for each class whose next member can be
         placed at state idx and stay optimal."""
         rest = self.rest
-        return {
-            c: idx + r
-            for c, (k, nb, cost, r) in enumerate(self.steps)
-            if p[c] < k and cost[sum(nb(p))] + rest[idx + r] == rest[idx]
-        }
+        best = rest[idx]
+        nxt = {}
+        for c, k, nb, cost, r in self.steps:
+            if p[c] < k and cost[sum(nb(p))] + rest[idx + r] == best:
+                nxt[c] = idx + r
+        return nxt
 
     def witness(self) -> Ordering:
         p = [0] * (len(self.members) + 1)

@@ -13,7 +13,7 @@ import pytest
 from biclique_imbalance import ChainSpec, generate_chained
 from biclique_imbalance.cli import main
 from conftest import CHAINED_EDGES
-from test_chained import random_chain_spec, renamed
+from test_chained import FIG_SPEC, random_chain_spec, renamed
 
 EXAMPLE = "a b\na c\nb c\nb d\nc e\n"
 
@@ -373,6 +373,18 @@ class TestOracle:
             "",
             "error: 1099511627776 twin-class states exceeds the table cap of 4194304\n",
         )
+
+    def test_enumerate_paper_figure_bytes(self, capsys, write):
+        g = write("fig.txt", _edge_text(generate_chained(FIG_SPEC)[0].edges()))
+        assert run(capsys, "oracle", g, "--max-n", "11", "--enumerate") == (
+            0,
+            "6\nx1 y1 y2 x2 y3 x3 y4 x4 y5 x5 y6\n64\n",
+            "",
+        )
+
+    def test_enumerate_k23_bytes(self, capsys, write):
+        g = write("k23.txt", "".join(f"x{i} y{j}\n" for i in (1, 2) for j in (1, 2, 3)))
+        assert run(capsys, "oracle", g, "--enumerate") == (0, "6\nx1 y1 y2 x2 y3\n48\n", "")
 
 
 class TestGen:

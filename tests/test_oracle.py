@@ -19,6 +19,7 @@ from biclique_imbalance import (
 )
 from biclique_imbalance import oracle
 from conftest import chained_example_graph, complete_bigraph, example_graph
+from test_chained import random_chain_spec
 
 
 def test_k22_minimum():
@@ -171,6 +172,95 @@ def test_count_keeps_only_the_states_it_has_reached():
     finally:
         tracemalloc.stop()
     assert peak < 256 * 1024
+
+
+def test_table_fill_allocates_nothing_per_state():
+    # The table is one 8-byte slot per state; what the fill makes per state
+    # must be freed before the next one.
+    g, _ = generate_chained(ChainSpec(((3, 3),) * 4, ("X",) * 3))
+    states = 73_728
+    tracemalloc.start()
+    try:
+        table = oracle._CostToGo(g, g.vertex_count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table.rest) == states
+    assert peak < 8 * states + 64 * 1024
+
+
+def _subset_cost_to_go(nbr):
+    """ref[mask]: least imbalance of placing the vertices outside mask after
+    those in it, by a plain dynamic program over all 2^n vertex subsets;
+    nbr[i] is the neighbor mask of vertex i."""
+    full = (1 << len(nbr)) - 1
+    ref = [0] * (full + 1)
+    for mask in range(full - 1, -1, -1):
+        ref[mask] = min(
+            _step(nb, mask) + ref[mask | 1 << i]
+            for i, nb in enumerate(nbr)
+            if not mask >> i & 1
+        )
+    return ref
+
+
+def _step(nbr, mask):
+    """Imbalance of a vertex with neighbor mask nbr placed after the set mask."""
+    return abs(2 * bin(nbr & mask).count("1") - bin(nbr).count("1"))
+
+
+def _small_graphs(rng):
+    """Empty, edgeless, random, twin-rich, complete bipartite and chained
+    graphs of at most 9 vertices."""
+    names = [f"t{i}" for i in range(12)]
+    graphs = [Graph(), Graph(["c", "a", "b"]), Graph(["z"])]
+    graphs += [_random_graph(rng, rng.randint(1, 9)) for _ in range(60)]
+    twin_rich = 0
+    while twin_rich < 15:
+        h = rng.randint(2, 4)
+        copies = [rng.randint(1, 3) for _ in range(h)]
+        if sum(copies) <= 9:
+            graphs.append(_blow_up(rng, h, copies, names))
+            twin_rich += 1
+    graphs += [complete_bigraph(a, b)[0] for a in range(1, 5) for b in range(a, 10 - a)]
+    specs = 0
+    while specs < 10:
+        spec = random_chain_spec(rng, max_comps=3, max_total=9, max_part=3)
+        if spec is not None and len(spec.sizes) > 1:
+            graphs.append(generate_chained(spec)[0])
+            specs += 1
+    return graphs
+
+
+def test_whole_table_matches_subset_cost_to_go():
+    # Every state, not only the root: rest[index(p)] is the subset reference
+    # at the first p[c] sorted members of each class, and tight(idx, p) names
+    # exactly the classes whose next member is a tight step there.
+    for g in _small_graphs(random.Random(1512)):
+        verts = sorted(g.vertices)
+        bit = {v: 1 << i for i, v in enumerate(verts)}
+        nbr = {v: sum(bit[u] for u in g.neighbors(v)) for v in verts}
+        ref = _subset_cost_to_go([nbr[v] for v in verts])
+        by_nbhd = {}
+        for v in verts:
+            by_nbhd.setdefault(g.neighbors(v), []).append(v)
+        classes = list(by_nbhd.values())
+        table = oracle._CostToGo(g, 9)
+        assert table.members == classes, g.edges()
+        sizes = [len(ms) for ms in classes]
+        radix = [math.prod(k + 1 for k in sizes[c + 1 :]) for c in range(len(sizes))]
+        assert len(table.rest) == math.prod(k + 1 for k in sizes)
+        for p in itertools.product(*(range(k + 1) for k in sizes)):
+            idx = sum(map(math.prod, zip(p, radix)))
+            mask = sum(bit[v] for c, ms in enumerate(classes) for v in ms[: p[c]])
+            assert table.rest[idx] == ref[mask], (g.edges(), p)
+            tight = {}
+            for c, ms in enumerate(classes):
+                if p[c] < len(ms):
+                    v = ms[p[c]]
+                    if _step(nbr[v], mask) + ref[mask | bit[v]] == ref[mask]:
+                        tight[c] = idx + radix[c]
+            assert table.tight(idx, p + (0,)) == tight, (g.edges(), p)
 
 
 def test_state_cap_refuses_before_allocating(monkeypatch):
