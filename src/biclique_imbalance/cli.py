@@ -38,7 +38,6 @@ from .errors import (
 from .graph import (
     Graph,
     bipartition,
-    is_complete_bipartite,
     parse_edge_list,
     parse_ordering,
     vertex_imbalances,
@@ -75,13 +74,14 @@ def _load_graph(path: str) -> Graph:
 
 
 def _complete_bipartition(g: Graph):
-    # is_complete_bipartite accepts K(n, 0); the commands need two parts.
+    # K(n, 0) is complete bipartite, but the commands need two parts.
     if not g.edge_count:
         raise NotCompleteBipartiteError(
             "graph is not a complete bipartite graph: it has no edges"
         )
+    # Every edge joins b's parts, so g is complete iff it has nx * ny edges.
     b = bipartition(g)
-    if not is_complete_bipartite(g, b):
+    if g.edge_count != b.nx * b.ny:
         raise NotCompleteBipartiteError("graph is not a complete bipartite graph")
     return b
 

@@ -5,24 +5,25 @@ lexicographic order is the tie-breaker for every "arbitrary" choice in the
 package. Ordering positions are 1-based. All values here are immutable after
 construction, so they are safe to share across threads.
 
-Reading an edge list first tests the whole text against one pattern of plain
-`u v` lines. Text that matches is split once into its tokens; any other text
-is read line by line, and only that reader raises parse errors. Both feed one
-adjacency map of lists, two appends per edge, that the graph freezes into
-sets. Everything after that works on whole sets: the bipartition search takes
-one set difference per vertex, its neighbors minus the other color class,
-which holds the clashing neighbors and the ones it newly reaches, and sorts
-only the latter. Its whole state is the two color classes and a parent link
-per reached vertex. The partition check tests each part's adjacency sets for
-disjointness from the part. Both are linear in V + E apart from those sorts,
-and build an error's witness only when they fail. The evaluator walks the
-ordering once with the set of vertices not yet placed, and counts each
-vertex's later neighbors as the size of one intersection with that set.
+Reading an edge list splits text with one space per line and no `#`, tab or
+carriage return into its tokens once; the text is plain `u v` lines iff it
+equals those tokens rendered as such lines. Any other text is read line by
+line, and only that reader raises parse errors. Both feed one adjacency map
+of lists, two appends per edge, that the graph freezes into sets. Everything
+after that works on whole sets: the bipartition search takes one set
+difference per vertex, its neighbors minus the other color class, which holds
+the clashing neighbors and the ones it newly reaches, and sorts only the
+latter. Its whole state is the two color classes and a parent link per
+reached vertex; as every edge joins them, the graph is complete iff it has
+nx * ny edges. The check of a given partition tests each part's adjacency
+sets for disjointness from the part. Both are linear in V + E apart from
+those sorts, and build an error's witness only when they fail. The evaluator
+walks the ordering once with the set of vertices not yet placed, and counts
+each vertex's later neighbors as the size of one intersection with that set.
 """
 
 from __future__ import annotations
 
-import re
 from collections import Counter, defaultdict, deque
 from collections.abc import Iterable, Iterator, Mapping
 from types import MappingProxyType
@@ -258,16 +259,6 @@ class Ordering:
         return f"Ordering({', '.join(self._seq)})"
 
 
-# Text made only of `u v` lines: one space between two tokens, a newline after
-# each line but maybe the last. For str patterns `\s` is `str.isspace`, the
-# set `str.split()` splits on, and every `str.splitlines` boundary is in it.
-# So on matching text the line reader sees exactly these lines, with no
-# comment, blank line, or line of other than two tokens, and `text.split()`
-# yields the same tokens in the same order. Only a self-loop can still be
-# wrong. (No possessive quantifiers: they need Python 3.11.)
-_PLAIN_EDGES = re.compile(r"(?:[^\s#]+ [^\s#]+\n)*(?:[^\s#]+ [^\s#]+)?")
-
-
 def _tokenize_lines(text: str) -> tuple[list[str], list[str], list[str]]:
     """Edge endpoints and isolated vertices of an edge-list text, line by
     line; raises GraphParseError at the first bad line."""
@@ -293,6 +284,30 @@ def _tokenize_lines(text: str) -> tuple[list[str], list[str], list[str]]:
     return us, vs, isolated
 
 
+def _plain_tokens(text: str) -> list[str] | None:
+    """The tokens of text if it is only `u v` lines (one space between two
+    tokens, a newline after each line but maybe the last), else None.
+
+    `str.split` splits on `str.isspace`, a superset of the `splitlines`
+    boundaries, so the line reader would see these lines and the same tokens:
+    only a self-loop can still be wrong. C-level scans send text with a `#`,
+    tab or carriage return, or not one space per line, to the line reader.
+    """
+    if "#" in text or "\t" in text or "\r" in text:
+        return None
+    if text.count(" ") != text.count("\n") + (text[-1:] not in ("", "\n")):
+        return None
+    tokens = text.split()
+    n = len(tokens)
+    if n % 2:
+        return None
+    parts = [" "] * (2 * n)
+    parts[::2] = tokens
+    parts[3::4] = ["\n"] * (n // 2)
+    rendered = "".join(parts)
+    return tokens if text == rendered or text == rendered[:-1] else None
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list text format.
 
@@ -300,23 +315,22 @@ def parse_edge_list(text: str) -> Graph:
     is either two whitespace-separated tokens (an edge) or one token (an
     isolated vertex). Duplicate edge lines are idempotent.
     """
-    # The longest match, not fullmatch: on text that is not plain, fullmatch
-    # backtracks through every line it matched before giving up.
-    plain = _PLAIN_EDGES.match(text).end() == len(text)  # type: ignore[union-attr]
-    if plain:
-        tokens = text.split()
-        us, vs, isolated = tokens[0::2], tokens[1::2], []
+    tokens = _plain_tokens(text)
+    if tokens is not None:
+        it = iter(tokens)
+        pairs, isolated = zip(it, it), []
     else:
         us, vs, isolated = _tokenize_lines(text)
+        pairs = zip(us, vs)
     adj: defaultdict[str, list[str]] = defaultdict(list)
-    for u, v in zip(us, vs):
+    for u, v in pairs:
         adj[u].append(v)
         adj[v].append(u)
     for v in isolated:
         adj.setdefault(v, [])
     # Tokens that str.split produced are non-empty and free of whitespace.
     g = Graph._from_adj(adj)
-    if plain and any(v in nb for v, nb in g._adj.items()):
+    if tokens is not None and any(v in nb for v, nb in g._adj.items()):
         _tokenize_lines(text)  # raises at the first self-loop, with its line
     return g
 

@@ -10,7 +10,16 @@ from pathlib import Path
 
 import pytest
 
-from biclique_imbalance import ChainSpec, generate_chained
+from biclique_imbalance import (
+    ChainSpec,
+    bipartition,
+    generate_chained,
+    is_complete_bipartite,
+    min_imbalance_formula,
+    parse_edge_list,
+    parse_ordering,
+    verify_optimal_complete,
+)
 from biclique_imbalance.cli import main
 from conftest import CHAINED_EDGES
 from test_chained import FIG_SPEC, random_chain_spec, renamed
@@ -281,6 +290,56 @@ class TestVerify:
             "",
             "error: ordering does not cover exactly the bipartition's vertices\n",
         )
+
+
+class TestCompletenessByEdgeCount:
+    """bipartition colors every edge across its parts, so a graph is complete
+    bipartite iff it has nx * ny edges; solve complete and verify use that."""
+
+    @staticmethod
+    def _k(rng, a, b, tag):
+        edges = [(f"{tag}x{i}", f"{tag}y{j}") for i in range(a) for j in range(b)]
+        return [e[:: rng.choice((1, -1))] for e in edges]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_edge_count_decides_and_the_commands_agree(self, capsys, write, seed):
+        rng = random.Random(seed)
+        a, b = rng.randint(1, 6), rng.randint(2, 6)
+        complete = self._k(rng, a, b, "")
+        rng.shuffle(complete)
+        cases = [
+            (complete, True),
+            # Each endpoint of the removed edge stays, as a one-token line.
+            (complete[1:] + [complete[0][:1], complete[0][1:]], False),
+            (complete + [("z",)], False),
+            (complete + self._k(rng, rng.randint(1, 4), rng.randint(1, 4), "u"), False),
+        ]
+        for lines, want in cases:
+            text = "".join(" ".join(line) + "\n" for line in lines)
+            g = parse_edge_list(text)
+            bp = bipartition(g)
+            assert (g.edge_count == bp.nx * bp.ny) == is_complete_bipartite(g, bp) == want
+            order = sorted(g.vertices)
+            rng.shuffle(order)
+            gf, of = write("g.txt", text), write("o.txt", " ".join(order) + "\n")
+            solved = run(capsys, "solve", "complete", gf)
+            verified = run(capsys, "verify", gf, of)
+            if not want:
+                rejected = (3, "", "error: graph is not a complete bipartite graph\n")
+                assert solved == verified == rejected
+                continue
+            code, out, err = solved
+            value, optimum = out.splitlines()
+            assert (code, value, err) == (0, str(min_imbalance_formula(a, b)), "")
+            assert verify_optimal_complete(parse_ordering(optimum), bp).optimal
+            v = verify_optimal_complete(parse_ordering(" ".join(order)), bp)
+            report = (
+                "optimal"
+                if v.optimal
+                else f"not-optimal property={v.failed_property} "
+                f"achieved={v.achieved} minimum={v.minimum}"
+            )
+            assert verified == (0, report + "\n", "")
 
 
 class TestDecompose:

@@ -1,6 +1,8 @@
 """Closed form, optimal constructions, shifts, and the optimality verifier."""
 
 import itertools
+import math
+import random
 
 import pytest
 from hypothesis import given
@@ -263,3 +265,73 @@ class TestShiftInvarianceOnOptima:
             prof = y_position_profile(o, bp)
             median = prof.y_at((b + 1) // 2)
             assert vertex_imbalance(median, o, g) == 1
+
+
+def _halves_balanced(pattern: str, a: int, b: int) -> bool:
+    """The balanced-halves test on an X/Y pattern of K(a, b), X the a-part:
+    the first and the last h = p + q places, p = a // 2 and q = b // 2, each
+    hold exactly p X's. It shares no code or proof with P1-P3."""
+    p, h = a // 2, a // 2 + b // 2
+    return pattern[:h].count("X") == p == pattern[len(pattern) - h :].count("X")
+
+
+def _ordering_of(pattern: str, bp: Bipartition) -> Ordering:
+    xs, ys = iter(sorted(bp.x_part)), iter(sorted(bp.y_part))
+    return Ordering([next(xs) if c == "X" else next(ys) for c in pattern])
+
+
+class TestBalancedHalves:
+    """An ordering of K(a, b) is optimal iff its first h and its last h
+    vertices each hold p vertices of the a-part. On each half the imbalances
+    sum to 2pq + p(b mod 2) + q(a mod 2), and the middle adds
+    2(a mod 2)(b mod 2), so the total is ab + (a mod 2)(b mod 2)."""
+
+    def test_equals_the_verifier_on_every_pattern_up_to_k88(self):
+        for a, b in itertools.product(range(1, 9), repeat=2):
+            _, bp = complete_bigraph(a, b)
+            for xs in itertools.combinations(range(a + b), a):
+                pattern = "".join("X" if i in xs else "Y" for i in range(a + b))
+                got = verify_optimal_complete(_ordering_of(pattern, bp), bp).optimal
+                assert got == _halves_balanced(pattern, a, b), (a, b, pattern)
+
+    def test_equals_the_verifier_on_random_and_near_optimal_orderings(self):
+        rng = random.Random(5)
+        verdicts = set()
+        for _ in range(1500):
+            a, b = rng.randint(1, 400), rng.randint(1, 400)
+            bp = Bipartition([f"x{i}" for i in range(a)], [f"y{i}" for i in range(b)])
+            p, q = a // 2, b // 2
+            if rng.random() < 0.25:
+                pattern = list("X" * a + "Y" * b)
+                rng.shuffle(pattern)
+            else:
+                # A balanced layout: each half holds p X's and q Y's.
+                first, middle, last = (
+                    rng.sample("X" * p + "Y" * q, p + q),
+                    rng.sample("X" * (a % 2) + "Y" * (b % 2), a % 2 + b % 2),
+                    rng.sample("X" * p + "Y" * q, p + q),
+                )
+                pattern = first + middle + last
+                if rng.random() < 0.5:
+                    i, j = rng.sample(range(a + b), 2)
+                    pattern[i], pattern[j] = pattern[j], pattern[i]
+            pattern = "".join(pattern)
+            want = _halves_balanced(pattern, a, b)
+            assert verify_optimal_complete(_ordering_of(pattern, bp), bp).optimal == want
+            verdicts.add(want)
+        assert verdicts == {True, False}
+
+    def test_optimum_count_equals_the_oracle(self):
+        # K(b, a) is K(a, b) with the parts renamed, so a <= b covers them all.
+        for a in range(1, 31):
+            for b in range(a, 61 - a):
+                p, q = a // 2, b // 2
+                want = (
+                    (1 + (a % 2 == b % 2 == 1))
+                    * math.comb(p + q, p) ** 2
+                    * math.factorial(a)
+                    * math.factorial(b)
+                )
+                g, _ = complete_bigraph(a, b)
+                got = brute_force_min(g, cap=a + b, count_optima=True).optima_count
+                assert got == want, (a, b)

@@ -27,7 +27,7 @@ from biclique_imbalance import (
     vertex_imbalance,
     vertex_imbalances,
 )
-from biclique_imbalance.graph import _bipartition_and_roots
+from biclique_imbalance.graph import _bipartition_and_roots, _tokenize_lines
 from conftest import CHAINED_EDGES, chained_example_graph, complete_bigraph, example_graph
 from test_chained import k33_chain, random_chain_spec, renamed
 
@@ -101,10 +101,60 @@ class TestParseEdgeList:
             "a b\u2028c d\n",
             "a b\n\nc d\n",
             " a b\nc d\n",
+            "a b \nc d\n",
         ],
     )
     def test_near_plain_text_is_read_line_by_line(self, text):
         assert parse_edge_list(text) == Graph((), [("a", "b"), ("c", "d")])
+
+    # Plain lines but for one line, or the right token count in the wrong
+    # shape: each is read line by line.
+    @pytest.mark.parametrize(
+        "text, graph",
+        [
+            ("a b\nc", Graph(["c"], [("a", "b")])),
+            ("\n", Graph()),
+            ("a b\n\n", Graph((), [("a", "b")])),
+        ],
+    )
+    def test_plain_but_for_one_line_is_read_line_by_line(self, text, graph):
+        assert parse_edge_list(text) == graph
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a b c\nd\n", "line 1: expected 1 or 2 tokens, got 3: 'a b c'"),
+            # U+00A0 splits tokens but does not end a line.
+            ("a b\xa0c d\n", "line 1: expected 1 or 2 tokens, got 4: 'a b\\xa0c d'"),
+        ],
+    )
+    def test_even_token_count_in_bad_lines_exact_message(self, text, message):
+        with pytest.raises(GraphParseError) as exc:
+            parse_edge_list(text)
+        assert str(exc.value) == message
+        assert exc.value.line == 1
+
+    @given(st.data())
+    def test_equals_the_line_reader_on_raw_text(self, data):
+        # Plain lines, maybe without the last newline, with up to three
+        # raw characters put in place of a token or separator, or inserted.
+        tokens = data.draw(st.lists(st.sampled_from(["a", "b", "c", "xy", "é"]), max_size=10))
+        pieces = [p for i, t in enumerate(tokens) for p in (t, " \n"[i % 2])]
+        if pieces and data.draw(st.booleans()):
+            pieces.pop()
+        raw = st.sampled_from(["a", " ", "\n", "\t", "\r", "#", "\x85", "\xa0"])
+        for _ in range(data.draw(st.integers(0, 3))):
+            k = data.draw(st.integers(0, len(pieces)))
+            pieces[k : k + data.draw(st.integers(0, 1))] = [data.draw(raw)]
+        text = "".join(pieces)
+        try:
+            us, vs, isolated = _tokenize_lines(text)
+        except GraphParseError as want:
+            with pytest.raises(GraphParseError) as got:
+                parse_edge_list(text)
+            assert (str(got.value), got.value.line) == (str(want), want.line)
+        else:
+            assert parse_edge_list(text) == Graph(isolated, zip(us, vs))
 
     def test_comment_inside_a_token_leaves_an_isolated_vertex(self):
         g = parse_edge_list("a#b c\nd e\n")
