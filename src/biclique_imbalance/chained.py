@@ -48,7 +48,6 @@ __all__ = [
     "decompose",
     "g_count",
     "min_imbalance_chained",
-    "construct_component_subordering",
     "construct_optimal_chained",
     "generate_chained",
     "interval_representation",
@@ -290,6 +289,14 @@ def _between(comp: ChainComponent, s_prev: str, s_next: str) -> list[str]:
 def _validated_subordering(
     comp: ChainComponent, s_prev: str, s_next: str
 ) -> list[str]:
+    """The tokens of comp between its boundary vertices s_prev and s_next.
+
+    The boundaries are two distinct vertices of comp: the real overlaps, or
+    the synthesized endpoints for the first and last components. s_prev, the
+    tokens and s_next, in that order, make an imbalance-optimal ordering of
+    comp with the boundaries at its extremes; it is validated by direct
+    evaluation before being returned.
+    """
     if s_prev == s_next or not {s_prev, s_next} <= comp.vertices:
         raise ValueError(
             f"boundary vertices must be two distinct members of the component, "
@@ -309,22 +316,6 @@ def _validated_subordering(
             f"for K({comp.nx}, {comp.ny}) with boundaries {s_prev}, {s_next}"
         )
     return mid
-
-
-def construct_component_subordering(
-    d: ChainDecomposition, i: int, s_prev: str, s_next: str
-) -> Ordering:
-    """Ordering of C_i minus its boundary vertices.
-
-    Prepending s_prev and appending s_next yields an imbalance-optimal
-    ordering of the component with the boundaries at the extremes. The
-    boundaries are the real overlaps, or the synthesized endpoints for the
-    first and last components. The result is validated by direct evaluation
-    before being returned.
-    """
-    if not 1 <= i <= d.n:
-        raise ValueError(f"component index {i} out of range 1..{d.n}")
-    return Ordering(_validated_subordering(d.components[i - 1], s_prev, s_next))
 
 
 def _pick_endpoint(comp: ChainComponent, exclude: set[str]) -> str:
@@ -422,12 +413,11 @@ def overlap_inequality_probe(o: Ordering, d: ChainDecomposition) -> OverlapInequ
         raise ValueError(f"probe requires exactly two components, got {d.n}")
     _check_cover(o, d.vertices, "chain")
     s = d.overlaps[0]
-    pos = o.position_map
-    anchor = pos[s]
+    before = set(o.sequence[: o.position(s) - 1])
     counts = []
     for comp in d.components:
         neighbors = comp.y_part if d.overlap_in_x[0] else comp.x_part
-        left = sum(1 for v in neighbors if pos[v] < anchor)
+        left = len(neighbors & before)
         counts.append((left, len(neighbors) - left))
     (l1, r1), (l2, r2) = counts
     lhs = abs(l1 - r1 + l2 - r2) - abs(l1 - r1) - abs(l2 - r2)

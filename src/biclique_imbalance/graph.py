@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict, deque
 from collections.abc import Iterable, Iterator, Mapping
-from types import MappingProxyType
 
 from .errors import GraphParseError, NotBipartiteError
 
@@ -41,8 +40,6 @@ __all__ = [
     "vertex_imbalance",
     "vertex_imbalances",
     "ordering_imbalance",
-    "subordering",
-    "concat_orderings",
 ]
 
 
@@ -129,13 +126,6 @@ class Graph:
         out = [(u, v) for u, nb in self._adj.items() for v in nb if u < v]
         out.sort()
         return out
-
-    def subgraph(self, keep: Iterable[str]) -> "Graph":
-        keep_set = set(keep)
-        missing = keep_set - self._vertices
-        if missing:
-            raise ValueError(f"vertices not in graph: {sorted(missing)}")
-        return Graph._from_adj({u: self._adj[u] & keep_set for u in keep_set})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -225,18 +215,6 @@ class Ordering:
             return self._pos[v]
         except KeyError:
             raise ValueError(f"vertex {v!r} not in ordering") from None
-
-    def positions(self) -> dict[str, int]:
-        """Copy of the vertex -> position map (1-based)."""
-        return dict(self._pos)
-
-    @property
-    def position_map(self) -> Mapping[str, int]:
-        """Read-only view of the vertex -> position map (1-based), no copy."""
-        return MappingProxyType(self._pos)
-
-    def reverse(self) -> "Ordering":
-        return Ordering(reversed(self._seq))
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._seq)
@@ -469,25 +447,3 @@ def vertex_imbalances(o: Ordering, g: Graph) -> list[int]:
 def ordering_imbalance(o: Ordering, g: Graph) -> int:
     """Sum of vertex imbalances over all vertices."""
     return sum(vertex_imbalances(o, g))
-
-
-def subordering(o: Ordering, keep: Iterable[str]) -> Ordering:
-    """Order-preserving restriction of o to the given vertex subset."""
-    keep_set = set(keep)
-    missing = keep_set - o.vertices
-    if missing:
-        raise ValueError(f"vertices not in ordering: {sorted(missing)}")
-    return Ordering(v for v in o if v in keep_set)
-
-
-def concat_orderings(parts: Iterable[Ordering]) -> Ordering:
-    """Concatenate orderings over pairwise-disjoint vertex sets."""
-    seq: list[str] = []
-    seen: set[str] = set()
-    for part in parts:
-        clash = part.vertices & seen
-        if clash:
-            raise ValueError(f"orderings overlap on: {sorted(clash)}")
-        seen |= part.vertices
-        seq.extend(part)
-    return Ordering(seq)

@@ -23,7 +23,6 @@ from biclique_imbalance import (
     SpecInvalidError,
     bipartition,
     brute_force_min,
-    construct_component_subordering,
     construct_optimal_chained,
     construct_optimal_complete,
     decompose,
@@ -36,10 +35,9 @@ from biclique_imbalance import (
     ordering_imbalance,
     overlap_inequality_probe,
     parse_chain_spec,
-    subordering,
     vertex_imbalance,
 )
-from biclique_imbalance.chained import _check_maximal
+from biclique_imbalance.chained import _check_maximal, _validated_subordering
 from conftest import chained_example_graph, complete_bigraph
 
 FIG_SPEC = ChainSpec(((2, 2), (2, 2), (2, 3)), ("X", "Y"))
@@ -91,6 +89,13 @@ def same_chain_up_to_reversal(d1, d2):
     if comps2 == comps1 and d2.overlaps == d1.overlaps:
         return True
     return comps2 == comps1[::-1] and d2.overlaps == d1.overlaps[::-1]
+
+
+def restrict(g, o, keep):
+    """The subgraph of g induced by keep, and o restricted to keep."""
+    keep = set(keep)
+    edges = [(u, v) for u in keep for v in g.neighbors(u) & keep if u < v]
+    return Graph(keep, edges), Ordering(v for v in o if v in keep)
 
 
 def k33_chain(n):
@@ -707,23 +712,16 @@ class TestChainedFormula:
 
 class TestComponentSubordering:
     def test_k22_same_part(self):
-        d = ChainDecomposition(
-            (ChainComponent(frozenset({"a", "s1"}), frozenset({"b", "c"})),), (), ()
-        )
-        mid = construct_component_subordering(d, 1, "a", "s1")
-        assert mid == Ordering(["b", "c"])
+        comp = ChainComponent(frozenset({"a", "s1"}), frozenset({"b", "c"}))
+        assert _validated_subordering(comp, "a", "s1") == ["b", "c"]
 
     def test_k12_sandwich_on_singleton_x(self):
-        d = ChainDecomposition(
-            (ChainComponent(frozenset({"x"}), frozenset({"y", "z"})),), (), ()
-        )
-        mid = construct_component_subordering(d, 1, "y", "z")
-        assert mid == Ordering(["x"])
+        comp = ChainComponent(frozenset({"x"}), frozenset({"y", "z"}))
+        assert _validated_subordering(comp, "y", "z") == ["x"]
 
     def test_k77_same_part_evaluates_to_formula(self):
         g, bp = complete_bigraph(7, 7)
-        d = ChainDecomposition((ChainComponent(bp.x_part, bp.y_part),), (), ())
-        mid = construct_component_subordering(d, 1, "x1", "x7")
+        mid = _validated_subordering(ChainComponent(bp.x_part, bp.y_part), "x1", "x7")
         full = Ordering(["x1", *mid, "x7"])
         assert ordering_imbalance(full, g) == 50
         assert vertex_imbalance("x1", full, g) == 7
@@ -733,7 +731,7 @@ class TestComponentSubordering:
         # every legal boundary pair must produce a block meeting the closed form
         for a, b in itertools.product(range(1, 7), repeat=2):
             g, bp = complete_bigraph(a, b)
-            d = ChainDecomposition((ChainComponent(bp.x_part, bp.y_part),), (), ())
+            comp = ChainComponent(bp.x_part, bp.y_part)
             want = min_imbalance_formula(a, b)
             for s_prev, s_next in itertools.permutations(sorted(g.vertices), 2):
                 part_of = lambda v: bp.x_part if v in bp.x_part else bp.y_part
@@ -741,7 +739,7 @@ class TestComponentSubordering:
                     continue  # no optimal ordering pins a singleton-part vertex
                 if len(part_of(s_next)) == 1 and (a, b) != (1, 1):
                     continue
-                mid = construct_component_subordering(d, 1, s_prev, s_next)
+                mid = _validated_subordering(comp, s_prev, s_next)
                 full = Ordering([s_prev, *mid, s_next])
                 assert ordering_imbalance(full, g) == want, (a, b, s_prev, s_next)
 
@@ -758,9 +756,8 @@ class TestComponentSubordering:
         ]
         for a, b, s_prev, s_next, want in cases:
             _, bp = complete_bigraph(a, b)
-            d = ChainDecomposition((ChainComponent(bp.x_part, bp.y_part),), (), ())
-            mid = construct_component_subordering(d, 1, s_prev, s_next)
-            assert mid == Ordering(want.split()), (a, b, s_prev, s_next)
+            mid = _validated_subordering(ChainComponent(bp.x_part, bp.y_part), s_prev, s_next)
+            assert mid == want.split(), (a, b, s_prev, s_next)
         for a, b, want in [
             (3, 3, "y1 x1 y2 x2 x3 y3"),
             (2, 3, "x1 y1 y2 y3 x2"),
@@ -771,13 +768,9 @@ class TestComponentSubordering:
             )
 
     def test_bad_boundaries_rejected(self):
-        d = ChainDecomposition(
-            (ChainComponent(frozenset({"a"}), frozenset({"b"})),), (), ()
-        )
+        comp = ChainComponent(frozenset({"a"}), frozenset({"b"}))
         with pytest.raises(ValueError):
-            construct_component_subordering(d, 1, "a", "a")
-        with pytest.raises(ValueError):
-            construct_component_subordering(d, 2, "a", "b")
+            _validated_subordering(comp, "a", "a")
 
 
 class TestConstructChained:
@@ -818,8 +811,7 @@ class TestConstructChained:
         g, d = generate_chained(spec)
         o = construct_optimal_chained(d)
         for comp in d.components:
-            block = subordering(o, comp.vertices)
-            local = g.subgraph(comp.vertices)
+            local, block = restrict(g, o, comp.vertices)
             assert ordering_imbalance(block, local) == min_imbalance_formula(
                 comp.nx, comp.ny
             )
@@ -917,14 +909,12 @@ class TestLocality:
             rng.shuffle(perm)
             o = Ordering(perm)
             for i, comp in enumerate(d.components, start=1):
-                local = subordering(o, comp.vertices)
-                sub = g.subgraph(comp.vertices)
+                sub, local = restrict(g, o, comp.vertices)
                 for v in comp.vertices - overlap_set:
                     assert vertex_imbalance(v, o, g) == vertex_imbalance(v, local, sub)
             for i, s in enumerate(d.overlaps, start=1):
                 support = d.components[i - 1].vertices | d.components[i].vertices
-                local = subordering(o, support)
-                sub = g.subgraph(support)
+                sub, local = restrict(g, o, support)
                 assert vertex_imbalance(s, o, g) == vertex_imbalance(s, local, sub)
 
 
@@ -986,15 +976,30 @@ class TestOverlapProbe:
             overlap_inequality_probe(Ordering(sorted(g.vertices)), decompose(g))
 
     def test_inequality_on_random_orderings(self):
+        # Each ordering's counts are checked against position comparisons,
+        # and lhs against the overlap's imbalance on the whole graph minus
+        # its imbalances on the two component restrictions.
         rng = random.Random(2718)
-        spec = ChainSpec(((2, 3), (3, 2)), ("Y",))
-        g, d = generate_chained(spec)
-        verts = sorted(g.vertices)
-        for _ in range(300):
-            perm = verts[:]
-            rng.shuffle(perm)
-            p = overlap_inequality_probe(Ordering(perm), d)
-            assert p.lhs >= p.rhs
+        for spec in (ChainSpec(((2, 3), (3, 2)), ("Y",)), ChainSpec(((2, 3), (2, 4)), ("X",))):
+            g, d = generate_chained(spec)
+            s = d.overlaps[0]
+            verts = sorted(g.vertices)
+            for _ in range(300):
+                perm = verts[:]
+                rng.shuffle(perm)
+                o = Ordering(perm)
+                p = overlap_inequality_probe(o, d)
+                assert p.lhs >= p.rhs
+                counts, local = [], 0
+                for comp in d.components:
+                    neighbors = g.neighbors(s) & comp.vertices
+                    left = sum(1 for v in neighbors if o.position(v) < o.position(s))
+                    counts += [left, len(neighbors) - left]
+                    sub, sub_o = restrict(g, o, comp.vertices)
+                    local += vertex_imbalance(s, sub_o, sub)
+                got = [p.left_in_first, p.right_in_first, p.left_in_second, p.right_in_second]
+                assert got == counts, (spec, perm)
+                assert p.lhs == vertex_imbalance(s, o, g) - local, (spec, perm)
 
 
 class TestSpecTextFormat:

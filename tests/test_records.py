@@ -192,8 +192,6 @@ PUBLIC_NAMES = [
     "YPositionProfile",
     "bipartition",
     "brute_force_min",
-    "concat_orderings",
-    "construct_component_subordering",
     "construct_optimal_chained",
     "construct_optimal_complete",
     "decompose",
@@ -212,7 +210,6 @@ PUBLIC_NAMES = [
     "parse_ordering",
     "shift_left",
     "shift_right",
-    "subordering",
     "verify_optimal_complete",
     "vertex_imbalance",
     "vertex_imbalances",
