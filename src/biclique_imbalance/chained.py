@@ -60,6 +60,8 @@ __all__ = [
 
 # One maximal complete bipartite component, split along the bipartition.
 ChainComponent = Bipartition
+# interval_representation's result type, resolvable without importing fractions here.
+_Intervals = 'dict[str, tuple[__import__("fractions").Fraction, __import__("fractions").Fraction]]'
 
 
 # No __slots__, so that cached_property has a __dict__ to fill.
@@ -77,11 +79,10 @@ class ChainDecomposition(namedtuple("ChainDecomposition", "components overlaps o
     def vertices(self) -> frozenset[str]:
         return frozenset().union(*(c.vertices for c in self.components))
 
-    def profile(self) -> tuple[tuple[tuple[int, int], ...], tuple[str, ...]]:
-        """(component sizes, overlap part letters) for round-trip comparisons."""
+    def profile(self) -> ChainSpec:
+        """The chain's spec: component sizes and overlap part letters."""
         sizes = tuple((c.nx, c.ny) for c in self.components)
-        parts = tuple("X" if in_x else "Y" for in_x in self.overlap_in_x)
-        return sizes, parts
+        return ChainSpec(sizes, tuple("X" if in_x else "Y" for in_x in self.overlap_in_x))
 
 
 class ChainSpec(namedtuple("ChainSpec", "sizes overlap_parts")):
@@ -102,18 +103,27 @@ class ChainSpec(namedtuple("ChainSpec", "sizes overlap_parts")):
                 raise SpecInvalidError(
                     f"component {i} has an empty part: ({nx_size}, {ny_size})"
                 )
-        for i, part in enumerate(self.overlap_parts, start=1):
+        lone = self._lone_overlap()
+        # Each overlap's letter is checked before the sizes it picks.
+        for i, part in enumerate(self.overlap_parts[: lone[0] + 1 if lone else None], 1):
             if part not in ("X", "Y"):
                 raise SpecInvalidError(f"overlap {i} part must be X or Y, got {part!r}")
-            # The overlap is counted inside both components; a singleton part
-            # cannot host an overlap without breaking maximality.
+        if lone:
+            i, k = lone
+            part = self.overlap_parts[i]
+            raise SpecInvalidError(
+                f"overlap {i + 1} in part {part} needs component {k + 1} to have "
+                f"{part} size >= 2, got {self.sizes[k][part != 'X']}"
+            )
+
+    def _lone_overlap(self) -> tuple[int, int] | None:
+        """0-based (overlap, component) of the first overlap alone in its part of a
+        component, left component first: that component is not maximal."""
+        for i, part in enumerate(self.overlap_parts):
             for k in (i, i + 1):
-                size = self.sizes[k - 1][0 if part == "X" else 1]
-                if size < 2:
-                    raise SpecInvalidError(
-                        f"overlap {i} in part {part} needs component {k} to have "
-                        f"{part} size >= 2, got {size}"
-                    )
+                if self.sizes[k][part != "X"] < 2:
+                    return i, k
+        return None
 
 
 def _biclique_closure(g: Graph, b: Bipartition, side: frozenset[str]) -> ChainComponent:
@@ -198,15 +208,13 @@ def _walk_chain(
 def _check_maximal(d: ChainDecomposition) -> None:
     """Reject an overlap alone in its part of a component, which the overlap's
     opposite part in the other component extends (see _walk_chain)."""
-    for i, in_x in enumerate(d.overlap_in_x):
-        # Left component first, so the first hit is the lowest-numbered one.
-        for k, other in ((i, i + 1), (i + 1, i)):
-            if (d.components[k].nx if in_x else d.components[k].ny) == 1:
-                o = d.components[other]
-                raise NotChainedError(
-                    f"component C{k + 1} is not maximal: extendable by "
-                    f"{min(o.y_part if in_x else o.x_part)}"
-                )
+    if lone := d.profile()._lone_overlap():
+        i, k = lone
+        other = d.components[2 * i + 1 - k]
+        raise NotChainedError(
+            f"component C{k + 1} is not maximal: extendable by "
+            f"{min(other.y_part if d.overlap_in_x[i] else other.x_part)}"
+        )
 
 
 def decompose(g: Graph) -> ChainDecomposition:
@@ -372,7 +380,7 @@ def generate_chained(spec: ChainSpec) -> tuple[Graph, ChainDecomposition]:
     return Graph((), edges), ChainDecomposition(tuple(comps), tuple(overlaps), in_x)
 
 
-def interval_representation(d: ChainDecomposition) -> dict[str, tuple[Fraction, Fraction]]:
+def interval_representation(d: ChainDecomposition) -> _Intervals:
     """A proper-interval staircase realization of the chained graph.
 
     Component i occupies the window [4i, 4i+3]; its j-th non-overlap vertex
@@ -413,7 +421,7 @@ def overlap_inequality_probe(o: Ordering, d: ChainDecomposition) -> OverlapInequ
         raise ValueError(f"probe requires exactly two components, got {d.n}")
     _check_cover(o, d.vertices, "chain")
     s = d.overlaps[0]
-    before = set(o.sequence[: o.position(s) - 1])
+    before = set(islice(o, o.position(s) - 1))
     counts = []
     for comp in d.components:
         neighbors = comp.y_part if d.overlap_in_x[0] else comp.x_part

@@ -123,8 +123,7 @@ def _cmd_solve_complete(args: argparse.Namespace) -> int:
 def _cmd_solve_chained(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     d = decompose(g)
-    print(min_imbalance_chained(d))
-    print(" ".join(construct_optimal_chained(d)))
+    print(min_imbalance_chained(d), " ".join(construct_optimal_chained(d)), sep="\n")
     return EXIT_OK
 
 

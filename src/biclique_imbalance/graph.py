@@ -43,21 +43,18 @@ __all__ = [
 ]
 
 
-def _checked_token(token: str) -> None:
-    if not isinstance(token, str) or token.split() != [token]:
-        raise ValueError(
-            f"vertex token must be a non-empty string without whitespace, got {token!r}"
-        )
-
-
-def _tokens_ok(tokens: list[str]) -> bool:
-    """True iff every token is a non-empty string without whitespace: joined
-    by spaces, they split back into themselves. One C-level pass; callers that
-    get False look at each token to raise the first error."""
+def _check_tokens(tokens: list[str]) -> None:
+    """Raise at the first token that is no non-empty string without whitespace."""
     try:
-        return " ".join(tokens).split() == tokens
+        if " ".join(tokens).split() == tokens:  # all are good: one C-level pass
+            return
     except TypeError:  # a token that is not a str
-        return False
+        pass
+    for token in tokens:
+        if not isinstance(token, str) or token.split() != [token]:
+            raise ValueError(
+                f"vertex token must be a non-empty string without whitespace, got {token!r}"
+            )
 
 
 class Graph:
@@ -70,13 +67,11 @@ class Graph:
         vertices: Iterable[str] = (),
         edges: Iterable[tuple[str, str]] = (),
     ):
-        adj: dict[str, set[str]] = {}
-        for v in vertices:
-            _checked_token(v)
-            adj.setdefault(v, set())
+        vertices = list(vertices)
+        edges = [(u, v) for u, v in edges]
+        _check_tokens([*vertices, *(v for edge in edges for v in edge)])
+        adj: dict[str, set[str]] = {v: set() for v in vertices}
         for u, v in edges:
-            _checked_token(u)
-            _checked_token(v)
             if u == v:
                 raise ValueError(f"self-loop on {u!r}")
             adj.setdefault(u, set()).add(v)
@@ -183,32 +178,29 @@ class Bipartition:
 
 
 class Ordering:
-    """Immutable bijection between a vertex set and positions 1..n."""
+    """Immutable bijection between a vertex set and positions 1..n, kept as one
+    position map in position order: sequence and vertices cost O(n) a call."""
 
-    # _matched caches the last vertex set found equal to _vertices.
-    __slots__ = ("_seq", "_pos", "_vertices", "_matched")
+    # _matched caches the last vertex set found equal to the map's keys.
+    __slots__ = ("_pos", "_matched")
 
     def __init__(self, sequence: Iterable[str]):
-        seq = tuple(sequence)
-        if not _tokens_ok(list(seq)):
-            for v in seq:
-                _checked_token(v)
+        seq = list(sequence)
+        _check_tokens(seq)
         pos = dict(zip(seq, range(1, len(seq) + 1)))
         if len(pos) != len(seq):
             dupes = sorted(v for v, k in Counter(seq).items() if k > 1)
             raise ValueError(f"duplicate vertices in ordering: {dupes}")
-        self._seq = seq
         self._pos = pos
-        self._vertices = frozenset(pos)
         self._matched: frozenset[str] | None = None
 
     @property
     def sequence(self) -> tuple[str, ...]:
-        return self._seq
+        return tuple(self._pos)
 
     @property
     def vertices(self) -> frozenset[str]:
-        return self._vertices
+        return frozenset(self._pos)
 
     def position(self, v: str) -> int:
         try:
@@ -217,10 +209,10 @@ class Ordering:
             raise ValueError(f"vertex {v!r} not in ordering") from None
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._seq)
+        return iter(self._pos)
 
     def __len__(self) -> int:
-        return len(self._seq)
+        return len(self._pos)
 
     def __contains__(self, v: object) -> bool:
         return v in self._pos
@@ -228,13 +220,13 @@ class Ordering:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Ordering):
             return NotImplemented
-        return self._seq == other._seq
+        return self._pos == other._pos  # same positions: same sequence
 
     def __hash__(self) -> int:
-        return hash(self._seq)
+        return hash(tuple(self._pos))
 
     def __repr__(self) -> str:
-        return f"Ordering({', '.join(self._seq)})"
+        return f"Ordering({', '.join(self._pos)})"
 
 
 def _tokenize_lines(text: str) -> tuple[list[str], list[str], list[str]]:
@@ -418,7 +410,7 @@ def _check_cover(o: Ordering, vertices: frozenset[str], owner: str) -> None:
     comparison with the set it last matched."""
     if o._matched is vertices:
         return
-    if o._vertices != vertices:
+    if o._pos.keys() != vertices:
         raise ValueError(f"ordering does not cover exactly the {owner}'s vertices")
     o._matched = vertices
 
@@ -437,7 +429,7 @@ def vertex_imbalances(o: Ordering, g: Graph) -> list[int]:
     _check_cover(o, g._vertices, "graph")
     unplaced = set(g._vertices)
     out = []
-    for v in o._seq:
+    for v in o._pos:
         unplaced.remove(v)
         nb = g._adj[v]
         out.append(abs(len(nb) - 2 * len(nb & unplaced)))

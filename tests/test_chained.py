@@ -838,6 +838,46 @@ class TestGenerate:
         with pytest.raises(SpecInvalidError, match="component 2"):
             generate_chained(ChainSpec(((2, 2), (2, 1)), ("Y",)))
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            (
+                ChainSpec(((1, 2), (2, 2)), ("X",)),
+                "overlap 1 in part X needs component 1 to have X size >= 2, got 1",
+            ),
+            (
+                ChainSpec(((2, 2), (2, 1)), ("Y",)),
+                "overlap 1 in part Y needs component 2 to have Y size >= 2, got 1",
+            ),
+            (
+                ChainSpec(((2, 2), (2, 2), (1, 3)), ("Y", "X")),
+                "overlap 2 in part X needs component 3 to have X size >= 2, got 1",
+            ),
+            (ChainSpec(((2, 2), (2, 2)), ("Q",)), "overlap 1 part must be X or Y, got 'Q'"),
+            (ChainSpec(((2, 2), (2, 2)), ()), "2 components need 1 overlaps, got 0"),
+            # Two faults: the lower-numbered overlap's is reported, and an
+            # overlap's letter before its sizes.
+            (
+                ChainSpec(((1, 2), (2, 2), (2, 2)), ("X", "Q")),
+                "overlap 1 in part X needs component 1 to have X size >= 2, got 1",
+            ),
+            (
+                ChainSpec(((2, 2), (2, 2), (2, 1)), ("Q", "Y")),
+                "overlap 1 part must be X or Y, got 'Q'",
+            ),
+            (ChainSpec(((2, 1), (2, 2)), ("Q",)), "overlap 1 part must be X or Y, got 'Q'"),
+        ],
+    )
+    def test_spec_rejection_messages(self, spec, message):
+        with pytest.raises(SpecInvalidError) as exc:
+            spec.validate()
+        assert str(exc.value) == message
+
+    def test_profile_is_the_chain_spec(self):
+        d = generate_chained(FIG_SPEC)[1]
+        assert type(d.profile()) is ChainSpec
+        assert d.profile() == FIG_SPEC == (((2, 2), (2, 2), (2, 3)), ("X", "Y"))
+
     def test_malformed_specs_rejected(self):
         with pytest.raises(SpecInvalidError):
             generate_chained(ChainSpec((), ()))

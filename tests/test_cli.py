@@ -20,6 +20,7 @@ from biclique_imbalance import (
     parse_ordering,
     verify_optimal_complete,
 )
+from biclique_imbalance import chained
 from biclique_imbalance.cli import main
 from conftest import CHAINED_EDGES
 from test_chained import FIG_SPEC, random_chain_spec, renamed
@@ -262,6 +263,33 @@ class TestSolveChained:
         assert lines[0] == "2"
         assert sorted(lines[1].split()) == ["x1", "y1", "y2"]
 
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (
+                lambda full: [full[0], *sorted(full[1:-1]), full[-1]],
+                "internal error: component subordering evaluates to ",
+            ),
+            (
+                lambda full: [full[0], *full[2:]],
+                "internal error: component subordering does not cover the component exactly\n",
+            ),
+        ],
+        ids=["suboptimal layout", "layout missing a vertex"],
+    )
+    def test_layout_that_fails_the_self_check_exits_5_and_prints_nothing(
+        self, capsys, write, monkeypatch, damage, message
+    ):
+        fill_runs = chained._fill_runs
+        monkeypatch.setattr(
+            chained, "_fill_runs", lambda a, b, same: damage(fill_runs(a, b, same))
+        )
+        g = write("chain.txt", "".join(f"{u} {v}\n" for u, v in CHAINED_EDGES))
+        code, out, err = run(capsys, "solve", "chained", g)
+        assert (code, out) == (5, "")
+        assert err.startswith(message)
+        assert err.count("\n") == 1
+
 
 class TestVerify:
     def test_optimal(self, capsys, write):
@@ -364,6 +392,14 @@ class TestDecompose:
     def test_six_cycle_exits_3(self, capsys, write):
         g = write("c6.txt", "a b\nb c\nc d\nd e\ne f\nf a\n")
         assert run(capsys, "decompose", g)[0] == 3
+
+    @pytest.mark.parametrize("command", [["decompose"], ["solve", "chained"]])
+    def test_empty_file_exits_3(self, capsys, write, command):
+        assert run(capsys, *command, write("empty.txt", "")) == (
+            3,
+            "",
+            "error: not a chained complete bipartite graph: graph has no vertices\n",
+        )
 
     def test_orientation_tie_puts_the_larger_vertex_list_first(self, capsys, write):
         # both end components have the overlap a as their smallest vertex
@@ -478,6 +514,13 @@ class TestGen:
             "error: expected a decimal natural number, got '²'\n",
         )
 
+    def test_complete_with_an_empty_part_exits_2(self, capsys):
+        assert run(capsys, "gen", "complete", "0", "3") == (
+            2,
+            "",
+            "error: part sizes must be at least 1\n",
+        )
+
     def test_chained_with_sidecar_report(self, capsys, write):
         spec = write(
             "spec.txt", "component 2 2\noverlap X\ncomponent 2 2\noverlap Y\ncomponent 2 3\n"
@@ -499,6 +542,14 @@ class TestGen:
     def test_singleton_overlap_spec_exits_3(self, capsys, write):
         spec = write("bad.txt", "component 1 2\noverlap X\ncomponent 2 2\n")
         assert run(capsys, "gen", "chained", "--spec", spec)[0] == 3
+
+    def test_overlap_in_no_part_exits_2(self, capsys, write):
+        spec = write("bad.txt", "component 2 2\noverlap Z\ncomponent 2 2\n")
+        assert run(capsys, "gen", "chained", "--spec", spec) == (
+            2,
+            "",
+            "error: line 2: overlap line must be 'overlap X' or 'overlap Y': 'overlap Z'\n",
+        )
 
     @pytest.mark.parametrize("size", ["1_0", "+2", "-1", "²"])
     def test_spec_size_that_is_no_decimal_natural_number_exits_2(self, capsys, write, size):

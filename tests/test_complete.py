@@ -163,6 +163,10 @@ class TestShifts:
 
 
 class TestVerifier:
+    def test_empty_part_rejected(self):
+        with pytest.raises(ValueError, match="^verification requires both parts non-empty$"):
+            verify_optimal_complete(Ordering(["a"]), Bipartition({"a"}, ()))
+
     def test_optimal_k22(self):
         _, b = complete_bigraph(2, 2)
         v = verify_optimal_complete(Ordering(["y1", "x1", "x2", "y2"]), b)

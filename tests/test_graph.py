@@ -206,6 +206,33 @@ class TestOrdering:
         with pytest.raises(GraphParseError):
             parse_ordering("a a")
 
+    def test_position_of_a_vertex_not_in_the_ordering(self):
+        with pytest.raises(ValueError, match=r"^vertex 'z' not in ordering$"):
+            Ordering(["a"]).position("z")
+
+    def test_views_follow_the_sequence(self):
+        o = Ordering(("c", "a", "b"))
+        assert o.sequence == ("c", "a", "b")
+        assert o.vertices == frozenset("abc")
+        assert (list(o), len(o), "a" in o, "z" in o) == (["c", "a", "b"], 3, True, False)
+        assert o == Ordering(["c", "a", "b"]) != Ordering(["a", "b", "c"])
+        assert hash(o) == hash(("c", "a", "b"))
+        assert repr(o) == "Ordering(c, a, b)"
+
+
+class TestGraph:
+    def test_self_loop_rejected(self):
+        with pytest.raises(ValueError, match=r"^self-loop on 'a'$"):
+            Graph((), [("a", "a")])
+
+    def test_bad_token_is_reported_before_an_earlier_self_loop(self):
+        with pytest.raises(ValueError, match="vertex token must be .*, got 'c d'$"):
+            Graph((), [("a", "a"), ("b", "c d")])
+
+    def test_neighbors_of_a_vertex_not_in_the_graph(self):
+        with pytest.raises(ValueError, match=r"^vertex 'z' not in graph$"):
+            Graph(["a"]).neighbors("z")
+
 
 @pytest.mark.parametrize("token", ["", "a b", "a\u2003b", "a\x85b", "a\x1cb", 7])
 def test_graph_and_ordering_reject_bad_tokens(token):

@@ -1,7 +1,9 @@
 """Result records: named tuples, plus the immutable slotted Bipartition."""
 
 import copy
+import inspect
 import pickle
+import typing
 from fractions import Fraction
 
 import pytest
@@ -167,6 +169,23 @@ def test_interval_representation_is_exact():
     rep = interval_representation(d)
     assert rep["x2"] == (Fraction(7), Fraction(11))
     assert all(type(end) is Fraction for pair in rep.values() for end in pair)
+
+
+def test_every_public_annotation_resolves():
+    resolved = []
+    for name in biclique_imbalance.__all__:
+        obj = getattr(biclique_imbalance, name)
+        if inspect.isfunction(obj):
+            resolved.append(typing.get_type_hints(obj))
+        elif inspect.isclass(obj):
+            for member in vars(obj).values():
+                fn = member.fget if isinstance(member, property) else member
+                fn = getattr(fn, "func", fn)  # a cached_property's function
+                if inspect.isfunction(fn):
+                    resolved.append(typing.get_type_hints(fn))
+    assert len(resolved) > 50
+    hints = typing.get_type_hints(interval_representation)
+    assert hints["return"] == dict[str, tuple[Fraction, Fraction]]
 
 
 # The public names, sorted. Dropping or adding one changes this list.
