@@ -21,8 +21,11 @@ at an overlap alone in its part of a component (see _walk_chain), so
 maximality is a size test at each overlap; only exits and failure witnesses
 get sorted. Construction of optimal orderings lays out each component
 between its two boundary vertices as at most six alternating runs of its two
-parts, read off the run-length table of the complete case, and validates
-each against the closed form before emitting anything.
+parts, read off the run-length table of the complete case. Which vertices
+fill a run does not change the imbalance: the rest go in sorted order,
+descending (the mirror image of the block built from the far end) when the
+boundaries lie in different parts, the first one's even and the last one's
+odd. Each block is checked against the closed form before any is emitted.
 """
 
 from __future__ import annotations
@@ -156,10 +159,13 @@ def _walk_chain(
 ) -> tuple[list[ChainComponent], list[str]]:
     """Components and overlaps, walking out from the component of start.
 
-    start is no overlap, so its component is the closure of its neighbors; it
-    may lie mid-chain, with two exits. From exit s the next component is the
-    closure of s's neighbors outside the last one. It has at most one exit
-    besides s and meets the components found before it only at s.
+    start is no overlap, so its component is the closure of its neighbors,
+    an end component on a chain: a later one would hold a vertex farther from
+    the search root, as no overlap is alone in its part. So the second
+    direction, from a second exit, runs only on graphs that are then
+    rejected. From exit s the next component is the closure of s's neighbors
+    outside the last one. It has at most one exit besides s and meets the
+    components found before it only at s.
 
     A walk that returns on a connected bipartite graph with an edge leaves
     only maximality to test. Each component is complete with both parts
@@ -267,63 +273,42 @@ def min_imbalance_chained(d: ChainDecomposition) -> int:
     return total
 
 
-def _between(comp: ChainComponent, s_prev: str, s_next: str) -> list[str]:
-    """Tokens between the boundary vertices of one component's subordering.
-
-    The runs start with s_prev's part A and hold s_next last in its own part.
-    """
-    prev_x = s_prev in comp.x_part
-    same = prev_x == (s_next in comp.x_part)
-    a, b = (comp.x_part, comp.y_part) if prev_x else (comp.y_part, comp.x_part)
-    # Across parts, the runs need s_prev's part odd unless both are even;
-    # mirror (build from the other end, then flip) when only s_next's is odd.
-    mirror = not same and len(a) % 2 == 0 and len(b) % 2 == 1
-    if mirror:
-        a, b, s_prev, s_next = b, a, s_next, s_prev
-    if not same and len(a) == 1 < len(b):
-        raise ConstructionInvariantViolatedError(
-            f"boundary vertex in a singleton part of K({len(a)}, {len(b)}) admits no "
-            "optimal ordering"
-        )
-    a_seq = [s_prev, *sorted(a - {s_prev, s_next})]
-    b_seq = sorted(b - {s_next})
-    (a_seq if same else b_seq).append(s_next)
-    full = _fill_runs(a_seq, b_seq, same)
-    if mirror:
-        full.reverse()
-    return full[1:-1]
-
-
-def _validated_subordering(
-    comp: ChainComponent, s_prev: str, s_next: str
-) -> list[str]:
+def _validated_subordering(comp: ChainComponent, s_prev: str, s_next: str) -> list[str]:
     """The tokens of comp between its boundary vertices s_prev and s_next.
 
     The boundaries are two distinct vertices of comp: the real overlaps, or
-    the synthesized endpoints for the first and last components. s_prev, the
-    tokens and s_next, in that order, make an imbalance-optimal ordering of
-    comp with the boundaries at its extremes; it is validated by direct
-    evaluation before being returned.
+    the synthesized endpoints for the first and last components. One deal
+    into the run table builds the whole block (see the module docstring); it
+    must cover comp, run from s_prev to s_next and evaluate to the closed form.
     """
     if s_prev == s_next or not {s_prev, s_next} <= comp.vertices:
         raise ValueError(
             f"boundary vertices must be two distinct members of the component, "
             f"got {s_prev!r}, {s_next!r}"
         )
-    mid = _between(comp, s_prev, s_next)
-    full = [s_prev, *mid, s_next]
-    if len(full) != len(comp.vertices) or frozenset(full) != comp.vertices:
+    a, b = (comp.x_part, comp.y_part) if s_prev in comp.x_part else (comp.y_part, comp.x_part)
+    same = s_next in a
+    descending = not same and len(a) % 2 == 0 and len(b) % 2 == 1
+    a_seq = [s_prev, *sorted(a - {s_prev, s_next}, reverse=descending)]
+    b_seq = sorted(b - {s_next}, reverse=descending)
+    (a_seq if same else b_seq).append(s_next)
+    block = _fill_runs(a_seq, b_seq, same)
+    if len(block) != len(comp.vertices) or frozenset(block) != comp.vertices:
         raise ConstructionInvariantViolatedError(
             "component subordering does not cover the component exactly"
         )
-    achieved = sum(abs(s) for part in _signed_imbalances(full, comp) for s in part)
+    if (block[0], block[-1]) != (s_prev, s_next):
+        raise ConstructionInvariantViolatedError(
+            f"component subordering does not run from {s_prev} to {s_next}"
+        )
+    achieved = sum(abs(s) for part in _signed_imbalances(block, comp) for s in part)
     expected = min_imbalance_formula(comp.nx, comp.ny)
     if achieved != expected:
         raise ConstructionInvariantViolatedError(
             f"component subordering evaluates to {achieved}, expected {expected} "
             f"for K({comp.nx}, {comp.ny}) with boundaries {s_prev}, {s_next}"
         )
-    return mid
+    return block[1:-1]
 
 
 def _pick_endpoint(comp: ChainComponent, exclude: set[str]) -> str:

@@ -189,9 +189,10 @@ def verify_optimal_complete(o: Ordering, b: Bipartition) -> OptimalityVerdict:
     improve the ordering), and one designation alone misses degenerate
     profiles such as (x1, y1, x2, y2, y3) on K(2, 3). One pass, linear time:
     P1-P3 are sign tests on the signed imbalances whose absolute values sum
-    to the achieved value. The independent checks are the graph evaluator
-    and the exhaustive oracle in the test suite, which cross-validate the
-    properties as exactly equivalent to optimality.
+    to the achieved value. The independent checks are the graph evaluator,
+    the exhaustive oracle and the balanced-halves test in the test suite
+    (TestBalancedHalves, which shares no code with P1-P3); they
+    cross-validate the properties as exactly equivalent to optimality.
     """
     nx, ny = len(b.x_part), len(b.y_part)
     if nx < 1 or ny < 1:

@@ -14,6 +14,7 @@ from biclique_imbalance import (
     ChainComponent,
     ChainDecomposition,
     ChainSpec,
+    ConstructionInvariantViolatedError,
     Graph,
     GraphParseError,
     NotBipartiteError,
@@ -37,7 +38,15 @@ from biclique_imbalance import (
     parse_chain_spec,
     vertex_imbalance,
 )
-from biclique_imbalance.chained import _check_maximal, _validated_subordering
+from biclique_imbalance.chained import (
+    _biclique_closure,
+    _check_maximal,
+    _exits,
+    _pick_endpoint,
+    _validated_subordering,
+)
+from biclique_imbalance.complete import _fill_runs
+from biclique_imbalance.graph import _bipartition_and_roots
 from conftest import chained_example_graph, complete_bigraph
 
 FIG_SPEC = ChainSpec(((2, 2), (2, 2), (2, 3)), ("X", "Y"))
@@ -728,31 +737,59 @@ class TestComponentSubordering:
         assert vertex_imbalance("x7", full, g) == 7
 
     def test_all_boundary_placements_of_small_components(self):
-        # every legal boundary pair must produce a block meeting the closed form
+        def mirror_and_flip(comp, s_prev, s_next):
+            # Reference layout: ascending deals, but across parts with only
+            # s_next's part odd, build from s_next's end and flip the block.
+            a, b = comp.x_part, comp.y_part
+            if s_prev not in a:
+                a, b = b, a
+            same = s_next in a
+            mirror = not same and len(a) % 2 == 0 and len(b) % 2 == 1
+            if mirror:
+                a, b, s_prev, s_next = b, a, s_next, s_prev
+            a_seq = [s_prev, *sorted(a - {s_prev, s_next})]
+            b_seq = sorted(b - {s_next})
+            (a_seq if same else b_seq).append(s_next)
+            full = _fill_runs(a_seq, b_seq, same)
+            return full[::-1] if mirror else full
+
+        # every legal boundary pair must produce that block, meeting the closed form
         for a, b in itertools.product(range(1, 7), repeat=2):
             g, bp = complete_bigraph(a, b)
             comp = ChainComponent(bp.x_part, bp.y_part)
             want = min_imbalance_formula(a, b)
             for s_prev, s_next in itertools.permutations(sorted(g.vertices), 2):
                 part_of = lambda v: bp.x_part if v in bp.x_part else bp.y_part
-                if len(part_of(s_prev)) == 1 and (a, b) != (1, 1):
-                    continue  # no optimal ordering pins a singleton-part vertex
-                if len(part_of(s_next)) == 1 and (a, b) != (1, 1):
+                if (a, b) != (1, 1) and 1 in (len(part_of(s_prev)), len(part_of(s_next))):
+                    # no optimal ordering pins a singleton-part vertex
+                    with pytest.raises(ConstructionInvariantViolatedError):
+                        _validated_subordering(comp, s_prev, s_next)
                     continue
-                mid = _validated_subordering(comp, s_prev, s_next)
-                full = Ordering([s_prev, *mid, s_next])
-                assert ordering_imbalance(full, g) == want, (a, b, s_prev, s_next)
+                full = [s_prev, *_validated_subordering(comp, s_prev, s_next), s_next]
+                assert full == mirror_and_flip(comp, s_prev, s_next), (a, b, s_prev, s_next)
+                assert ordering_imbalance(Ordering(full), g) == want, (a, b, s_prev, s_next)
+        # An overlap alone in its part of C1, which decompose never returns.
+        lone = ChainDecomposition(
+            (
+                ChainComponent(frozenset({"s"}), frozenset({"y1", "y2"})),
+                ChainComponent(frozenset({"s", "x2"}), frozenset({"y3", "y4"})),
+            ),
+            ("s",),
+            (True,),
+        )
+        with pytest.raises(ConstructionInvariantViolatedError):
+            construct_optimal_chained(lone)
 
     def test_golden_orderings(self):
         # One component per row (and parity) of the run-length table, the
-        # mirrored row included, then the complete constructor.
+        # descending deal included, then the complete constructor.
         cases = [
             (4, 3, "x1", "x4", "x2 y1 y2 y3 x3"),  # same part, even
             (5, 2, "x2", "x4", "x1 y1 x3 y2 x5"),  # same part, odd
             (3, 5, "x2", "y3", "y1 y2 x1 y4 y5 x3"),  # different parts, both odd
             (3, 4, "x1", "y2", "y1 y3 x2 x3 y4"),  # different, first odd
             (4, 2, "y2", "x3", "x1 x2 y1 x4"),  # different, both even
-            (4, 3, "x3", "y1", "x4 y3 y2 x2 x1"),  # mirror: first even, second odd
+            (4, 3, "x3", "y1", "x4 y3 y2 x2 x1"),  # different, first even: descending
         ]
         for a, b, s_prev, s_next, want in cases:
             _, bp = complete_bigraph(a, b)
@@ -774,6 +811,11 @@ class TestComponentSubordering:
 
 
 class TestConstructChained:
+    def test_no_endpoint_left_in_a_one_vertex_component(self):
+        comp = ChainComponent(frozenset({"s"}), frozenset())
+        with pytest.raises(ValueError, match="^component has no available endpoint vertex$"):
+            _pick_endpoint(comp, {"s"})
+
     def test_glued_k22s_exact(self):
         g, d = generate_chained(GLUED_SPEC)
         o = construct_optimal_chained(d)
@@ -905,13 +947,14 @@ class TestRandomizedRoundTrips:
             assert chain_condition_failures(g, dd) == []
             done += 1
 
-    def test_renamed_chains_roundtrip(self):
-        # Names decide the BFS root, so renaming moves where the search
-        # starts. Star chains are paths, where a component centre and an
-        # overlap look the same locally.
-        rng = random.Random(5150)
+    @staticmethod
+    def renamed_chains(rng, count=60):
+        """count random small chains, then star chains of 1 to 12 components,
+        each under three random renamings. Names decide the BFS root, so
+        renaming moves where the search starts. Star chains are paths, where
+        a component centre and an overlap look the same locally."""
         specs = []
-        while len(specs) < 60:
+        while len(specs) < count:
             spec = random_chain_spec(rng, max_comps=8, max_total=60, max_part=4)
             if spec is not None:
                 specs.append(spec)
@@ -920,10 +963,22 @@ class TestRandomizedRoundTrips:
             specs.append(ChainSpec(((2, 1),) * n, ("X",) * (n - 1)))
         for spec in specs:
             for _ in range(3):
-                g, d = renamed(*generate_chained(spec), rng)
-                dd = decompose(g)
-                assert same_chain_up_to_reversal(d, dd), spec
-                assert chain_condition_failures(g, dd) == [], spec
+                yield spec, renamed(*generate_chained(spec), rng)
+
+    def test_renamed_chains_roundtrip(self):
+        for spec, (g, d) in self.renamed_chains(random.Random(5150)):
+            dd = decompose(g)
+            assert same_chain_up_to_reversal(d, dd), spec
+            assert chain_condition_failures(g, dd) == [], spec
+
+    def test_walk_starts_in_an_end_component(self):
+        # The vertex the search reached last lies in an end component: a later
+        # component holds a vertex farther from the root, as no overlap is
+        # alone in its part. So the walk's start component has one exit at most.
+        for spec, (g, _) in self.renamed_chains(random.Random(2927), count=600):
+            b, _, last = _bipartition_and_roots(g)
+            first = _biclique_closure(g, b, g._adj[last])
+            assert len(_exits(g, first, last, 2)) <= 1, spec
 
     def test_no_overlap_in_singleton_part(self):
         rng = random.Random(11)

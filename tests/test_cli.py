@@ -178,6 +178,11 @@ class TestSolveComplete:
         assert out.strip() == _schoolbook_product_plus_one(a, b)
         assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
+    def test_runs_on_an_interpreter_without_a_digit_limit(self, capsys, monkeypatch):
+        # Before Python 3.10.7 sys has no int/str digit limit to lift.
+        monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+        assert run(capsys, "solve", "complete", "--parts", "3", "3") == (0, "10\n", "")
+
     def test_parts_reject_garbage(self, capsys):
         code, _, _ = run(capsys, "solve", "complete", "--parts", "-3", "4")
         assert code == 2

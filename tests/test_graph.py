@@ -216,6 +216,7 @@ class TestOrdering:
         assert o.vertices == frozenset("abc")
         assert (list(o), len(o), "a" in o, "z" in o) == (["c", "a", "b"], 3, True, False)
         assert o == Ordering(["c", "a", "b"]) != Ordering(["a", "b", "c"])
+        assert o != ("c", "a", "b")
         assert hash(o) == hash(("c", "a", "b"))
         assert repr(o) == "Ordering(c, a, b)"
 
@@ -232,6 +233,12 @@ class TestGraph:
     def test_neighbors_of_a_vertex_not_in_the_graph(self):
         with pytest.raises(ValueError, match=r"^vertex 'z' not in graph$"):
             Graph(["a"]).neighbors("z")
+
+    def test_equality_and_repr(self):
+        g = Graph(["d"], [("a", "b"), ("b", "c")])
+        assert g == Graph(["d"], [("b", "c"), ("a", "b")]) != Graph((), [("a", "b")])
+        assert g != {"a": {"b"}, "b": {"a", "c"}, "c": {"b"}, "d": set()}
+        assert repr(g) == "Graph(4 vertices, 2 edges)"
 
 
 @pytest.mark.parametrize("token", ["", "a b", "a\u2003b", "a\x85b", "a\x1cb", 7])
