@@ -21,11 +21,11 @@ at an overlap alone in its part of a component (see _walk_chain), so
 maximality is a size test at each overlap; only exits and failure witnesses
 get sorted. Construction of optimal orderings lays out each component
 between its two boundary vertices as at most six alternating runs of its two
-parts, read off the run-length table of the complete case. Which vertices
-fill a run does not change the imbalance: the rest go in sorted order,
-descending (the mirror image of the block built from the far end) when the
-boundaries lie in different parts, the first one's even and the last one's
-odd. Each block is checked against the closed form before any is emitted.
+parts, dealt by _fill_runs of the complete case. Which vertices fill a run
+does not change the imbalance: the rest go in sorted order, descending (the
+mirror image of the block built from the far end) when the boundaries lie in
+different parts, the first one's even and the last one's odd. Each block is
+checked against the closed form before any is emitted.
 """
 
 from __future__ import annotations
@@ -132,8 +132,10 @@ class ChainSpec(namedtuple("ChainSpec", "sizes overlap_parts")):
 def _biclique_closure(g: Graph, b: Bipartition, side: frozenset[str]) -> ChainComponent:
     """The maximal biclique with one part generated by side, a color class: the
     common neighbors of side, all in the other class, are the other part."""
-    pair = (side, frozenset.intersection(*map(g._adj.__getitem__, side)))
-    return ChainComponent(*(pair if next(iter(side)) in b.x_part else pair[::-1]))
+    common = frozenset.intersection(*map(g._adj.__getitem__, side))
+    if next(iter(side)) in b.x_part:
+        return ChainComponent(side, common)
+    return ChainComponent(common, side)
 
 
 def _exits(g: Graph, comp: ChainComponent, entry: str, limit: int) -> list[str]:
@@ -141,12 +143,13 @@ def _exits(g: Graph, comp: ChainComponent, entry: str, limit: int) -> list[str]:
     is complete, so their degree exceeds the size of the opposite part. More
     than limit of them means the chain branches at comp."""
     adj = g._adj
-    out = sorted(
-        v
-        for part, opposite in ((comp.x_part, comp.ny), (comp.y_part, comp.nx))
-        for v in part
-        if len(adj[v]) > opposite and v != entry
-    )
+    x, y = comp.x_part, comp.y_part
+    out = []
+    for part, opposite in ((x, len(y)), (y, len(x))):
+        for v in part:
+            if len(adj[v]) > opposite and v != entry:
+                out.append(v)
+    out.sort()
     if len(out) > limit:
         raise NotChainedError(
             f"the chain branches at the component reached through {entry}: {', '.join(out)}"
@@ -266,9 +269,10 @@ def g_count(d: ChainDecomposition, s: str, j: int) -> int:
 
 def min_imbalance_chained(d: ChainDecomposition) -> int:
     """Closed-form minimum imbalance of the chained graph."""
-    total = sum(min_imbalance_formula(c.nx, c.ny) for c in d.components)
-    for a, c, in_x in zip(d.components, d.components[1:], d.overlap_in_x):
-        left, right = (a.ny, c.ny) if in_x else (a.nx, c.nx)
+    sizes = [(len(c.x_part), len(c.y_part)) for c in d.components]
+    total = sum(min_imbalance_formula(nx, ny) for nx, ny in sizes)
+    for a, c, in_x in zip(sizes, sizes[1:], d.overlap_in_x):
+        left, right = a[in_x], c[in_x]  # the Y sizes if the overlap is in X
         total += abs(left - right) - left - right
     return total
 
@@ -281,28 +285,30 @@ def _validated_subordering(comp: ChainComponent, s_prev: str, s_next: str) -> li
     into the run table builds the whole block (see the module docstring); it
     must cover comp, run from s_prev to s_next and evaluate to the closed form.
     """
-    if s_prev == s_next or not {s_prev, s_next} <= comp.vertices:
+    x, y, vertices = comp.x_part, comp.y_part, comp.vertices
+    if s_prev == s_next or s_prev not in vertices or s_next not in vertices:
         raise ValueError(
             f"boundary vertices must be two distinct members of the component, "
             f"got {s_prev!r}, {s_next!r}"
         )
-    a, b = (comp.x_part, comp.y_part) if s_prev in comp.x_part else (comp.y_part, comp.x_part)
+    a, b = (x, y) if s_prev in x else (y, x)
     same = s_next in a
     descending = not same and len(a) % 2 == 0 and len(b) % 2 == 1
     a_seq = [s_prev, *sorted(a - {s_prev, s_next}, reverse=descending)]
     b_seq = sorted(b - {s_next}, reverse=descending)
     (a_seq if same else b_seq).append(s_next)
     block = _fill_runs(a_seq, b_seq, same)
-    if len(block) != len(comp.vertices) or frozenset(block) != comp.vertices:
+    if len(block) != len(vertices) or frozenset(block) != vertices:
         raise ConstructionInvariantViolatedError(
             "component subordering does not cover the component exactly"
         )
-    if (block[0], block[-1]) != (s_prev, s_next):
+    if block[0] != s_prev or block[-1] != s_next:
         raise ConstructionInvariantViolatedError(
             f"component subordering does not run from {s_prev} to {s_next}"
         )
-    achieved = sum(abs(s) for part in _signed_imbalances(block, comp) for s in part)
-    expected = min_imbalance_formula(comp.nx, comp.ny)
+    xs, ys = _signed_imbalances(block, comp)
+    achieved = sum(map(abs, xs)) + sum(map(abs, ys))
+    expected = min_imbalance_formula(len(x), len(y))
     if achieved != expected:
         raise ConstructionInvariantViolatedError(
             f"component subordering evaluates to {achieved}, expected {expected} "

@@ -2,7 +2,7 @@
 
 Minimum imbalance of K(a, b) is a*b + (a mod 2)*(b mod 2). This module also
 builds optimal orderings (sandwich / pseudo-sandwich) as at most six
-alternating runs of the two parts, read off one run-length table; computes
+alternating runs of the two parts, dealt by one slice expression; computes
 the profile of Y positions and the X blocks between them; applies the median
 shifts that preserve optimality, each of which moves one Y vertex to an end
 of the ordering; and verifies optimality of arbitrary orderings in one
@@ -38,29 +38,22 @@ def min_imbalance_formula(nx: int, ny: int) -> int:
     return nx * ny + (nx % 2) * (ny % 2)
 
 
-def _run_lengths(p: int, q: int, same: bool) -> tuple[int, ...]:
-    """Run lengths of an optimal ordering of K(p, q) that starts in part A.
-
-    Runs alternate A, B, A, ... from the part A (size p) of the first
-    vertex; same says the last vertex lies in A as well.
-    """
-    if same:
-        return (p // 2, q // 2, p % 2, q - q // 2, p // 2)
-    if p % 2 and q % 2:
-        return (p // 2, q // 2, 1, q // 2, p // 2, 1)
-    return (p // 2, q - q // 2, p - p // 2, q // 2)
-
-
 def _fill_runs(a: list[str], b: list[str], same: bool) -> list[str]:
-    """Deal the lists a (part A) and b, in order, into the runs of K(|a|, |b|)."""
-    lists = (a, b)
-    taken = [0, 0]
-    out: list[str] = []
-    for k, length in enumerate(_run_lengths(len(a), len(b), same)):
-        part = k % 2
-        out += lists[part][taken[part] : taken[part] + length]
-        taken[part] += length
-    return out
+    """Deal the lists a (part A) and b, in order, into the runs of an optimal
+    ordering of K(|a|, |b|) that starts in A; same says it ends in A as well.
+
+    This is the run table: the runs alternate A, B, A, B, A, B and take
+    a[:h], b[:j], a[h:p-h], b[j:m], a[p-h:], b[m:], some of them empty.
+    """
+    p, q = len(a), len(b)
+    h = p // 2
+    if same:
+        j, m = q // 2, q
+    elif p % 2 and q % 2:
+        j, m = q // 2, q - 1
+    else:
+        j = m = q - q // 2
+    return a[:h] + b[:j] + a[h : p - h] + b[j:m] + a[p - h :] + b[m:]
 
 
 def construct_optimal_complete(b: Bipartition) -> Ordering:
@@ -150,11 +143,12 @@ def _signed_imbalances(seq: Iterable[str], b: Bipartition) -> tuple[list[int], l
     """Signed imbalances (neighbors before minus neighbors after) of the X and
     of the Y vertices of seq, in sequence order, on the complete bigraph of b.
     """
-    nx, ny = len(b.x_part), len(b.y_part)
+    x = b.x_part
+    nx, ny = len(x), len(b.y_part)
     xs: list[int] = []
     ys: list[int] = []
     for v in seq:
-        if v in b.x_part:
+        if v in x:
             xs.append(2 * len(ys) - ny)
         else:
             ys.append(2 * len(xs) - nx)

@@ -10,16 +10,17 @@ carriage return into its tokens once; the text is plain `u v` lines iff it
 equals those tokens rendered as such lines. Any other text is read line by
 line, and only that reader raises parse errors. Both feed one adjacency map
 of lists, two appends per edge, that the graph freezes into sets. Everything
-after that works on whole sets: the bipartition search takes one set
-difference per vertex, its neighbors minus the other color class, which holds
-the clashing neighbors and the ones it newly reaches, and sorts only the
-latter. Its whole state is the two color classes and a parent link per
-reached vertex; as every edge joins them, the graph is complete iff it has
-nx * ny edges. The check of a given partition tests each part's adjacency
-sets for disjointness from the part. Both are linear in V + E apart from
-those sorts, and build an error's witness only when they fail. The evaluator
-walks the ordering once with the set of vertices not yet placed, and counts
-each vertex's later neighbors as the size of one intersection with that set.
+after that works on whole sets: the bipartition search tests whether a
+vertex's neighbors all lie in the other color class, which builds no set, and
+only if not takes their difference, the clashing neighbors and the ones it
+newly reaches, and sorts the latter. Its whole state is the two color classes
+and a parent link per reached vertex; as every edge joins them, the graph is
+complete iff it has nx * ny edges. The check of a given partition tests each
+part's adjacency sets for disjointness from the part. Both are linear in
+V + E apart from those sorts, and build an error's witness only when they
+fail. The evaluator walks the ordering once with the set of vertices not yet
+placed, and counts each vertex's later neighbors as the size of one
+intersection with that set.
 """
 
 from __future__ import annotations
@@ -348,42 +349,40 @@ def _bipartition_and_roots(g: Graph) -> tuple[Bipartition, list[str], str | None
     first. The whole graph is two-colored before this returns, so a graph
     that is both disconnected and not bipartite raises NotBipartiteError.
 
-    The search keeps two records: the color classes, as the sets sides[True]
-    (X) and sides[False] (Y), and the parent links, in the order the search
-    reached the vertices. A vertex's color is its membership in sides[True].
+    The search keeps two records: the color classes, as the sets xs (X) and
+    ys (Y), and the parent links, in the order the search reached the vertices.
     """
+    adj = g._adj
     roots: list[str] = []
-    sides: dict[bool, set[str]] = {True: set(), False: set()}
+    xs: set[str] = set()
+    ys: set[str] = set()
     parent: dict[str, str | None] = {}
-    for root in sorted(g.vertices):
+    for root in sorted(adj):
         if root in parent:
             continue
         roots.append(root)
-        sides[True].add(root)
+        xs.add(root)
         parent[root] = None
         queue = deque([root])
         while queue:
             v = queue.popleft()
-            c = v in sides[True]
-            # Neighbors not in the other color class: the clashing ones and
-            # the ones this search has not reached yet.
-            rest = g._adj[v].difference(sides[not c])
-            same = sides[c]
+            same, other = (xs, ys) if v in xs else (ys, xs)
+            nb = adj[v]
+            if nb <= other:  # no clash, and nothing new to reach
+                continue
+            # The clashing neighbors and the ones this search has not reached.
+            rest = nb - other
             if not rest.isdisjoint(same):
                 # The smallest clashing neighbor is the one a scan of the
                 # sorted neighbors would meet first.
-                w = min(rest & same)
-                raise NotBipartiteError(_odd_cycle_witness(v, w, parent))
-            if not rest:
-                continue
+                raise NotBipartiteError(_odd_cycle_witness(v, min(rest & same), parent))
             reached = sorted(rest)
-            sides[not c].update(reached)
+            other.update(reached)
             for w in reached:
                 parent[w] = v
             queue.extend(reached)
     # parent holds the vertices in the order the search reached them.
-    b = Bipartition(frozenset(sides[True]), frozenset(sides[False]))
-    return b, roots, next(reversed(parent), None)
+    return Bipartition(xs, ys), roots, next(reversed(parent), None)
 
 
 def _check_partition_of(g: Graph, b: Bipartition) -> None:

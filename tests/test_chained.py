@@ -781,7 +781,7 @@ class TestComponentSubordering:
             construct_optimal_chained(lone)
 
     def test_golden_orderings(self):
-        # One component per row (and parity) of the run-length table, the
+        # One component per case (and parity) of the run table, the
         # descending deal included, then the complete constructor.
         cases = [
             (4, 3, "x1", "x4", "x2 y1 y2 y3 x3"),  # same part, even

@@ -21,6 +21,7 @@ from biclique_imbalance import (
     vertex_imbalance,
     y_position_profile,
 )
+from biclique_imbalance.complete import _fill_runs
 from conftest import complete_bigraph
 
 
@@ -91,6 +92,31 @@ class TestConstructor:
             g, bp = complete_bigraph(a, b)
             o = construct_optimal_complete(bp)
             assert ordering_imbalance(o, g) == min_imbalance_formula(a, b)
+
+    def test_deal_matches_a_run_length_loop(self):
+        def run_length_deal(a, b, same):
+            # A run-length table and a loop that deals each run in turn.
+            p, q = len(a), len(b)
+            if same:
+                lengths = (p // 2, q // 2, p % 2, q - q // 2, p // 2)
+            elif p % 2 and q % 2:
+                lengths = (p // 2, q // 2, 1, q // 2, p // 2, 1)
+            else:
+                lengths = (p // 2, q - q // 2, p - p // 2, q // 2)
+            lists, taken, out = (a, b), [0, 0], []
+            for k, length in enumerate(lengths):
+                part = k % 2
+                out += lists[part][taken[part] : taken[part] + length]
+                taken[part] += length
+            return out
+
+        for p, q in itertools.product(range(1, 13), repeat=2):
+            a = [f"a{i}" for i in range(1, p + 1)]
+            b = [f"b{i}" for i in range(1, q + 1)]
+            for same in (True, False):
+                dealt = _fill_runs(a, b, same)
+                assert dealt == run_length_deal(a, b, same), (p, q, same)
+                assert sorted(dealt) == sorted(a + b), (p, q, same)
 
 
 FIG_SEQ = ["x1", "x2", "y1", "x3", "y2", "x4", "x5", "x6", "y3", "x7", "x8", "y4", "x9", "x10"]
