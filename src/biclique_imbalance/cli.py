@@ -165,17 +165,19 @@ def _emit_edge_list(g: Graph) -> None:
     print("\n".join(lines))
 
 
-def _cmd_gen(args: argparse.Namespace) -> int:
-    if args.kind == "complete":
-        nx_size, ny_size = map(_parse_nat, (args.nx, args.ny))
-        if nx_size < 1 or ny_size < 1:
-            raise GraphParseError("part sizes must be at least 1")
-        # One write per row: "x{i}" joins the row's line tails.
-        tails = [f" y{j}\n" for j in range(1, ny_size + 1)]
-        for i in range(1, nx_size + 1):
-            x = f"x{i}"
-            sys.stdout.write(x + x.join(tails))
-        return EXIT_OK
+def _cmd_gen_complete(args: argparse.Namespace) -> int:
+    nx_size, ny_size = map(_parse_nat, (args.nx, args.ny))
+    if nx_size < 1 or ny_size < 1:
+        raise GraphParseError("part sizes must be at least 1")
+    # One write per row: "x{i}" joins the row's line tails.
+    tails = [f" y{j}\n" for j in range(1, ny_size + 1)]
+    for i in range(1, nx_size + 1):
+        x = f"x{i}"
+        sys.stdout.write(x + x.join(tails))
+    return EXIT_OK
+
+
+def _cmd_gen_chained(args: argparse.Namespace) -> int:
     spec = parse_chain_spec(_read(args.spec))
     graph, _ = generate_chained(spec)
     if args.shuffle_names is not None:
@@ -237,11 +239,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gc = gen_sub.add_parser("complete")
     p_gc.add_argument("nx")
     p_gc.add_argument("ny")
-    p_gc.set_defaults(func=_cmd_gen)
+    p_gc.set_defaults(func=_cmd_gen_complete)
     p_gch = gen_sub.add_parser("chained")
     p_gch.add_argument("--spec", required=True)
     p_gch.add_argument("--shuffle-names", type=int, default=None, metavar="SEED")
-    p_gch.set_defaults(func=_cmd_gen)
+    p_gch.set_defaults(func=_cmd_gen_chained)
 
     return parser
 

@@ -385,21 +385,16 @@ def _bipartition_and_roots(g: Graph) -> tuple[Bipartition, list[str], str | None
     return Bipartition(xs, ys), roots, next(reversed(parent), None)
 
 
-def _check_partition_of(g: Graph, b: Bipartition) -> None:
+def is_complete_bipartite(g: Graph, b: Bipartition) -> bool:
+    """True iff g has every cross edge of the bipartition."""
     if b.vertices != g.vertices:
         raise ValueError("bipartition does not cover exactly the graph's vertices")
     parts = (b.x_part, b.y_part)
-    if all(g.neighbors(u).isdisjoint(part) for part in parts for u in part):
-        return
-    u, v = min(
-        (u, v) for part in parts for u in part for v in g.neighbors(u) & part if u < v
-    )
-    raise ValueError(f"edge {u}-{v} joins two vertices of the same part")
-
-
-def is_complete_bipartite(g: Graph, b: Bipartition) -> bool:
-    """True iff g has every cross edge of the bipartition."""
-    _check_partition_of(g, b)
+    if not all(g.neighbors(u).isdisjoint(part) for part in parts for u in part):
+        u, v = min(
+            (u, v) for part in parts for u in part for v in g.neighbors(u) & part if u < v
+        )
+        raise ValueError(f"edge {u}-{v} joins two vertices of the same part")
     return g.edge_count == len(b.x_part) * len(b.y_part)
 
 

@@ -26,6 +26,7 @@ from conftest import CHAINED_EDGES
 from test_chained import FIG_SPEC, random_chain_spec, renamed
 
 EXAMPLE = "a b\na c\nb c\nb d\nc e\n"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -241,20 +242,8 @@ class TestEdgelessGraph:
 class TestSolveChained:
     def test_paper_figure(self, capsys, write):
         g = write("chain.txt", "".join(f"{u} {v}\n" for u, v in CHAINED_EDGES))
-        code, out, _ = run(capsys, "solve", "chained", g)
-        lines = out.splitlines()
-        assert code == 0
-        assert lines[0] == "6"
-        assert len(lines[1].split()) == 11
-
-    def test_glued_k22s(self, capsys, write):
-        g = write(
-            "glued.txt",
-            "x1 y1\nx1 y2\nx2 y1\nx2 y2\nx2 y3\nx2 y4\nx3 y3\nx3 y4\n",
-        )
-        code, out, _ = run(capsys, "solve", "chained", g)
-        assert code == 0
-        assert out.splitlines()[0] == "4"
+        out = "6\nx1 y1 y2 x2 y3 x3 y4 x5 y5 y6 x4\n"
+        assert run(capsys, "solve", "chained", g) == (0, out, "")
 
     def test_disconnected_exits_3(self, capsys, write):
         g = write("disc.txt", "a b\nc d\n")
@@ -670,6 +659,72 @@ class TestOutputHygiene:
             assert not out.endswith("\n\n")
 
 
+# The files the pinned runs read; an argv tuple stands for that command's stdout.
+PIN_FILES = {
+    "path.txt": "a b\nb c\n",
+    # The same path with tabs, and with CRLF line ends, takes the line reader.
+    "tabs.txt": "a\tb\nb\tc\n",
+    "crlf.txt": "a b\r\nb c\r\n",
+    "order.txt": "a b c\n",
+    "repeat.txt": "a b a\n",
+    "chain.txt": "x1 y1\nx1 y2\nx2 y1\nx2 y2\nx2 y3\nx2 y4\nx3 y3\nx3 y4\n",  # the README chain
+    # A K(3,2) block dealt in descending order; a K(1,2) between two K(3,3)s,
+    # which deals odd by odd parts in six runs and a part of one vertex.
+    "spec.txt": "component 2 2\noverlap Y\ncomponent 3 2\n",
+    "gen.txt": ("gen", "chained", "--spec", "spec.txt"),
+    "spec6.txt": "component 3 3\noverlap Y\ncomponent 1 2\noverlap Y\ncomponent 3 3\n",
+    "gen6.txt": ("gen", "chained", "--spec", "spec6.txt"),
+    "k23.txt": "x1 y1\nx1 y2\nx1 y3\nx2 y1\nx2 y2\nx2 y3\n",
+    "k23-optimal.txt": "x1 y1 y2 y3 x2\n",
+    "k23-p1.txt": "x1 x2 y1 y2 y3\n",
+}
+PATH_REPORT = (0, "2\na\t1\nb\t0\nc\t1\n", "")
+# Each run's argv (file names stand for their paths) -> exit code, stdout, stderr.
+CLI_PINS = {
+    "eval -v path.txt order.txt": PATH_REPORT,
+    "eval -v tabs.txt order.txt": PATH_REPORT,
+    "eval -v crlf.txt order.txt": PATH_REPORT,
+    "eval path.txt repeat.txt": (2, "", "error: duplicate vertices in ordering: ['a']\n"),
+    "oracle path.txt --enumerate": (0, "2\na b c\n2\n", ""),
+    "solve chained chain.txt": (0, "4\nx1 y1 y2 x2 y3 y4 x3\n", ""),
+    "decompose chain.txt": (
+        0, "C1: X={x1,x2} Y={y1,y2}\nC2: X={x2,x3} Y={y3,y4}\ns1 = x2 (X)\n", ""
+    ),
+    "solve chained gen.txt": (0, "6\nx1 y1 x2 y2 x5 x4 y3 x3\n", ""),
+    "solve chained gen6.txt": (0, "18\nx1 y1 x2 y2 x3 y3 x4 y4 x6 y5 x7 y6 x5\n", ""),
+    "verify k23.txt k23-optimal.txt": (0, "optimal\n", ""),
+    "verify k23.txt k23-p1.txt": (0, "not-optimal property=P1 achieved=12 minimum=6\n", ""),
+}
+
+
+@pytest.fixture
+def pinned(capsys, write):
+    paths = {}
+    for name, text in PIN_FILES.items():
+        if isinstance(text, tuple):
+            code, text, _ = run(capsys, *(paths.get(a, a) for a in text))
+            assert code == 0
+        paths[name] = write(name, text)
+    return lambda argv: [paths.get(a, a) for a in argv.split()]
+
+
+class TestPinnedBytes:
+    """Also pinned: `solve complete --parts 3 3` by TestSolveComplete::test_parts
+    and an empty graph file by TestDecompose::test_empty_file_exits_3."""
+
+    @pytest.mark.parametrize("argv, want", CLI_PINS.items(), ids=list(CLI_PINS))
+    def test_run(self, capsys, pinned, argv, want):
+        assert run(capsys, *pinned(argv)) == want
+
+    @pytest.mark.parametrize("argv", ["solve complete --parts 3 3", "eval path.txt repeat.txt"])
+    def test_module_entry_point_matches_main(self, capsys, pinned, argv):
+        # `python -m` runs the module's __main__ guard, and so main_exit.
+        argv, env = pinned(argv), {**os.environ, "PYTHONPATH": str(SRC)}
+        cmd = [sys.executable, "-m", "biclique_imbalance.cli", *argv]
+        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60, env=env)
+        assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)
+
+
 # Run in a fresh `python -I` as: python -I -c COLD_START_PROBE SRC GRAPH CHAIN
 # ORDERING. Its last stdout line lists the modules that no CLI command needs
 # but the import or the calls loaded.
@@ -699,9 +754,8 @@ class TestColdStart:
         graph = write("k23.txt", "x1 y1\nx1 y2\nx1 y3\nx2 y1\nx2 y2\nx2 y3\n")
         chain = write("chain.txt", "".join(f"{u} {v}\n" for u, v in CHAINED_EDGES))
         ordering = write("o.txt", "y1 x1 y2 x2 y3\n")
-        src = Path(__file__).resolve().parents[1] / "src"
         proc = subprocess.run(
-            [sys.executable, "-I", "-c", COLD_START_PROBE, str(src), graph, chain, ordering],
+            [sys.executable, "-I", "-c", COLD_START_PROBE, str(SRC), graph, chain, ordering],
             capture_output=True,
             text=True,
             timeout=60,
@@ -756,11 +810,10 @@ class TestHashSeedDeterminism:
             ["solve", "complete", odd],
             ["decompose", ring],
         ]
-        src = Path(__file__).resolve().parents[1] / "src"
         runs = []
         for seed in ("0", "1", "2"):
             proc = subprocess.run(
-                [sys.executable, "-c", HASH_SEED_PROBE, str(src), json.dumps(commands)],
+                [sys.executable, "-c", HASH_SEED_PROBE, str(SRC), json.dumps(commands)],
                 capture_output=True,
                 text=True,
                 timeout=60,
