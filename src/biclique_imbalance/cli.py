@@ -3,13 +3,15 @@
 Subcommands: eval, solve complete, solve chained, verify, decompose, oracle,
 gen. Data goes to stdout, diagnostics to stderr. Exit codes: 0 success,
 2 parse/format error, 3 structural rejection, 4 size cap exceeded,
-5 internal construction-invariant violation.
+5 internal construction-invariant violation. `main` pauses the cyclic garbage
+collector while a command runs, and turns it back on only if it was on.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import sys
 
 from .chained import (
@@ -266,17 +268,22 @@ def _run(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    # Answers are exact at any size, so lift the int/str conversion limit of
-    # Python 3.10.7+ (4300 digits by default) while the command runs.
+    # A command makes no reference cycles, so pause the cyclic collector, whose
+    # full passes rescan every container made so far. Answers are exact at any
+    # size, so lift Python 3.10.7+'s int/str digit limit after parsing. Restore both.
+    collecting = gc.isenabled()
+    gc.disable()
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if limit is None:
-        return _run(args)
-    sys.set_int_max_str_digits(0)
     try:
+        args = _build_parser().parse_args(argv)
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
         return _run(args)
     finally:
-        sys.set_int_max_str_digits(limit)
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+        if collecting:
+            gc.enable()
 
 
 def main_exit() -> None:

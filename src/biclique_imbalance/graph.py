@@ -10,17 +10,18 @@ carriage return into its tokens once; the text is plain `u v` lines iff it
 equals those tokens rendered as such lines. Any other text is read line by
 line, and only that reader raises parse errors. Both feed one adjacency map
 of lists, two appends per edge, that the graph freezes into sets. Everything
-after that works on whole sets: the bipartition search tests whether a
-vertex's neighbors all lie in the other color class, which builds no set, and
-only if not takes their difference, the clashing neighbors and the ones it
-newly reaches, and sorts the latter. Its whole state is the two color classes
-and a parent link per reached vertex; as every edge joins them, the graph is
-complete iff it has nx * ny edges. The check of a given partition tests each
-part's adjacency sets for disjointness from the part. Both are linear in
-V + E apart from those sorts, and build an error's witness only when they
-fail. The evaluator walks the ordering once with the set of vertices not yet
-placed, and counts each vertex's later neighbors as the size of one
-intersection with that set.
+after that works on whole sets. The bipartition search starts at the smallest
+vertex, and sorts all the vertices to find the next root only if it left one
+unreached. It tests whether a vertex's neighbors all lie in the other color
+class, which builds no set, and only if not takes their difference, the
+clashing neighbors and the ones it newly reaches, and sorts the latter. Its
+whole state is the two color classes and a parent link per reached vertex; as
+every edge joins them, the graph is complete iff it has nx * ny edges. The
+check of a given partition tests each part's adjacency sets for disjointness
+from the part. Both are linear in V + E apart from those sorts, and build an
+error's witness only when they fail. The evaluator walks the ordering once
+with the set of vertices not yet placed, and counts each vertex's later
+neighbors as the size of one intersection with that set.
 """
 
 from __future__ import annotations
@@ -87,9 +88,7 @@ class Graph:
         return g
 
     def _freeze(self, adj: Mapping[str, Iterable[str]]) -> None:
-        self._adj: dict[str, frozenset[str]] = {
-            v: frozenset(nb) for v, nb in adj.items()
-        }
+        self._adj: dict[str, frozenset[str]] = dict(zip(adj, map(frozenset, adj.values())))
         self._vertices = frozenset(self._adj)
         self._edge_count = sum(map(len, self._adj.values())) // 2
 
@@ -301,7 +300,7 @@ def parse_edge_list(text: str) -> Graph:
         adj.setdefault(v, [])
     # Tokens that str.split produced are non-empty and free of whitespace.
     g = Graph._from_adj(adj)
-    if tokens is not None and any(v in nb for v, nb in g._adj.items()):
+    if tokens is not None and any(map(frozenset.__contains__, g._adj.values(), g._adj)):
         _tokenize_lines(text)  # raises at the first self-loop, with its line
     return g
 
@@ -344,9 +343,10 @@ def _bipartition_and_roots(g: Graph) -> tuple[Bipartition, list[str], str | None
     """bipartition(g), the smallest vertex of each connected component, and the
     vertex the breadth-first search reached last (one farthest from its root).
 
-    The roots come in sorted order, so the graph is connected iff there is at
-    most one, and the second root is the smallest vertex unreachable from the
-    first. The whole graph is two-colored before this returns, so a graph
+    The search starts at the smallest vertex and scans the sorted vertices for
+    more roots only if it left one unreached. So the roots come in sorted
+    order, the graph is connected iff there is at most one, and the second
+    root is the smallest vertex unreachable from the first. The whole graph is two-colored before this returns, so a graph
     that is both disconnected and not bipartite raises NotBipartiteError.
 
     The search keeps two records: the color classes, as the sets xs (X) and
@@ -357,7 +357,13 @@ def _bipartition_and_roots(g: Graph) -> tuple[Bipartition, list[str], str | None
     xs: set[str] = set()
     ys: set[str] = set()
     parent: dict[str, str | None] = {}
-    for root in sorted(adj):
+
+    def candidates() -> Iterator[str]:
+        yield min(adj)
+        if len(parent) < len(adj):
+            yield from sorted(adj)
+
+    for root in candidates() if adj else ():
         if root in parent:
             continue
         roots.append(root)

@@ -2,7 +2,28 @@
 
 from __future__ import annotations
 
+import gc
+import sys
+
+import pytest
+
 from biclique_imbalance import Bipartition, Graph
+
+
+def _digit_limit():
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+@pytest.fixture(autouse=True)
+def _collector_and_digit_limit_restored():
+    """Fail a test that leaves the cyclic collector off or the int/str digit
+    limit changed. Tests call cli.main in process, and main pauses the one and
+    lifts the other while a command runs."""
+    limit = _digit_limit()
+    yield
+    assert gc.isenabled(), "the test left the cyclic garbage collector off"
+    assert _digit_limit() == limit, "the test left the int/str digit limit changed"
+
 
 # 5-vertex example used throughout: edges a-b, a-c, b-c, b-d, c-e. The
 # ordering (a, b, c, d, e) has per-vertex imbalances 2, 1, 1, 1, 1 (total 6).

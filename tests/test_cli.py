@@ -1,5 +1,6 @@
 """CLI behavior: outputs, exit codes, and the generate/solve pipeline."""
 
+import gc
 import json
 import math
 import os
@@ -22,8 +23,9 @@ from biclique_imbalance import (
 )
 from biclique_imbalance import chained
 from biclique_imbalance.cli import main
+from biclique_imbalance.graph import vertex_imbalances
 from conftest import CHAINED_EDGES
-from test_chained import FIG_SPEC, random_chain_spec, renamed
+from test_chained import FIG_SPEC, k33_chain, random_chain_spec, renamed
 
 EXAMPLE = "a b\na c\nb c\nb d\nc e\n"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -607,6 +609,38 @@ class TestRepeatedCalls:
 
 
 class TestPipelineClosure:
+    def test_eight_thousand_components_through_gen_and_solve(self, capsys, write):
+        # Mixed K(a, b) components with 1 <= a, b <= 3, two vertices at least
+        # in each part that holds an overlap.
+        rng = random.Random(8000)
+        n = 8000
+        overlap_parts = [rng.choice("XY") for _ in range(n - 1)]
+        sizes = []
+        for i in range(n):
+            held = {overlap_parts[j] for j in (i - 1, i) if 0 <= j < n - 1}
+            sizes.append((rng.randint(1 + ("X" in held), 3), rng.randint(1 + ("Y" in held), 3)))
+        lines = []
+        for i, (a, b) in enumerate(sizes):
+            lines.append(f"component {a} {b}")
+            if i < n - 1:
+                lines.append(f"overlap {overlap_parts[i]}")
+        # The closed form. g(s, C) of an overlap s in part X is C's |Y|, and
+        # the two overlap terms of s add up to -2 min(g(s, C_i), g(s, C_i+1)).
+        closed_form = sum(a * b + a % 2 * (b % 2) for a, b in sizes) - 2 * sum(
+            min(sizes[i][k], sizes[i + 1][k]) for i, k in enumerate(map("YX".index, overlap_parts))
+        )
+
+        spec = write("spec.txt", "\n".join(lines) + "\n")
+        assert main(["gen", "chained", "--spec", spec]) == 0
+        text = capsys.readouterr().out
+        assert main(["solve", "chained", write("chain.txt", text)]) == 0
+        value, ordering = capsys.readouterr().out.splitlines()
+        assert int(value) == closed_form
+        g, o = parse_edge_list(text), parse_ordering(ordering)
+        assert g.vertex_count == sum(a + b for a, b in sizes) - (n - 1)
+        assert o.vertices == g.vertices
+        assert sum(vertex_imbalances(o, g)) == closed_form
+
     def test_gen_decompose_solve_eval_agree(self, capsys, tmp_path):
         rng = random.Random(1234)
         done = 0
@@ -723,6 +757,105 @@ class TestPinnedBytes:
         cmd = [sys.executable, "-m", "biclique_imbalance.cli", *argv]
         proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60, env=env)
         assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)
+
+
+def _ring_of_k33s(k):
+    """k K(3,3)s in a ring, each sharing the X vertex h<j+1> with the next."""
+    return "".join(
+        f"{x} b{j}_{t}\n"
+        for j in range(k)
+        for x in (f"h{j}", f"h{(j + 1) % k}", f"a{j}")
+        for t in range(3)
+    )
+
+
+# Each exit path of main: the argv (file names stand for their paths), the
+# exit code it returns, or the SystemExit code argparse raises.
+EXIT_PATHS = {
+    "solve chained chain.txt": 0,
+    "eval path.txt repeat.txt": 2,
+    "solve chained ring.txt": 3,
+    "oracle --max-n 0 path.txt": 4,
+    "solve sideways path.txt": SystemExit(2),
+    "-h": SystemExit(0),
+}
+
+
+class TestCollectorPause:
+    """main pauses the cyclic collector and lifts the int/str digit limit while
+    a command runs, and gives both back as the caller had them."""
+
+    @pytest.fixture
+    def paths(self, pinned, write):
+        ring = write("ring.txt", _ring_of_k33s(4))
+        return lambda argv: [ring if a == "ring.txt" else a for a in pinned(argv)]
+
+    @pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+    def collecting(self, request):
+        if not request.param:
+            gc.disable()
+        yield request.param
+        gc.enable()
+
+    @pytest.mark.parametrize("argv, want", EXIT_PATHS.items(), ids=list(EXIT_PATHS))
+    def test_main_restores_the_callers_state(self, paths, collecting, argv, want):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        if limit is not None:
+            sys.set_int_max_str_digits(5001)  # a limit that is no default
+        try:
+            if isinstance(want, SystemExit):
+                with pytest.raises(SystemExit) as exc:
+                    main(paths(argv))
+                assert exc.value.code == want.code
+            else:
+                assert main(paths(argv)) == want
+            assert gc.isenabled() is collecting
+            if limit is not None:
+                assert sys.get_int_max_str_digits() == 5001
+        finally:
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            ("solve chained chain.txt", 0),
+            ("solve chained ring.txt", 3),
+            ("decompose chain.txt", 0),
+            ("verify k23.txt k23-p1.txt", 0),
+            ("eval -v path.txt order.txt", 0),
+            ("oracle --enumerate chain.txt", 0),
+            ("gen chained --spec spec6.txt", 0),
+        ],
+    )
+    def test_a_command_leaves_no_cycles_to_collect(self, paths, argv, code):
+        # The premise of the pause: what a command leaves behind is freed by
+        # reference counting alone.
+        argv = paths(argv)
+        gc.disable()
+        try:
+            gc.collect()
+            assert main(argv) == code
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_no_collection_starts_while_a_large_chain_is_solved(self, capsys, write):
+        chain = write("chain.txt", "".join(f"{u} {v}\n" for u, v in k33_chain(4000)[0].edges()))
+        starts = []
+
+        def count(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        assert gc.isenabled()
+        gc.callbacks.append(count)
+        try:
+            assert main(["solve", "chained", chain]) == 0
+        finally:
+            gc.callbacks.remove(count)
+        assert starts == []
+        assert len(capsys.readouterr().out.split()) == 1 + 20001
 
 
 # Run in a fresh `python -I` as: python -I -c COLD_START_PROBE SRC GRAPH CHAIN

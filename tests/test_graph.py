@@ -77,6 +77,21 @@ class TestParseEdgeList:
         assert str(exc.value) == "line 3: self-loop on 'e'"
         assert exc.value.line == 3
 
+    @pytest.mark.parametrize(
+        "text, line, vertex",
+        [
+            ("q q\na b\nb c\n", 1, "q"),
+            ("a b\nb c\nc c\n", 3, "c"),
+            ("a b\nb c\nc c", 3, "c"),
+        ],
+        ids=["first-line", "last-line", "last-line-without-newline"],
+    )
+    def test_self_loop_at_the_ends_of_plain_text(self, text, line, vertex):
+        with pytest.raises(GraphParseError) as exc:
+            parse_edge_list(text)
+        assert str(exc.value) == f"line {line}: self-loop on {vertex!r}"
+        assert exc.value.line == line
+
     def test_plain_text_without_final_newline(self):
         assert parse_edge_list("a b\nb c") == Graph((), [("a", "b"), ("b", "c")])
 
