@@ -5,14 +5,18 @@ gen. Data goes to stdout, diagnostics to stderr. Exit codes: 0 success,
 2 parse/format error, 3 structural rejection, 4 size cap exceeded,
 5 internal construction-invariant violation. `main` pauses the cyclic garbage
 collector while a command runs, and turns it back on only if it was on.
+
+`_GRAMMAR` states the commands once. `_direct_args` reads a plain argv from it
+into the namespace argparse would make; argparse is imported, and its parser
+built from the same table, only for help, usage errors and unusual spellings.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import gc
 import sys
+import types
 
 from .chained import (
     construct_optimal_chained,
@@ -95,7 +99,7 @@ def _parse_nat(text: str) -> int:
     return int(text)
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
+def _cmd_eval(args) -> int:
     g = _load_graph(args.graph)
     o = parse_ordering(_read(args.ordering))
     per_vertex = vertex_imbalances(o, g)
@@ -106,7 +110,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_solve_complete(args: argparse.Namespace) -> int:
+def _cmd_solve_complete(args) -> int:
     if args.parts is not None:
         if args.graph is not None:
             raise GraphParseError("solve complete takes a graph file or --parts NX NY, not both")
@@ -122,14 +126,14 @@ def _cmd_solve_complete(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_solve_chained(args: argparse.Namespace) -> int:
+def _cmd_solve_chained(args) -> int:
     g = _load_graph(args.graph)
     d = decompose(g)
     print(min_imbalance_chained(d), " ".join(construct_optimal_chained(d)), sep="\n")
     return EXIT_OK
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args) -> int:
     g = _load_graph(args.graph)
     o = parse_ordering(_read(args.ordering))
     b = _complete_bipartition(g)
@@ -144,13 +148,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_decompose(args: argparse.Namespace) -> int:
+def _cmd_decompose(args) -> int:
     g = _load_graph(args.graph)
     print(format_decomposition(decompose(g)))
     return EXIT_OK
 
 
-def _cmd_oracle(args: argparse.Namespace) -> int:
+def _cmd_oracle(args) -> int:
     g = _load_graph(args.graph)
     cap = _parse_nat(args.max_n) if args.max_n is not None else DEFAULT_CAP
     result = brute_force_min(g, cap=cap, count_optima=args.enumerate)
@@ -167,7 +171,7 @@ def _emit_edge_list(g: Graph) -> None:
     print("\n".join(lines))
 
 
-def _cmd_gen_complete(args: argparse.Namespace) -> int:
+def _cmd_gen_complete(args) -> int:
     nx_size, ny_size = map(_parse_nat, (args.nx, args.ny))
     if nx_size < 1 or ny_size < 1:
         raise GraphParseError("part sizes must be at least 1")
@@ -179,7 +183,7 @@ def _cmd_gen_complete(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_gen_chained(args: argparse.Namespace) -> int:
+def _cmd_gen_chained(args) -> int:
     spec = parse_chain_spec(_read(args.spec))
     graph, _ = generate_chained(spec)
     if args.shuffle_names is not None:
@@ -196,61 +200,112 @@ def _cmd_gen_chained(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# The command grammar, stated once. A group is (dest, {word: (help, node)});
+# a word without help gets no line of its own in its group's -h. A leaf is
+# (handler, positionals, {option strings: add_argument keywords}); a
+# positional ending in "?" may be left out.
+_GRAMMAR = ("command", {
+    "eval": ("evaluate the imbalance of an ordering", (_cmd_eval, ("graph", "ordering"), {
+        ("-v", "--verbose"): {"dest": "verbose", "action": "store_true"},
+    })),
+    "solve": ("closed-form minimum imbalance", ("solve_kind", {
+        "complete": ("complete bipartite graph", (_cmd_solve_complete, ("graph?",), {
+            ("--parts",): {"dest": "parts", "nargs": 2, "metavar": ("NX", "NY")},
+        })),
+        "chained": ("chained complete bipartite graph", (_cmd_solve_chained, ("graph",), {})),
+    })),
+    "verify": ("check an ordering for optimality", (_cmd_verify, ("graph", "ordering"), {})),
+    "decompose": ("report the chain decomposition", (_cmd_decompose, ("graph",), {})),
+    "oracle": ("exhaustive search on a small graph", (_cmd_oracle, ("graph",), {
+        ("--max-n",): {"dest": "max_n"},
+        ("--enumerate",): {"dest": "enumerate", "action": "store_true"},
+    })),
+    "gen": ("generate instance edge lists", ("kind", {
+        "complete": (None, (_cmd_gen_complete, ("nx", "ny"), {})),
+        "chained": (None, (_cmd_gen_chained, (), {
+            ("--spec",): {"dest": "spec", "required": True},
+            ("--shuffle-names",): {"dest": "shuffle_names", "type": int, "metavar": "SEED"},
+        })),
+    })),
+})
+
+
+def _direct_args(argv: list) -> types.SimpleNamespace | None:
+    """The namespace argparse makes from a plain argv: str words, subcommands
+    and options spelled out, no option twice, no value or positional that
+    starts with "-". None for any other argv, which argparse then reads."""
+    if not all(isinstance(word, str) for word in argv):
+        return None
+    found, node, words = {}, _GRAMMAR, iter(argv)
+    while isinstance(node[0], str):  # a group
+        found[node[0]] = word = next(words, None)
+        if word not in node[1]:
+            return None
+        node = node[1][word][1]
+    func, positionals, options = node
+    by_flag = {flag: kw for flags, kw in options.items() for flag in flags}
+    # argparse's defaults; store_true is the only action in the grammar.
+    found.update((kw["dest"], False if "action" in kw else None) for kw in options.values())
+    given, seen = [], set()
+    for word in words:
+        if not word.startswith("-"):
+            given.append(word)
+            continue
+        kw = by_flag.get(word)
+        if kw is None or kw["dest"] in seen:
+            return None
+        seen.add(kw["dest"])
+        if "action" in kw:
+            found[kw["dest"]] = True
+            continue
+        # A missing value reads as "-", which is left to argparse too.
+        values = [next(words, "-") for _ in range(kw.get("nargs") or 1)]
+        if any(value.startswith("-") for value in values):
+            return None
+        try:
+            values = list(map(kw.get("type", str), values))
+        except ValueError:
+            return None
+        found[kw["dest"]] = values if "nargs" in kw else values[0]
+    names = [name.rstrip("?") for name in positionals]
+    if not sum(not name.endswith("?") for name in positionals) <= len(given) <= len(names):
+        return None
+    if any(kw.get("required") and kw["dest"] not in seen for kw in options.values()):
+        return None
+    found.update(zip(names, given + [None] * (len(names) - len(given))))
+    return types.SimpleNamespace(**found, func=func)
+
+
+def _add_subcommands(parser, group) -> None:
+    dest, children = group
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for word, (help_text, node) in children.items():
+        p = sub.add_parser(word, **({"help": help_text} if help_text else {}))
+        if isinstance(node[0], str):
+            _add_subcommands(p, node)
+            continue
+        func, positionals, options = node
+        for name in positionals:
+            p.add_argument(name.rstrip("?"), nargs="?" if name.endswith("?") else None)
+        for flags, kw in options.items():
+            p.add_argument(*flags, **kw)
+        p.set_defaults(func=func)
+
+
 # parse_args leaves the parser unchanged, so one parser serves every call.
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    import argparse  # only help, usage errors and unusual spellings need it
+
     parser = argparse.ArgumentParser(
         prog="biclique-imbalance",
         description="Minimum-imbalance orderings of (chained) complete bipartite graphs.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_eval = sub.add_parser("eval", help="evaluate the imbalance of an ordering")
-    p_eval.add_argument("graph")
-    p_eval.add_argument("ordering")
-    p_eval.add_argument("-v", "--verbose", action="store_true")
-    p_eval.set_defaults(func=_cmd_eval)
-
-    p_solve = sub.add_parser("solve", help="closed-form minimum imbalance")
-    solve_sub = p_solve.add_subparsers(dest="solve_kind", required=True)
-    p_sc = solve_sub.add_parser("complete", help="complete bipartite graph")
-    p_sc.add_argument("graph", nargs="?")
-    p_sc.add_argument("--parts", nargs=2, metavar=("NX", "NY"))
-    p_sc.set_defaults(func=_cmd_solve_complete)
-    p_sch = solve_sub.add_parser("chained", help="chained complete bipartite graph")
-    p_sch.add_argument("graph")
-    p_sch.set_defaults(func=_cmd_solve_chained)
-
-    p_verify = sub.add_parser("verify", help="check an ordering for optimality")
-    p_verify.add_argument("graph")
-    p_verify.add_argument("ordering")
-    p_verify.set_defaults(func=_cmd_verify)
-
-    p_dec = sub.add_parser("decompose", help="report the chain decomposition")
-    p_dec.add_argument("graph")
-    p_dec.set_defaults(func=_cmd_decompose)
-
-    p_oracle = sub.add_parser("oracle", help="exhaustive search on a small graph")
-    p_oracle.add_argument("graph")
-    p_oracle.add_argument("--max-n", default=None)
-    p_oracle.add_argument("--enumerate", action="store_true")
-    p_oracle.set_defaults(func=_cmd_oracle)
-
-    p_gen = sub.add_parser("gen", help="generate instance edge lists")
-    gen_sub = p_gen.add_subparsers(dest="kind", required=True)
-    p_gc = gen_sub.add_parser("complete")
-    p_gc.add_argument("nx")
-    p_gc.add_argument("ny")
-    p_gc.set_defaults(func=_cmd_gen_complete)
-    p_gch = gen_sub.add_parser("chained")
-    p_gch.add_argument("--spec", required=True)
-    p_gch.add_argument("--shuffle-names", type=int, default=None, metavar="SEED")
-    p_gch.set_defaults(func=_cmd_gen_chained)
-
+    _add_subcommands(parser, _GRAMMAR)
     return parser
 
 
-def _run(args: argparse.Namespace) -> int:
+def _run(args) -> int:
     try:
         return args.func(args)
     except _STRUCTURAL as exc:
@@ -268,6 +323,7 @@ def _run(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     # A command makes no reference cycles, so pause the cyclic collector, whose
     # full passes rescan every container made so far. Answers are exact at any
     # size, so lift Python 3.10.7+'s int/str digit limit after parsing. Restore both.
@@ -275,7 +331,7 @@ def main(argv: list[str] | None = None) -> int:
     gc.disable()
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     try:
-        args = _build_parser().parse_args(argv)
+        args = _direct_args(argv) or _build_parser().parse_args(argv)
         if limit is not None:
             sys.set_int_max_str_digits(0)
         return _run(args)

@@ -1,6 +1,7 @@
 """CLI behavior: outputs, exit codes, and the generate/solve pipeline."""
 
 import gc
+import itertools
 import json
 import math
 import os
@@ -21,7 +22,7 @@ from biclique_imbalance import (
     parse_ordering,
     verify_optimal_complete,
 )
-from biclique_imbalance import chained
+from biclique_imbalance import chained, cli
 from biclique_imbalance.cli import main
 from biclique_imbalance.graph import vertex_imbalances
 from conftest import CHAINED_EDGES
@@ -592,6 +593,11 @@ class TestRepeatedCalls:
         o = write("o.txt", "a b c d e\n")
         assert run(capsys, "eval", "-v", g, o)[1].splitlines()[1:2] == ["a\t2"]
         assert run(capsys, "eval", g, o) == (0, "6\n", "")
+        # argparse reads the abbreviated flag; the next, plain call leaves it out.
+        assert run(capsys, "eval", "--verb", g, o)[1].splitlines()[1:2] == ["a\t2"]
+        assert run(capsys, "eval", g, o) == (0, "6\n", "")
+        assert main(("eval", "-v", g, o)) == 0 and capsys.readouterr().out.startswith("6\na\t2\n")
+        assert main(("eval", g, o)) == 0 and capsys.readouterr().out == "6\n"
 
         k22 = write("k22.txt", "x1 y1\nx1 y2\nx2 y1\nx2 y2\n")
         assert run(capsys, "oracle", "--enumerate", k22) == (0, "4\nx1 y1 x2 y2\n16\n", "")
@@ -911,6 +917,102 @@ class TestArgparseBytes:
         assert got in [want, (*want[:2], unquoted)]
 
 
+# Each leaf command: its words, how many positionals a plain argv gives, and
+# its option spellings with the number of values each takes.
+LEAVES = [
+    ("eval", 2, [("-v", 0), ("--verbose", 0)]),
+    ("solve complete", 1, [("--parts", 2)]),
+    ("solve chained", 1, []),
+    ("verify", 2, []),
+    ("decompose", 1, []),
+    ("oracle", 1, [("--max-n", 1), ("--enumerate", 0)]),
+    ("gen complete", 2, []),
+    ("gen chained", 0, [("--spec", 1), ("--shuffle-names", 1)]),
+]
+VALUES = ["x", "", "-1", "-", "--", "-x", "a b", "\u0663", "+7", "7_0"]
+ABBREVIATIONS = {"--max-n": "--max", "--enumerate": "--enum", "--verbose": "--verb",
+                 "--shuffle-names": "--shuffle"}
+
+
+def _leaf_argvs(words, n_pos, options):
+    """Every interleaving of the positionals with each subset of the options,
+    each value slot drawn from VALUES in turn (the others "x"); then the plain
+    argv with all options, varied: an option repeated, abbreviated, in its
+    "=" form or short of a value, a positional too few or too many, "-h" in
+    every slot, and as a tuple."""
+    words = words.split()
+    for k in range(len(options) + 1):
+        for chosen in itertools.combinations(options, k):
+            for order in sorted(set(itertools.permutations(["P"] * n_pos + list(chosen))), key=str):
+                template = []
+                for unit in order:
+                    template += [None] if unit == "P" else [unit[0]] + [None] * unit[1]
+                yield words + [t or "x" for t in template]
+                for slot in (i for i, t in enumerate(template) if t is None):
+                    for value in VALUES:
+                        yield words + [value if i == slot else t or "x" for i, t in enumerate(template)]
+    plain = words + ["x"] * n_pos + [t for flag, n in options for t in [flag] + ["7"] * n]
+    for flag, n in options:
+        i = plain.index(flag)
+        yield plain + [flag] + ["7"] * n  # repeated
+        if flag in ABBREVIATIONS:
+            yield plain[:i] + [ABBREVIATIONS[flag]] + plain[i + 1 :]
+        yield plain[:i] + [flag + "=7"] + plain[i + 1 + min(n, 1) :]
+        if n:
+            yield plain[:i] + plain[i + 1 + n :] + [flag] + ["7"] * (n - 1)  # a value short
+    if n_pos:
+        yield plain[: len(words)] + plain[len(words) + 1 :]  # one positional too few
+    yield plain + ["x"]  # one too many
+    for i in range(len(plain) + 1):
+        yield plain[:i] + ["-h"] + plain[i:]
+    yield tuple(plain)
+
+
+class TestDirectArgs:
+    def test_agrees_with_argparse(self, capsys):
+        """_direct_args gives None or what argparse gives, and None wherever
+        argparse exits; this interpreter's own argparse is the reference."""
+        argvs = [[], ["solve"], ["gen"], ["sideways"], ["solve", "sideways", "x"], ["-h"]]
+        argvs += [argv for leaf in LEAVES for argv in _leaf_argvs(*leaf)]
+        direct = 0
+        for argv in argvs:
+            got = cli._direct_args(argv)
+            try:
+                want = vars(cli._build_parser().parse_args(argv))
+            except SystemExit:
+                want = None
+            assert got is None or vars(got) == want, argv
+            direct += got is not None
+        capsys.readouterr()
+        assert 0 < direct < len(argvs)
+        assert cli._direct_args(["decompose", Path("g.txt")]) is None
+
+    # The plain argv of the README and of perfbench/instances.py.
+    DOCUMENTED = [
+        "eval path.txt order.txt",
+        "eval path.txt order.txt -v",
+        "solve complete k23.txt",
+        "solve complete --parts 3 3",
+        "oracle path.txt",
+        "oracle path.txt --max-n 10",
+        "oracle path.txt --max-n 10 --enumerate",
+        "gen complete 2 3",
+        "gen chained --spec spec.txt",
+        "gen chained --spec spec.txt --shuffle-names 7",
+    ]
+
+    @pytest.mark.parametrize("argv", DOCUMENTED + list(CLI_PINS))
+    def test_plain_argv_does_not_build_the_parser(self, capsys, monkeypatch, pinned, argv):
+        want = run(capsys, *pinned(argv))
+
+        def build():
+            raise AssertionError("argparse parsed a plain argv")
+
+        monkeypatch.setattr(cli, "_build_parser", build)
+        assert run(capsys, *pinned(argv)) == want
+        assert cli._direct_args(tuple(pinned(argv))) is not None
+
+
 def _ring_of_k33s(k):
     """k K(3,3)s in a ring, each sharing the X vertex h<j+1> with the next."""
     return "".join(
@@ -1011,14 +1113,14 @@ class TestCollectorPause:
 
 
 # Run in a fresh `python -I` as: python -I -c COLD_START_PROBE SRC GRAPH CHAIN
-# ORDERING. Its last stdout line lists the modules that no CLI command needs
-# but the import or the calls loaded.
+# ORDERING. Its last stdout line lists the modules that no well-formed CLI
+# command needs but the import or the calls loaded; argparse, and gettext with
+# it, loads only for help and usage errors.
 COLD_START_PROBE = """
 import sys
 sys.path.insert(0, sys.argv[1])
 before = set(sys.modules)
 from biclique_imbalance.cli import main
-assert {"argparse", "re"} <= set(sys.modules), "argparse and re load at import"
 graph, chain, ordering = sys.argv[2:]
 for argv in (
     ["eval", "-v", graph, ordering],
@@ -1029,8 +1131,16 @@ for argv in (
     ["oracle", "--enumerate", graph],
 ):
     assert main(argv) == 0, argv
+loaded = set(sys.modules) - before
+try:
+    main(["-h"])
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+else:
+    raise AssertionError("-h returned")
 unused = {"dataclasses", "inspect", "fractions", "decimal", "pathlib", "random", "typing"}
-print("unused modules loaded:", sorted(unused & (set(sys.modules) - before)))
+unused |= {"argparse", "gettext"}
+print("unused modules loaded:", sorted(unused & loaded))
 """
 
 
