@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import gc
+import os
 import sys
 import types
 
@@ -343,7 +344,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def main_exit() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe: stop quietly, and point stdout at devnull
+        # so the flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

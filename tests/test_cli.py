@@ -1,6 +1,15 @@
-"""CLI behavior: outputs, exit codes, and the generate/solve pipeline."""
+"""CLI behavior: outputs, exit codes, and the generate/solve pipeline.
 
+CLI_PINS is the one table of fixed CLI runs: each row maps an argv on the
+files of PIN_FILES to its exit code, stdout and stderr. A row is checked once,
+by the test below that names what it shows, or else by TestPinnedBytes or
+TestArgparseBytes. TestCollectorPause and TestDirectArgs run every row again
+for the properties no single output shows.
+"""
+
+import contextlib
 import gc
+import io
 import itertools
 import json
 import math
@@ -26,10 +35,397 @@ from biclique_imbalance import chained, cli
 from biclique_imbalance.cli import main
 from biclique_imbalance.graph import vertex_imbalances
 from conftest import CHAINED_EDGES
-from test_chained import FIG_SPEC, k33_chain, random_chain_spec, renamed
+from test_chained import k33_chain, random_chain_spec, renamed
 
 EXAMPLE = "a b\na c\nb c\nb d\nc e\n"
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _edge_text(edges):
+    return "".join(f"{u} {v}\n" for u, v in edges)
+
+
+def _ring_of_k33s(k):
+    """k K(3,3)s in a ring, each sharing the X vertex h<j+1> with the next."""
+    return "".join(
+        f"{x} b{j}_{t}\n"
+        for j in range(k)
+        for x in (f"h{j}", f"h{(j + 1) % k}", f"a{j}")
+        for t in range(3)
+    )
+
+
+# Component sizes that are no decimal natural number.
+BAD_SIZES = ["1_0", "+2", "-1", "²"]
+# The files the pinned runs read, written once; a tuple stands for that
+# command's stdout.
+PIN_FILES = {
+    "path.txt": "a b\nb c\n",
+    # The same path with tabs, and with CRLF line ends, takes the line reader.
+    "tabs.txt": "a\tb\nb\tc\n",
+    "crlf.txt": "a b\r\nb c\r\n",
+    "order.txt": "a b c\n",
+    "repeat.txt": "a b a\n",
+    "chain.txt": "x1 y1\nx1 y2\nx2 y1\nx2 y2\nx2 y3\nx2 y4\nx3 y3\nx3 y4\n",  # the README chain
+    # A K(3,2) block dealt in descending order; a K(1,2) between two K(3,3)s,
+    # which deals odd by odd parts in six runs and a part of one vertex.
+    "spec.txt": "component 2 2\noverlap Y\ncomponent 3 2\n",
+    "gen.txt": ("gen", "chained", "--spec", "spec.txt"),
+    "spec6.txt": "component 3 3\noverlap Y\ncomponent 1 2\noverlap Y\ncomponent 3 3\n",
+    "gen6.txt": ("gen", "chained", "--spec", "spec6.txt"),
+    "k23.txt": "x1 y1\nx1 y2\nx1 y3\nx2 y1\nx2 y2\nx2 y3\n",
+    "k23-optimal.txt": "x1 y1 y2 y3 x2\n",
+    "k23-p1.txt": "x1 x2 y1 y2 y3\n",
+    # The ordering a b c d e of the example has imbalances 2, 1, 1, 1, 1.
+    "example.txt": EXAMPLE,
+    "example-order.txt": "a b c d e\n",
+    "example-short.txt": "a b c d\n",
+    "empty.txt": "",
+    "lone.txt": "a\n",
+    "pair.txt": "a\nb\n",
+    "pair-order.txt": "b a\n",
+    "edge.txt": "u v\n",
+    "k22.txt": "x1 y1\nx1 y2\nx2 y1\nx2 y2\n",
+    "k22-optimal.txt": "y1 x1 x2 y2\n",
+    "k22-p1.txt": "x1 x2 y1 y2\n",
+    "k22-short.txt": "y1 x1 x2\n",
+    "k22-long.txt": "y1 x1 x2 y2 z\n",
+    "k33.txt": _edge_text((f"x{i}", f"y{j}") for i in range(1, 4) for j in range(1, 4)),
+    "p4.txt": "a b\nb c\nc d\n",
+    "p40.txt": _edge_text((f"p{i}", f"p{i + 1}") for i in range(1, 40)),
+    "triangle.txt": "a b\nb c\nc a\n",
+    "c6.txt": "a b\nb c\nc d\nd e\ne f\nf a\n",
+    "disc.txt": "a b\nc d\n",
+    "bom.txt": "\ufeffx1 y1\nx1 y2\n",
+    # Both end components have the overlap a as their smallest vertex.
+    "tie.txt": "a y1\na y2\nc y1\nc y2\na z1\na z2\nb z1\nb z2\n",
+    "ring.txt": _ring_of_k33s(4),
+    "figure.txt": _edge_text(CHAINED_EDGES),  # the paper's figure
+    "figure-spec.txt": "component 2 2\noverlap X\ncomponent 2 2\noverlap Y\ncomponent 2 3\n",
+    "singleton-spec.txt": "component 1 2\noverlap X\ncomponent 2 2\n",
+    "overlap-z-spec.txt": "component 2 2\noverlap Z\ncomponent 2 2\n",
+    **{f"size{s}-spec.txt": f"component 2 2\noverlap X\ncomponent {s} 2\n" for s in BAD_SIZES},
+    "arabic-spec.txt": "component ٣ 1\n",
+    "zero-spec.txt": "component 0 2\n",
+}
+
+ARGPARSE = "argparse"  # ends a row that argparse reads, not cli._direct_args
+PATH_REPORT = (0, "2\na\t1\nb\t0\nc\t1\n", "")
+EXAMPLE_REPORT = (0, "6\na\t2\nb\t1\nc\t1\nd\t1\ne\t1\n", "")
+NOT_DECIMAL = "error: expected a decimal natural number, got {!r}\n"
+NO_EDGES = (3, "", "error: graph is not a complete bipartite graph: it has no edges\n")
+NO_VERTICES = (3, "", "error: not a chained complete bipartite graph: graph has no vertices\n")
+NOT_COVERED = (2, "", "error: ordering does not cover exactly the bipartition's vertices\n")
+FIGURE_REPORT = (
+    "C1: X={x1,x2} Y={y1,y2}\nC2: X={x2,x3} Y={y3,y4}\nC3: X={x4,x5} Y={y4,y5,y6}\n"
+    "s1 = x2 (X)\ns2 = y4 (Y)\n"
+)
+FIGURE_ORACLE = "6\nx1 y1 y2 x2 y3 x3 y4 x4 y5 x5 y6\n"
+USAGE = "usage: biclique-imbalance [-h] {eval,solve,verify,decompose,oracle,gen} ...\n"
+GEN_CHAINED_USAGE = (
+    "usage: biclique-imbalance gen chained [-h] --spec SPEC [--shuffle-names SEED]\n"
+)
+ORACLE_USAGE = "usage: biclique-imbalance oracle [-h] [--max-n MAX_N] [--enumerate] graph\n"
+# Each run's argv (file names stand for their paths) -> exit code, stdout,
+# stderr, at a terminal width of 80 columns.
+CLI_PINS = {
+    "eval path.txt order.txt": (0, "2\n", ""),
+    "eval path.txt order.txt -v": PATH_REPORT,
+    "eval -v path.txt order.txt": PATH_REPORT,
+    "eval -v tabs.txt order.txt": PATH_REPORT,
+    "eval -v crlf.txt order.txt": PATH_REPORT,
+    "eval path.txt repeat.txt": (2, "", "error: duplicate vertices in ordering: ['a']\n"),
+    "eval example.txt example-order.txt": (0, "6\n", ""),
+    "eval example.txt example-order.txt --verbose": EXAMPLE_REPORT,
+    "eval example.txt example-order.txt -v": EXAMPLE_REPORT,
+    "eval example.txt example-short.txt": (
+        2, "", "error: ordering does not cover exactly the graph's vertices\n"
+    ),
+    "eval k22.txt k22-optimal.txt": (0, "4\n", ""),
+    "eval pair.txt pair-order.txt": (0, "0\n", ""),
+    "eval pair.txt pair-order.txt -v": (0, "0\nb\t0\na\t0\n", ""),
+    "eval empty.txt empty.txt -v": (0, "0\n", ""),
+    "solve complete --parts 3 3": (0, "10\n", ""),
+    "solve complete --parts 4 9": (0, "36\n", ""),
+    "solve complete --parts ٣ 3": (0, "10\n", ""),
+    "solve complete --parts ² 3": (2, "", NOT_DECIMAL.format("²")),
+    "solve complete --parts 0 4": (2, "", "error: part sizes must be at least 1, got (0, 4)\n"),
+    "solve complete --parts -3 4": (2, "", NOT_DECIMAL.format("-3"), ARGPARSE),
+    "solve complete": (2, "", "error: solve complete needs a graph file or --parts NX NY\n"),
+    "solve complete k22.txt --parts 2 2": (
+        2, "", "error: solve complete takes a graph file or --parts NX NY, not both\n"
+    ),
+    "solve complete k22.txt": (0, "4\ny1 x1 x2 y2\n", ""),
+    "solve complete k23.txt": (0, "6\nx1 y1 y2 y3 x2\n", ""),
+    "solve complete p4.txt": (3, "", "error: graph is not a complete bipartite graph\n"),
+    "solve complete empty.txt": NO_EDGES,
+    "solve complete lone.txt": NO_EDGES,
+    "solve complete pair.txt": NO_EDGES,
+    "solve chained chain.txt": (0, "4\nx1 y1 y2 x2 y3 y4 x3\n", ""),
+    "solve chained gen.txt": (0, "6\nx1 y1 x2 y2 x5 x4 y3 x3\n", ""),
+    "solve chained gen6.txt": (0, "18\nx1 y1 x2 y2 x3 y3 x4 y4 x6 y5 x7 y6 x5\n", ""),
+    "solve chained figure.txt": (0, "6\nx1 y1 y2 x2 y3 x3 y4 x5 y5 y6 x4\n", ""),
+    "solve chained bom.txt": (0, "2\ny1 x1 y2\n", ""),
+    "solve chained disc.txt": (3, "", "error: graph is not connected (c unreachable)\n"),
+    "solve chained ring.txt": (
+        3, "",
+        "error: not a chained complete bipartite graph: "
+        "the component entered through h0 meets an earlier one at h3\n",
+    ),
+    "solve chained empty.txt": NO_VERTICES,
+    "verify k23.txt k23-optimal.txt": (0, "optimal\n", ""),
+    "verify k23.txt k23-p1.txt": (0, "not-optimal property=P1 achieved=12 minimum=6\n", ""),
+    "verify k22.txt k22-optimal.txt": (0, "optimal\n", ""),
+    "verify k22.txt k22-p1.txt": (0, "not-optimal property=P1 achieved=8 minimum=4\n", ""),
+    "verify k22.txt k22-short.txt": NOT_COVERED,
+    "verify k22.txt k22-long.txt": NOT_COVERED,
+    "verify triangle.txt order.txt": (3, "", "error: graph is not bipartite; odd cycle: b a c\n"),
+    "verify empty.txt empty.txt": NO_EDGES,
+    "verify lone.txt lone.txt": NO_EDGES,
+    "verify pair.txt pair.txt": NO_EDGES,
+    "decompose k22.txt": (0, "C1: X={x1,x2} Y={y1,y2}\n", ""),
+    "decompose chain.txt": (
+        0, "C1: X={x1,x2} Y={y1,y2}\nC2: X={x2,x3} Y={y3,y4}\ns1 = x2 (X)\n", ""
+    ),
+    "decompose figure.txt": (0, FIGURE_REPORT, ""),
+    "decompose k33.txt": (0, "C1: X={x1,x2,x3} Y={y1,y2,y3}\n", ""),
+    "decompose tie.txt": (
+        0, "C1: X={a,c} Y={y1,y2}\nC2: X={a,b} Y={z1,z2}\ns1 = a (X)\n", ""
+    ),
+    "decompose c6.txt": (
+        3, "",
+        "error: not a chained complete bipartite graph: "
+        "the component entered through a meets an earlier one at e\n",
+    ),
+    "decompose empty.txt": NO_VERTICES,
+    "oracle path.txt": (0, "2\na b c\n", ""),
+    "oracle path.txt --enumerate": (0, "2\na b c\n2\n", ""),
+    "oracle path.txt --max-n 10": (0, "2\na b c\n", ""),
+    "oracle path.txt --max-n 10 --enumerate": (0, "2\na b c\n2\n", ""),
+    "oracle --max-n 0 path.txt": (4, "", "error: 3 vertices exceeds the search cap of 0\n"),
+    "oracle --enumerate chain.txt": (0, "4\nx1 y1 y2 x2 y3 x3 y4\n32\n", ""),
+    "oracle k22.txt": (0, "4\nx1 y1 x2 y2\n", ""),
+    "oracle k23.txt --enumerate": (0, "6\nx1 y1 y2 x2 y3\n48\n", ""),
+    "oracle edge.txt --enumerate": (0, "2\nu v\n2\n", ""),
+    "oracle edge.txt --max-n 0": (4, "", "error: 2 vertices exceeds the search cap of 0\n"),
+    "oracle edge.txt --max-n abc": (2, "", NOT_DECIMAL.format("abc")),
+    "oracle edge.txt --max-n -1": (2, "", NOT_DECIMAL.format("-1"), ARGPARSE),
+    "oracle figure.txt": (4, "", "error: 11 vertices exceeds the search cap of 10\n"),
+    "oracle figure.txt --max-n 11": (0, FIGURE_ORACLE, ""),
+    "oracle figure.txt --max-n 11 --enumerate": (0, FIGURE_ORACLE + "64\n", ""),
+    "oracle p40.txt --max-n 40": (
+        4, "", "error: 1099511627776 twin-class states exceeds the table cap of 4194304\n"
+    ),
+    "gen complete 2 2": (0, "x1 y1\nx1 y2\nx2 y1\nx2 y2\n", ""),
+    "gen complete 2 3": (0, "x1 y1\nx1 y2\nx1 y3\nx2 y1\nx2 y2\nx2 y3\n", ""),
+    "gen complete 3 ²": (2, "", NOT_DECIMAL.format("²")),
+    "gen complete 0 3": (2, "", "error: part sizes must be at least 1\n"),
+    "gen chained --spec spec.txt": (
+        0,
+        "x1 y1\nx1 y2\nx2 y1\nx2 y2\nx3 y2\nx3 y3\nx4 y2\nx4 y3\nx5 y2\nx5 y3\n",
+        "C1: X={x1,x2} Y={y1,y2}\nC2: X={x3,x4,x5} Y={y2,y3}\ns1 = y2 (Y)\n",
+    ),
+    "gen chained --spec spec.txt --shuffle-names 7": (
+        0,
+        "v1 v2\nv1 v6\nv2 v3\nv2 v5\nv2 v7\nv2 v8\nv3 v6\nv4 v7\nv4 v8\nv5 v6\n",
+        "C1: X={v1,v3,v5} Y={v2,v6}\nC2: X={v7,v8} Y={v2,v4}\ns1 = v2 (Y)\n",
+    ),
+    "gen chained --spec spec6.txt": (
+        0,
+        "x1 y1\nx1 y2\nx1 y3\nx2 y1\nx2 y2\nx2 y3\nx3 y1\nx3 y2\nx3 y3\nx4 y3\n"
+        "x4 y4\nx5 y4\nx5 y5\nx5 y6\nx6 y4\nx6 y5\nx6 y6\nx7 y4\nx7 y5\nx7 y6\n",
+        "C1: X={x1,x2,x3} Y={y1,y2,y3}\nC2: X={x4} Y={y3,y4}\n"
+        "C3: X={x5,x6,x7} Y={y4,y5,y6}\ns1 = y3 (Y)\ns2 = y4 (Y)\n",
+    ),
+    "gen chained --spec figure-spec.txt": (
+        0,
+        "x1 y1\nx1 y2\nx2 y1\nx2 y2\nx2 y3\nx2 y4\nx3 y3\nx3 y4\n"
+        "x4 y4\nx4 y5\nx4 y6\nx5 y4\nx5 y5\nx5 y6\n",
+        FIGURE_REPORT,
+    ),
+    "gen chained --spec singleton-spec.txt": (
+        3, "", "error: overlap 1 in part X needs component 1 to have X size >= 2, got 1\n"
+    ),
+    "gen chained --spec overlap-z-spec.txt": (
+        2, "", "error: line 2: overlap line must be 'overlap X' or 'overlap Y': 'overlap Z'\n"
+    ),
+    **{
+        f"gen chained --spec size{s}-spec.txt": (
+            2,
+            "",
+            f"error: line 3: component sizes must be decimal natural numbers: 'component {s} 2'\n",
+        )
+        for s in BAD_SIZES
+    },
+    "gen chained --spec arabic-spec.txt": (0, "x1 y1\nx2 y1\nx3 y1\n", "C1: X={x1,x2,x3} Y={y1}\n"),
+    "gen chained --spec zero-spec.txt": (3, "", "error: component 1 has an empty part: (0, 2)\n"),
+    # Help and usage errors, which argparse prints.
+    "": (
+        2, "", USAGE + "biclique-imbalance: error: the following arguments are required: command\n",
+        ARGPARSE,
+    ),
+    "-h": (
+        0,
+        USAGE + "\n"
+        "Minimum-imbalance orderings of (chained) complete bipartite graphs.\n"
+        "\npositional arguments:\n"
+        "  {eval,solve,verify,decompose,oracle,gen}\n"
+        "    eval                evaluate the imbalance of an ordering\n"
+        "    solve               closed-form minimum imbalance\n"
+        "    verify              check an ordering for optimality\n"
+        "    decompose           report the chain decomposition\n"
+        "    oracle              exhaustive search on a small graph\n"
+        "    gen                 generate instance edge lists\n"
+        "\noptions:\n"
+        "  -h, --help            show this help message and exit\n",
+        "", ARGPARSE,
+    ),
+    "solve -h": (
+        0,
+        "usage: biclique-imbalance solve [-h] {complete,chained} ...\n"
+        "\npositional arguments:\n"
+        "  {complete,chained}\n"
+        "    complete          complete bipartite graph\n"
+        "    chained           chained complete bipartite graph\n"
+        "\noptions:\n"
+        "  -h, --help          show this help message and exit\n",
+        "", ARGPARSE,
+    ),
+    "solve complete -h": (
+        0,
+        "usage: biclique-imbalance solve complete [-h] [--parts NX NY] [graph]\n"
+        "\npositional arguments:\n"
+        "  graph\n"
+        "\noptions:\n"
+        "  -h, --help     show this help message and exit\n"
+        "  --parts NX NY\n",
+        "", ARGPARSE,
+    ),
+    "gen -h": (
+        0,
+        "usage: biclique-imbalance gen [-h] {complete,chained} ...\n"
+        "\npositional arguments:\n"
+        "  {complete,chained}\n"
+        "\noptions:\n"
+        "  -h, --help          show this help message and exit\n",
+        "", ARGPARSE,
+    ),
+    "gen chained -h": (
+        0,
+        GEN_CHAINED_USAGE + "\noptions:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --spec SPEC\n"
+        "  --shuffle-names SEED\n",
+        "", ARGPARSE,
+    ),
+    "oracle -h": (
+        0,
+        ORACLE_USAGE + "\npositional arguments:\n"
+        "  graph\n"
+        "\noptions:\n"
+        "  -h, --help     show this help message and exit\n"
+        "  --max-n MAX_N\n"
+        "  --enumerate\n",
+        "", ARGPARSE,
+    ),
+    "solve sideways path.txt": (
+        2, "",
+        "usage: biclique-imbalance solve [-h] {complete,chained} ...\n"
+        "biclique-imbalance solve: error: argument solve_kind: invalid choice: 'sideways'"
+        " (choose from 'complete', 'chained')\n",
+        ARGPARSE,
+    ),
+    "eval path.txt": (
+        2, "",
+        "usage: biclique-imbalance eval [-h] [-v] graph ordering\n"
+        "biclique-imbalance eval: error: the following arguments are required: ordering\n",
+        ARGPARSE,
+    ),
+    "oracle path.txt --max-n": (
+        2, "",
+        ORACLE_USAGE + "biclique-imbalance oracle: error: argument --max-n: expected one argument\n",
+        ARGPARSE,
+    ),
+    "gen chained": (
+        2, "",
+        GEN_CHAINED_USAGE
+        + "biclique-imbalance gen chained: error: the following arguments are required: --spec\n",
+        ARGPARSE,
+    ),
+    "gen chained --spec s --shuffle-names x": (
+        2, "",
+        GEN_CHAINED_USAGE
+        + "biclique-imbalance gen chained: error: argument --shuffle-names: invalid int value: 'x'\n",
+        ARGPARSE,
+    ),
+    "decompose path.txt --bogus": (
+        2, "", USAGE + "biclique-imbalance: error: unrecognized arguments: --bogus\n", ARGPARSE
+    ),
+}
+DIRECT = [argv for argv, want in CLI_PINS.items() if want[3:] != (ARGPARSE,)]
+ROW_IDS = [argv or "no-arguments" for argv in CLI_PINS]
+
+
+@pytest.fixture(scope="module")
+def pin_paths(tmp_path_factory):
+    """The path of each file of PIN_FILES, written once for the module."""
+    root, paths = tmp_path_factory.mktemp("pins"), {}
+    for name, text in PIN_FILES.items():
+        if isinstance(text, tuple):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                assert main([paths.get(word, word) for word in text]) == 0
+            text = out.getvalue()
+        paths[name] = str(root / name)
+        Path(paths[name]).write_text(text, encoding="utf-8")
+    return paths
+
+
+@pytest.fixture
+def run(capsys, monkeypatch, pin_paths):
+    """Runs main on words, where a name in PIN_FILES stands for its path:
+    exit code, stdout, stderr. A SystemExit that argparse raises gives its code."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+
+    def _run(*words):
+        try:
+            code = main([pin_paths.get(word, word) for word in words])
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    return _run
+
+
+@pytest.fixture
+def pinned(run):
+    """Checks one row of CLI_PINS."""
+    def check(argv):
+        code, out, err = CLI_PINS[argv][:3]
+        # argparse up to 3.13.0 quotes the choices of an invalid choice; 3.13.13 does not.
+        unquoted = err.replace("'complete', 'chained'", "complete, chained")
+        assert run(*argv.split()) in [(code, out, err), (code, out, unquoted)]
+
+    return check
+
+
+NAMED = set()  # the rows that a named test checks
+
+
+def rows(*argvs, **by_id):
+    """A test that checks rows of CLI_PINS, named for what they show: all
+    argvs in one test, or each row of by_id in a test of its own under that id."""
+    NAMED.update(argvs, by_id.values())
+    if by_id:
+        @pytest.mark.parametrize("argv", list(by_id.values()), ids=list(by_id))
+        def test(self, pinned, argv):
+            pinned(argv)
+    else:
+        def test(self, pinned):
+            for argv in argvs:
+                pinned(argv)
+    return test
 
 
 @pytest.fixture
@@ -66,56 +462,19 @@ def _schoolbook_product_plus_one(a, b):
     return str(out[-1]) + "".join(f"{d:09d}" for d in reversed(out[:-1]))
 
 
-def run(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
 class TestEval:
-    def test_total(self, capsys, write):
-        g = write("g.txt", EXAMPLE)
-        o = write("o.txt", "a b c d e\n")
-        code, out, _ = run(capsys, "eval", g, o)
-        assert code == 0
-        assert out == "6\n"
-
-    def test_verbose_table(self, capsys, write):
-        g = write("g.txt", EXAMPLE)
-        o = write("o.txt", "a b c d e\n")
-        code, out, _ = run(capsys, "eval", g, o, "--verbose")
-        assert code == 0
-        assert out.splitlines() == ["6", "a\t2", "b\t1", "c\t1", "d\t1", "e\t1"]
-
-    def test_edgeless(self, capsys, write):
-        g = write("g.txt", "a\nb\n")
-        o = write("o.txt", "b a\n")
-        assert run(capsys, "eval", g, o) == (0, "0\n", "")
-
-    @pytest.mark.parametrize(
-        "graph, ordering, stdout",
-        [
-            (EXAMPLE, "a b c d e\n", "6\na\t2\nb\t1\nc\t1\nd\t1\ne\t1\n"),
-            ("a\nb\n", "b a\n", "0\nb\t0\na\t0\n"),
-            ("", "", "0\n"),
-        ],
-        ids=["example", "edgeless", "empty"],
+    test_total = rows("eval example.txt example-order.txt")
+    test_verbose_table = rows("eval example.txt example-order.txt --verbose")
+    test_edgeless = rows("eval pair.txt pair-order.txt")
+    test_verbose_report_bytes = rows(
+        example="eval example.txt example-order.txt -v",
+        edgeless="eval pair.txt pair-order.txt -v",
+        empty="eval empty.txt empty.txt -v",
     )
-    def test_verbose_report_bytes(self, capsys, write, graph, ordering, stdout):
-        g = write("g.txt", graph)
-        o = write("o.txt", ordering)
-        assert run(capsys, "eval", g, o, "-v") == (0, stdout, "")
+    test_missing_vertex_exits_2 = rows("eval example.txt example-short.txt")
 
-    def test_missing_vertex_exits_2(self, capsys, write):
-        g = write("g.txt", EXAMPLE)
-        o = write("o.txt", "a b c d\n")
-        code, _, err = run(capsys, "eval", g, o)
-        assert code == 2
-        assert "error" in err
-
-    def test_unreadable_file_exits_2(self, capsys, tmp_path):
-        code, _, _ = run(capsys, "eval", str(tmp_path / "nope"), str(tmp_path / "nope"))
-        assert code == 2
+    def test_unreadable_file_exits_2(self, run, tmp_path):
+        assert run("eval", str(tmp_path / "nope"), str(tmp_path / "nope"))[0] == 2
 
 
 class TestUnreadableInput:
@@ -140,18 +499,18 @@ class TestUnreadableInput:
             ["oracle", "bad.txt"],
         ],
     )
-    def test_undecodable_file(self, capsys, files, argv):
+    def test_undecodable_file(self, run, files, argv):
         bad = files["bad.txt"]
-        assert run(capsys, *(files.get(a, a) for a in argv)) == (
+        assert run(*(files.get(a, a) for a in argv)) == (
             2,
             "",
             f"error: cannot read {bad}: "
             "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n",
         )
 
-    def test_missing_file(self, capsys, files):
+    def test_missing_file(self, run, files):
         nope = files["nope"]
-        assert run(capsys, "eval", files["g.txt"], nope) == (
+        assert run("eval", files["g.txt"], nope) == (
             2,
             "",
             f"error: cannot read {nope}: [Errno 2] No such file or directory: {nope!r}\n",
@@ -159,106 +518,57 @@ class TestUnreadableInput:
 
 
 class TestSolveComplete:
-    def test_parts(self, capsys):
-        assert run(capsys, "solve", "complete", "--parts", "4", "9") == (0, "36\n", "")
-        assert run(capsys, "solve", "complete", "--parts", "3", "3") == (0, "10\n", "")
+    test_parts = rows("solve complete --parts 4 9", "solve complete --parts 3 3")
+    test_parts_reject_garbage = rows("solve complete --parts -3 4", "solve complete --parts 0 4")
+    test_parts_reject_digits_that_are_not_decimal = rows("solve complete --parts ² 3")
+    test_parts_accept_decimal_digits_of_any_script = rows("solve complete --parts ٣ 3")
+    test_graph_input = rows("solve complete k22.txt")
+    test_path_graph_exits_3 = rows("solve complete p4.txt")
+    test_no_input_exits_2 = rows("solve complete")
+    test_graph_and_parts_together_exit_2 = rows("solve complete k22.txt --parts 2 2")
 
-    def test_parts_arbitrary_precision(self, capsys):
+    def test_parts_arbitrary_precision(self, run):
         a = str(10**200 + 1)
         b = str(10**200 + 3)
-        code, out, _ = run(capsys, "solve", "complete", "--parts", a, b)
+        code, out, _ = run("solve", "complete", "--parts", a, b)
         assert code == 0
         assert out.strip() == str(int(a) * int(b) + 1)
 
-    def test_parts_beyond_the_int_str_digit_limit(self, capsys):
+    def test_parts_beyond_the_int_str_digit_limit(self, run):
         # 5,000-digit odd parts: the answer has 10,000 digits, past the 4,300
         # that Python 3.10.7+ converts by default.
         a = "1" + "234567890" * 555 + "1231"
         b = "9" + "876543210" * 555 + "9873"
         assert len(a) == len(b) == 5000
         limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-        code, out, err = run(capsys, "solve", "complete", "--parts", a, b)
+        code, out, err = run("solve", "complete", "--parts", a, b)
         assert (code, err) == (0, "")
         assert out.strip() == _schoolbook_product_plus_one(a, b)
         assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
-    def test_runs_on_an_interpreter_without_a_digit_limit(self, capsys, monkeypatch):
+    def test_runs_on_an_interpreter_without_a_digit_limit(self, run, monkeypatch):
         # Before Python 3.10.7 sys has no int/str digit limit to lift.
         monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
-        assert run(capsys, "solve", "complete", "--parts", "3", "3") == (0, "10\n", "")
-
-    def test_parts_reject_garbage(self, capsys):
-        code, _, _ = run(capsys, "solve", "complete", "--parts", "-3", "4")
-        assert code == 2
-        code, _, _ = run(capsys, "solve", "complete", "--parts", "0", "4")
-        assert code == 2
-
-    def test_parts_reject_digits_that_are_not_decimal(self, capsys):
-        assert run(capsys, "solve", "complete", "--parts", "²", "3") == (
-            2,
-            "",
-            "error: expected a decimal natural number, got '²'\n",
-        )
-
-    def test_parts_accept_decimal_digits_of_any_script(self, capsys):
-        assert run(capsys, "solve", "complete", "--parts", "٣", "3") == (0, "10\n", "")
-
-    def test_graph_input(self, capsys, write):
-        g = write("k22.txt", "x1 y1\nx1 y2\nx2 y1\nx2 y2\n")
-        code, out, _ = run(capsys, "solve", "complete", g)
-        lines = out.splitlines()
-        assert code == 0
-        assert lines[0] == "4"
-        assert sorted(lines[1].split()) == ["x1", "x2", "y1", "y2"]
-
-    def test_path_graph_exits_3(self, capsys, write):
-        g = write("p.txt", "a b\nb c\nc d\n")
-        assert run(capsys, "solve", "complete", g)[0] == 3
-
-    def test_no_input_exits_2(self, capsys):
-        assert run(capsys, "solve", "complete")[0] == 2
-
-    def test_graph_and_parts_together_exit_2(self, capsys, write):
-        g = write("k22.txt", "x1 y1\nx1 y2\nx2 y1\nx2 y2\n")
-        assert run(capsys, "solve", "complete", g, "--parts", "2", "2") == (
-            2,
-            "",
-            "error: solve complete takes a graph file or --parts NX NY, not both\n",
-        )
+        assert run("solve", "complete", "--parts", "3", "3") == (0, "10\n", "")
 
 
 class TestEdgelessGraph:
     """A graph without edges has no two nonempty parts: exit 3, not exit 2."""
 
-    @pytest.mark.parametrize("text", ["", "a\n", "a\nb\n"])
-    @pytest.mark.parametrize("command", ["solve", "verify"])
-    def test_rejected_as_not_complete_bipartite(self, capsys, write, text, command):
-        g = write("g.txt", text)
-        argv = ["solve", "complete", g] if command == "solve" else ["verify", g, g]
-        assert run(capsys, *argv) == (
-            3,
-            "",
-            "error: graph is not a complete bipartite graph: it has no edges\n",
-        )
+    test_rejected_as_not_complete_bipartite = rows(**{
+        "solve-": "solve complete empty.txt",
+        "solve-a\n": "solve complete lone.txt",
+        "solve-a\nb\n": "solve complete pair.txt",
+        "verify-": "verify empty.txt empty.txt",
+        "verify-a\n": "verify lone.txt lone.txt",
+        "verify-a\nb\n": "verify pair.txt pair.txt",
+    })
 
 
 class TestSolveChained:
-    def test_paper_figure(self, capsys, write):
-        g = write("chain.txt", "".join(f"{u} {v}\n" for u, v in CHAINED_EDGES))
-        out = "6\nx1 y1 y2 x2 y3 x3 y4 x5 y5 y6 x4\n"
-        assert run(capsys, "solve", "chained", g) == (0, out, "")
-
-    def test_disconnected_exits_3(self, capsys, write):
-        g = write("disc.txt", "a b\nc d\n")
-        assert run(capsys, "solve", "chained", g)[0] == 3
-
-    def test_byte_order_mark_is_not_read_as_part_of_a_vertex(self, capsys, write):
-        g = write("bom.txt", "\ufeffx1 y1\nx1 y2\n")
-        code, out, err = run(capsys, "solve", "chained", g)
-        lines = out.splitlines()
-        assert (code, err) == (0, "")
-        assert lines[0] == "2"
-        assert sorted(lines[1].split()) == ["x1", "y1", "y2"]
+    test_paper_figure = rows("solve chained figure.txt")
+    test_disconnected_exits_3 = rows("solve chained disc.txt")
+    test_byte_order_mark_is_not_read_as_part_of_a_vertex = rows("solve chained bom.txt")
 
     @pytest.mark.parametrize(
         "damage, message",
@@ -275,46 +585,26 @@ class TestSolveChained:
         ids=["suboptimal layout", "layout missing a vertex"],
     )
     def test_layout_that_fails_the_self_check_exits_5_and_prints_nothing(
-        self, capsys, write, monkeypatch, damage, message
+        self, run, monkeypatch, damage, message
     ):
         fill_runs = chained._fill_runs
         monkeypatch.setattr(
             chained, "_fill_runs", lambda a, b, same: damage(fill_runs(a, b, same))
         )
-        g = write("chain.txt", "".join(f"{u} {v}\n" for u, v in CHAINED_EDGES))
-        code, out, err = run(capsys, "solve", "chained", g)
+        code, out, err = run("solve", "chained", "figure.txt")
         assert (code, out) == (5, "")
         assert err.startswith(message)
         assert err.count("\n") == 1
 
 
 class TestVerify:
-    def test_optimal(self, capsys, write):
-        g = write("k22.txt", "x1 y1\nx1 y2\nx2 y1\nx2 y2\n")
-        o = write("o.txt", "y1 x1 x2 y2\n")
-        assert run(capsys, "verify", g, o) == (0, "optimal\n", "")
-
-    def test_not_optimal_still_exits_0(self, capsys, write):
-        g = write("k22.txt", "x1 y1\nx1 y2\nx2 y1\nx2 y2\n")
-        o = write("o.txt", "x1 x2 y1 y2\n")
-        code, out, _ = run(capsys, "verify", g, o)
-        assert code == 0
-        assert out == "not-optimal property=P1 achieved=8 minimum=4\n"
-
-    def test_triangle_exits_3(self, capsys, write):
-        g = write("tri.txt", "a b\nb c\nc a\n")
-        o = write("o.txt", "a b c\n")
-        assert run(capsys, "verify", g, o)[0] == 3
-
-    @pytest.mark.parametrize("ordering", ["y1 x1 x2\n", "y1 x1 x2 y2 z\n"])
-    def test_ordering_missing_or_adding_a_vertex_exits_2(self, capsys, write, ordering):
-        g = write("k22.txt", "x1 y1\nx1 y2\nx2 y1\nx2 y2\n")
-        o = write("o.txt", ordering)
-        assert run(capsys, "verify", g, o) == (
-            2,
-            "",
-            "error: ordering does not cover exactly the bipartition's vertices\n",
-        )
+    test_optimal = rows("verify k22.txt k22-optimal.txt")
+    test_not_optimal_still_exits_0 = rows("verify k22.txt k22-p1.txt")
+    test_triangle_exits_3 = rows("verify triangle.txt order.txt")
+    test_ordering_missing_or_adding_a_vertex_exits_2 = rows(**{
+        "y1 x1 x2\n": "verify k22.txt k22-short.txt",
+        "y1 x1 x2 y2 z\n": "verify k22.txt k22-long.txt",
+    })
 
 
 class TestCompletenessByEdgeCount:
@@ -327,7 +617,7 @@ class TestCompletenessByEdgeCount:
         return [e[:: rng.choice((1, -1))] for e in edges]
 
     @pytest.mark.parametrize("seed", range(20))
-    def test_edge_count_decides_and_the_commands_agree(self, capsys, write, seed):
+    def test_edge_count_decides_and_the_commands_agree(self, run, write, seed):
         rng = random.Random(seed)
         a, b = rng.randint(1, 6), rng.randint(2, 6)
         complete = self._k(rng, a, b, "")
@@ -347,8 +637,8 @@ class TestCompletenessByEdgeCount:
             order = sorted(g.vertices)
             rng.shuffle(order)
             gf, of = write("g.txt", text), write("o.txt", " ".join(order) + "\n")
-            solved = run(capsys, "solve", "complete", gf)
-            verified = run(capsys, "verify", gf, of)
+            solved = run("solve", "complete", gf)
+            verified = run("verify", gf, of)
             if not want:
                 rejected = (3, "", "error: graph is not a complete bipartite graph\n")
                 assert solved == verified == rejected
@@ -368,250 +658,87 @@ class TestCompletenessByEdgeCount:
 
 
 class TestDecompose:
-    def test_paper_figure_report(self, capsys, write):
-        g = write("chain.txt", "".join(f"{u} {v}\n" for u, v in CHAINED_EDGES))
-        code, out, _ = run(capsys, "decompose", g)
-        assert code == 0
-        assert out == (
-            "C1: X={x1,x2} Y={y1,y2}\n"
-            "C2: X={x2,x3} Y={y3,y4}\n"
-            "C3: X={x4,x5} Y={y4,y5,y6}\n"
-            "s1 = x2 (X)\n"
-            "s2 = y4 (Y)\n"
-        )
-
-    def test_k33_single_component(self, capsys, write):
-        g = write("k33.txt", "".join(f"x{i} y{j}\n" for i in range(1, 4) for j in range(1, 4)))
-        code, out, _ = run(capsys, "decompose", g)
-        assert code == 0
-        assert out == "C1: X={x1,x2,x3} Y={y1,y2,y3}\n"
-
-    def test_six_cycle_exits_3(self, capsys, write):
-        g = write("c6.txt", "a b\nb c\nc d\nd e\ne f\nf a\n")
-        assert run(capsys, "decompose", g)[0] == 3
-
-    @pytest.mark.parametrize("command", [["decompose"], ["solve", "chained"]])
-    def test_empty_file_exits_3(self, capsys, write, command):
-        assert run(capsys, *command, write("empty.txt", "")) == (
-            3,
-            "",
-            "error: not a chained complete bipartite graph: graph has no vertices\n",
-        )
-
-    def test_orientation_tie_puts_the_larger_vertex_list_first(self, capsys, write):
-        # both end components have the overlap a as their smallest vertex
-        g = write("tie.txt", "a y1\na y2\nc y1\nc y2\na z1\na z2\nb z1\nb z2\n")
-        assert run(capsys, "decompose", g) == (
-            0,
-            "C1: X={a,c} Y={y1,y2}\n"
-            "C2: X={a,b} Y={z1,z2}\n"
-            "s1 = a (X)\n",
-            "",
-        )
+    test_paper_figure_report = rows("decompose figure.txt")
+    test_k33_single_component = rows("decompose k33.txt")
+    test_six_cycle_exits_3 = rows("decompose c6.txt")
+    test_empty_file_exits_3 = rows(
+        command0="decompose empty.txt", command1="solve chained empty.txt"
+    )
+    test_orientation_tie_puts_the_larger_vertex_list_first = rows("decompose tie.txt")
 
 
 class TestOracle:
-    def test_k22(self, capsys, write):
-        g = write("k22.txt", "x1 y1\nx1 y2\nx2 y1\nx2 y2\n")
-        code, out, _ = run(capsys, "oracle", g)
-        lines = out.splitlines()
-        assert code == 0
-        assert lines[0] == "4"
-        assert sorted(lines[1].split()) == ["x1", "x2", "y1", "y2"]
+    test_k22 = rows("oracle k22.txt")
+    test_cap_without_flag_exits_4 = rows("oracle figure.txt", "oracle figure.txt --max-n 11")
+    test_enumerate_single_edge = rows("oracle edge.txt --enumerate")
+    test_cap_that_is_no_natural_number_exits_2 = rows(
+        **{"-1": "oracle edge.txt --max-n -1", "abc": "oracle edge.txt --max-n abc"}
+    )
+    test_zero_cap_exits_4 = rows("oracle edge.txt --max-n 0")
+    test_state_cap_exits_4 = rows("oracle p40.txt --max-n 40")
+    test_enumerate_paper_figure_bytes = rows("oracle figure.txt --max-n 11 --enumerate")
+    test_enumerate_k23_bytes = rows("oracle k23.txt --enumerate")
 
-    def test_cap_without_flag_exits_4(self, capsys, write):
-        g = write("chain.txt", "".join(f"{u} {v}\n" for u, v in CHAINED_EDGES))
-        assert run(capsys, "oracle", g)[0] == 4
-        code, out, _ = run(capsys, "oracle", g, "--max-n", "11")
-        assert code == 0
-        assert out.splitlines()[0] == "6"
-
-    def test_enumerate_single_edge(self, capsys, write):
-        g = write("e.txt", "u v\n")
-        code, out, _ = run(capsys, "oracle", g, "--enumerate")
-        assert code == 0
-        assert out.splitlines() == ["2", "u v", "2"]
-
-    def test_enumerate_large_star(self, capsys, write):
+    def test_enumerate_large_star(self, run, write):
         g = write("star.txt", "".join(f"x1 y{i}\n" for i in range(1, 1201)))
-        code, out, _ = run(capsys, "oracle", g, "--max-n", "1201", "--enumerate")
+        code, out, _ = run("oracle", g, "--max-n", "1201", "--enumerate")
         assert code == 0
         minimum, witness, count = out.splitlines()
         assert minimum == "1200"
         assert witness.split()[600] == "x1"
         assert count == str(math.factorial(1200))
 
-    @pytest.mark.parametrize("cap", ["-1", "abc"])
-    def test_cap_that_is_no_natural_number_exits_2(self, capsys, write, cap):
-        g = write("e.txt", "u v\n")
-        assert run(capsys, "oracle", g, "--max-n", cap) == (
-            2,
-            "",
-            f"error: expected a decimal natural number, got {cap!r}\n",
-        )
-
-    def test_zero_cap_exits_4(self, capsys, write):
-        g = write("e.txt", "u v\n")
-        assert run(capsys, "oracle", g, "--max-n", "0") == (
-            4,
-            "",
-            "error: 2 vertices exceeds the search cap of 0\n",
-        )
-
-    def test_state_cap_exits_4(self, capsys, write):
-        g = write("path.txt", "".join(f"p{i} p{i + 1}\n" for i in range(1, 40)))
-        assert run(capsys, "oracle", g, "--max-n", "40") == (
-            4,
-            "",
-            "error: 1099511627776 twin-class states exceeds the table cap of 4194304\n",
-        )
-
-    def test_enumerate_paper_figure_bytes(self, capsys, write):
-        g = write("fig.txt", _edge_text(generate_chained(FIG_SPEC)[0].edges()))
-        assert run(capsys, "oracle", g, "--max-n", "11", "--enumerate") == (
-            0,
-            "6\nx1 y1 y2 x2 y3 x3 y4 x4 y5 x5 y6\n64\n",
-            "",
-        )
-
-    def test_enumerate_k23_bytes(self, capsys, write):
-        g = write("k23.txt", "".join(f"x{i} y{j}\n" for i in (1, 2) for j in (1, 2, 3)))
-        assert run(capsys, "oracle", g, "--enumerate") == (0, "6\nx1 y1 y2 x2 y3\n48\n", "")
-
 
 class TestGen:
-    def test_complete(self, capsys):
-        code, out, _ = run(capsys, "gen", "complete", "2", "2")
-        assert code == 0
-        assert out.splitlines() == ["x1 y1", "x1 y2", "x2 y1", "x2 y2"]
+    test_complete = rows("gen complete 2 2")
+    test_complete_stdout_bytes = rows("gen complete 2 3")
+    test_chained_paper_figure_bytes = rows("gen chained --spec figure-spec.txt")
+    test_complete_rejects_digits_that_are_not_decimal = rows("gen complete 3 ²")
+    test_complete_with_an_empty_part_exits_2 = rows("gen complete 0 3")
+    test_singleton_overlap_spec_exits_3 = rows("gen chained --spec singleton-spec.txt")
+    test_overlap_in_no_part_exits_2 = rows("gen chained --spec overlap-z-spec.txt")
+    test_spec_size_that_is_no_decimal_natural_number_exits_2 = rows(
+        **{s: f"gen chained --spec size{s}-spec.txt" for s in BAD_SIZES}
+    )
+    test_spec_size_in_other_decimal_digits_is_read = rows("gen chained --spec arabic-spec.txt")
+    test_spec_size_zero_exits_3 = rows("gen chained --spec zero-spec.txt")
 
-    def test_complete_stdout_bytes(self, capsys):
-        assert run(capsys, "gen", "complete", "2", "3") == (
-            0,
-            "x1 y1\nx1 y2\nx1 y3\nx2 y1\nx2 y2\nx2 y3\n",
-            "",
-        )
-
-    def test_chained_paper_figure_bytes(self, capsys, write):
-        spec = write(
-            "spec.txt", "component 2 2\noverlap X\ncomponent 2 2\noverlap Y\ncomponent 2 3\n"
-        )
-        assert run(capsys, "gen", "chained", "--spec", spec) == (
-            0,
-            "x1 y1\nx1 y2\nx2 y1\nx2 y2\nx2 y3\nx2 y4\nx3 y3\nx3 y4\n"
-            "x4 y4\nx4 y5\nx4 y6\nx5 y4\nx5 y5\nx5 y6\n",
-            "C1: X={x1,x2} Y={y1,y2}\nC2: X={x2,x3} Y={y3,y4}\nC3: X={x4,x5} Y={y4,y5,y6}\n"
-            "s1 = x2 (X)\ns2 = y4 (Y)\n",
-        )
-
-    def test_complete_rejects_digits_that_are_not_decimal(self, capsys):
-        assert run(capsys, "gen", "complete", "3", "²") == (
-            2,
-            "",
-            "error: expected a decimal natural number, got '²'\n",
-        )
-
-    def test_complete_with_an_empty_part_exits_2(self, capsys):
-        assert run(capsys, "gen", "complete", "0", "3") == (
-            2,
-            "",
-            "error: part sizes must be at least 1\n",
-        )
-
-    def test_chained_with_sidecar_report(self, capsys, write):
-        spec = write(
-            "spec.txt", "component 2 2\noverlap X\ncomponent 2 2\noverlap Y\ncomponent 2 3\n"
-        )
-        code, out, err = run(capsys, "gen", "chained", "--spec", spec)
-        assert code == 0
-        assert "x2 y3" in out
-        assert "s1 = x2 (X)" in err
-        assert "s2 = y4 (Y)" in err
-
-    def test_shuffle_names_is_deterministic(self, capsys, write):
-        spec = write("spec.txt", "component 2 2\noverlap X\ncomponent 2 2\n")
-        _, out1, _ = run(capsys, "gen", "chained", "--spec", spec, "--shuffle-names", "7")
-        _, out2, _ = run(capsys, "gen", "chained", "--spec", spec, "--shuffle-names", "7")
-        _, out3, _ = run(capsys, "gen", "chained", "--spec", spec, "--shuffle-names", "8")
+    def test_shuffle_names_is_deterministic(self, run):
+        _, out1, _ = run("gen", "chained", "--spec", "spec.txt", "--shuffle-names", "7")
+        _, out2, _ = run("gen", "chained", "--spec", "spec.txt", "--shuffle-names", "7")
+        _, out3, _ = run("gen", "chained", "--spec", "spec.txt", "--shuffle-names", "8")
         assert out1 == out2
         assert out1 != out3
 
-    def test_singleton_overlap_spec_exits_3(self, capsys, write):
-        spec = write("bad.txt", "component 1 2\noverlap X\ncomponent 2 2\n")
-        assert run(capsys, "gen", "chained", "--spec", spec)[0] == 3
-
-    def test_overlap_in_no_part_exits_2(self, capsys, write):
-        spec = write("bad.txt", "component 2 2\noverlap Z\ncomponent 2 2\n")
-        assert run(capsys, "gen", "chained", "--spec", spec) == (
-            2,
-            "",
-            "error: line 2: overlap line must be 'overlap X' or 'overlap Y': 'overlap Z'\n",
-        )
-
-    @pytest.mark.parametrize("size", ["1_0", "+2", "-1", "²"])
-    def test_spec_size_that_is_no_decimal_natural_number_exits_2(self, capsys, write, size):
-        spec = write("bad.txt", f"component 2 2\noverlap X\ncomponent {size} 2\n")
-        assert run(capsys, "gen", "chained", "--spec", spec) == (
-            2,
-            "",
-            f"error: line 3: component sizes must be decimal natural numbers: "
-            f"'component {size} 2'\n",
-        )
-
-    def test_spec_size_in_other_decimal_digits_is_read(self, capsys, write):
-        spec = write("spec.txt", "component ٣ 1\n")
-        assert run(capsys, "gen", "chained", "--spec", spec) == (
-            0,
-            "x1 y1\nx2 y1\nx3 y1\n",
-            "C1: X={x1,x2,x3} Y={y1}\n",
-        )
-
-    def test_spec_size_beyond_the_int_str_digit_limit_is_read_exactly(self, capsys, write):
+    def test_spec_size_beyond_the_int_str_digit_limit_is_read_exactly(self, run, write):
         size = "1" + "234567890" * 555 + "1231"
         assert len(size) == 5000
         spec = write("big.txt", f"component {size} 0\n")
-        assert run(capsys, "gen", "chained", "--spec", spec) == (
+        assert run("gen", "chained", "--spec", spec) == (
             3,
             "",
             f"error: component 1 has an empty part: ({size}, 0)\n",
-        )
-
-    def test_spec_size_zero_exits_3(self, capsys, write):
-        spec = write("bad.txt", "component 0 2\n")
-        assert run(capsys, "gen", "chained", "--spec", spec) == (
-            3,
-            "",
-            "error: component 1 has an empty part: (0, 2)\n",
         )
 
 
 class TestRepeatedCalls:
     """One process, several main calls: no option leaks into the next call."""
 
-    def test_options_do_not_carry_over(self, capsys, write):
-        g = write("g.txt", EXAMPLE)
-        o = write("o.txt", "a b c d e\n")
-        assert run(capsys, "eval", "-v", g, o)[1].splitlines()[1:2] == ["a\t2"]
-        assert run(capsys, "eval", g, o) == (0, "6\n", "")
+    def test_options_do_not_carry_over(self, capsys, run, pinned, pin_paths):
+        pinned("eval example.txt example-order.txt -v")
+        pinned("eval example.txt example-order.txt")
         # argparse reads the abbreviated flag; the next, plain call leaves it out.
-        assert run(capsys, "eval", "--verb", g, o)[1].splitlines()[1:2] == ["a\t2"]
-        assert run(capsys, "eval", g, o) == (0, "6\n", "")
+        assert run("eval", "--verb", "example.txt", "example-order.txt") == EXAMPLE_REPORT
+        pinned("eval example.txt example-order.txt")
+        g, o = pin_paths["example.txt"], pin_paths["example-order.txt"]
         assert main(("eval", "-v", g, o)) == 0 and capsys.readouterr().out.startswith("6\na\t2\n")
         assert main(("eval", g, o)) == 0 and capsys.readouterr().out == "6\n"
 
-        k22 = write("k22.txt", "x1 y1\nx1 y2\nx2 y1\nx2 y2\n")
-        assert run(capsys, "oracle", "--enumerate", k22) == (0, "4\nx1 y1 x2 y2\n16\n", "")
-        assert run(capsys, "oracle", k22) == (0, "4\nx1 y1 x2 y2\n", "")
+        assert run("oracle", "--enumerate", "k22.txt") == (0, "4\nx1 y1 x2 y2\n16\n", "")
+        pinned("oracle k22.txt")
 
-        spec = write("spec.txt", "component 2 2\noverlap X\ncomponent 2 2\n")
-        code, out, _ = run(capsys, "gen", "chained", "--spec", spec, "--shuffle-names", "7")
-        assert code == 0 and out.startswith("v1 v6\n")
-        code, out, err = run(capsys, "gen", "chained", "--spec", spec)
-        assert code == 0
-        assert out.splitlines() == [
-            "x1 y1", "x1 y2", "x2 y1", "x2 y2", "x2 y3", "x2 y4", "x3 y3", "x3 y4"
-        ]
-        assert err == "C1: X={x1,x2} Y={y1,y2}\nC2: X={x2,x3} Y={y3,y4}\ns1 = x2 (X)\n"
+        pinned("gen chained --spec spec.txt --shuffle-names 7")
+        pinned("gen chained --spec spec.txt")
 
 
 class TestPipelineClosure:
@@ -682,79 +809,11 @@ class TestPipelineClosure:
             done += 1
 
 
-class TestOutputHygiene:
-    def test_single_trailing_newline(self, capsys, write):
-        g = write("k22.txt", "x1 y1\nx1 y2\nx2 y1\nx2 y2\n")
-        o = write("o.txt", "y1 x1 x2 y2\n")
-        for argv in (
-            ["eval", g, o],
-            ["solve", "complete", g],
-            ["verify", g, o],
-            ["decompose", g],
-            ["oracle", g],
-        ):
-            code, out, _ = run(capsys, *argv)
-            assert code == 0
-            assert out.endswith("\n")
-            assert not out.endswith("\n\n")
-
-
-# The files the pinned runs read; an argv tuple stands for that command's stdout.
-PIN_FILES = {
-    "path.txt": "a b\nb c\n",
-    # The same path with tabs, and with CRLF line ends, takes the line reader.
-    "tabs.txt": "a\tb\nb\tc\n",
-    "crlf.txt": "a b\r\nb c\r\n",
-    "order.txt": "a b c\n",
-    "repeat.txt": "a b a\n",
-    "chain.txt": "x1 y1\nx1 y2\nx2 y1\nx2 y2\nx2 y3\nx2 y4\nx3 y3\nx3 y4\n",  # the README chain
-    # A K(3,2) block dealt in descending order; a K(1,2) between two K(3,3)s,
-    # which deals odd by odd parts in six runs and a part of one vertex.
-    "spec.txt": "component 2 2\noverlap Y\ncomponent 3 2\n",
-    "gen.txt": ("gen", "chained", "--spec", "spec.txt"),
-    "spec6.txt": "component 3 3\noverlap Y\ncomponent 1 2\noverlap Y\ncomponent 3 3\n",
-    "gen6.txt": ("gen", "chained", "--spec", "spec6.txt"),
-    "k23.txt": "x1 y1\nx1 y2\nx1 y3\nx2 y1\nx2 y2\nx2 y3\n",
-    "k23-optimal.txt": "x1 y1 y2 y3 x2\n",
-    "k23-p1.txt": "x1 x2 y1 y2 y3\n",
-}
-PATH_REPORT = (0, "2\na\t1\nb\t0\nc\t1\n", "")
-# Each run's argv (file names stand for their paths) -> exit code, stdout, stderr.
-CLI_PINS = {
-    "eval -v path.txt order.txt": PATH_REPORT,
-    "eval -v tabs.txt order.txt": PATH_REPORT,
-    "eval -v crlf.txt order.txt": PATH_REPORT,
-    "eval path.txt repeat.txt": (2, "", "error: duplicate vertices in ordering: ['a']\n"),
-    "oracle path.txt --enumerate": (0, "2\na b c\n2\n", ""),
-    "solve chained chain.txt": (0, "4\nx1 y1 y2 x2 y3 y4 x3\n", ""),
-    "decompose chain.txt": (
-        0, "C1: X={x1,x2} Y={y1,y2}\nC2: X={x2,x3} Y={y3,y4}\ns1 = x2 (X)\n", ""
-    ),
-    "solve chained gen.txt": (0, "6\nx1 y1 x2 y2 x5 x4 y3 x3\n", ""),
-    "solve chained gen6.txt": (0, "18\nx1 y1 x2 y2 x3 y3 x4 y4 x6 y5 x7 y6 x5\n", ""),
-    "verify k23.txt k23-optimal.txt": (0, "optimal\n", ""),
-    "verify k23.txt k23-p1.txt": (0, "not-optimal property=P1 achieved=12 minimum=6\n", ""),
-}
-
-
-@pytest.fixture
-def pinned(capsys, write):
-    paths = {}
-    for name, text in PIN_FILES.items():
-        if isinstance(text, tuple):
-            code, text, _ = run(capsys, *(paths.get(a, a) for a in text))
-            assert code == 0
-        paths[name] = write(name, text)
-    return lambda argv: [paths.get(a, a) for a in argv.split()]
-
-
 class TestPinnedBytes:
-    """Also pinned: `solve complete --parts 3 3` by TestSolveComplete::test_parts
-    and an empty graph file by TestDecompose::test_empty_file_exits_3."""
+    """test_run checks the rows that argparse does not read and no test above
+    names; the other tests run main_exit, through `python -m`."""
 
-    @pytest.mark.parametrize("argv, want", CLI_PINS.items(), ids=list(CLI_PINS))
-    def test_run(self, capsys, pinned, argv, want):
-        assert run(capsys, *pinned(argv)) == want
+    test_run = rows(**{argv: argv for argv in DIRECT if argv not in NAMED})
 
     @pytest.mark.parametrize(
         "argv",
@@ -766,181 +825,57 @@ class TestPinnedBytes:
             "oracle path.txt --enumerate",
         ],
     )
-    def test_module_entry_point_matches_main(self, capsys, monkeypatch, pinned, argv):
+    def test_module_entry_point_matches_main(self, run, pin_paths, argv):
         # `python -m` runs the module's __main__ guard, and so main_exit.
-        monkeypatch.setenv("COLUMNS", "80")
-        argv, env = pinned(argv), {**os.environ, "PYTHONPATH": str(SRC)}
-        cmd = [sys.executable, "-m", "biclique_imbalance.cli", *argv]
+        words = [pin_paths.get(word, word) for word in argv.split()]
+        cmd = [sys.executable, "-m", "biclique_imbalance.cli", *words]
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
         proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60, env=env)
-        assert (proc.returncode, proc.stdout, proc.stderr) == run_caught(capsys, *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == run(*words)
 
-
-def run_caught(capsys, *argv):
-    """run, but a SystemExit that argparse raises gives its code."""
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:
-        code = exc.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
-USAGE = "usage: biclique-imbalance [-h] {eval,solve,verify,decompose,oracle,gen} ...\n"
-GEN_CHAINED_USAGE = (
-    "usage: biclique-imbalance gen chained [-h] --spec SPEC [--shuffle-names SEED]\n"
-)
-ORACLE_USAGE = "usage: biclique-imbalance oracle [-h] [--max-n MAX_N] [--enumerate] graph\n"
-# The argv that argparse answers itself, help and usage errors, at a terminal
-# width of 80 columns -> exit code, stdout, stderr. No file is read.
-ARGPARSE_PINS = {
-    "": (2, "", USAGE + "biclique-imbalance: error: the following arguments are required: command\n"),
-    "-h": (
-        0,
-        USAGE + "\n"
-        "Minimum-imbalance orderings of (chained) complete bipartite graphs.\n"
-        "\n"
-        "positional arguments:\n"
-        "  {eval,solve,verify,decompose,oracle,gen}\n"
-        "    eval                evaluate the imbalance of an ordering\n"
-        "    solve               closed-form minimum imbalance\n"
-        "    verify              check an ordering for optimality\n"
-        "    decompose           report the chain decomposition\n"
-        "    oracle              exhaustive search on a small graph\n"
-        "    gen                 generate instance edge lists\n"
-        "\n"
-        "options:\n"
-        "  -h, --help            show this help message and exit\n",
-        "",
-    ),
-    "solve -h": (
-        0,
-        "usage: biclique-imbalance solve [-h] {complete,chained} ...\n"
-        "\n"
-        "positional arguments:\n"
-        "  {complete,chained}\n"
-        "    complete          complete bipartite graph\n"
-        "    chained           chained complete bipartite graph\n"
-        "\n"
-        "options:\n"
-        "  -h, --help          show this help message and exit\n",
-        "",
-    ),
-    "solve complete -h": (
-        0,
-        "usage: biclique-imbalance solve complete [-h] [--parts NX NY] [graph]\n"
-        "\n"
-        "positional arguments:\n"
-        "  graph\n"
-        "\n"
-        "options:\n"
-        "  -h, --help     show this help message and exit\n"
-        "  --parts NX NY\n",
-        "",
-    ),
-    "gen -h": (
-        0,
-        "usage: biclique-imbalance gen [-h] {complete,chained} ...\n"
-        "\n"
-        "positional arguments:\n"
-        "  {complete,chained}\n"
-        "\n"
-        "options:\n"
-        "  -h, --help          show this help message and exit\n",
-        "",
-    ),
-    "gen chained -h": (
-        0,
-        GEN_CHAINED_USAGE + "\n"
-        "options:\n"
-        "  -h, --help            show this help message and exit\n"
-        "  --spec SPEC\n"
-        "  --shuffle-names SEED\n",
-        "",
-    ),
-    "oracle -h": (
-        0,
-        ORACLE_USAGE + "\n"
-        "positional arguments:\n"
-        "  graph\n"
-        "\n"
-        "options:\n"
-        "  -h, --help     show this help message and exit\n"
-        "  --max-n MAX_N\n"
-        "  --enumerate\n",
-        "",
-    ),
-    "solve sideways path.txt": (
-        2,
-        "",
-        "usage: biclique-imbalance solve [-h] {complete,chained} ...\n"
-        "biclique-imbalance solve: error: argument solve_kind: invalid choice: 'sideways'"
-        " (choose from 'complete', 'chained')\n",
-    ),
-    "eval path.txt": (
-        2,
-        "",
-        "usage: biclique-imbalance eval [-h] [-v] graph ordering\n"
-        "biclique-imbalance eval: error: the following arguments are required: ordering\n",
-    ),
-    "oracle path.txt --max-n": (
-        2,
-        "",
-        ORACLE_USAGE + "biclique-imbalance oracle: error: argument --max-n: expected one argument\n",
-    ),
-    "gen chained": (
-        2,
-        "",
-        GEN_CHAINED_USAGE
-        + "biclique-imbalance gen chained: error: the following arguments are required: --spec\n",
-    ),
-    "gen chained --spec s --shuffle-names x": (
-        2,
-        "",
-        GEN_CHAINED_USAGE
-        + "biclique-imbalance gen chained: error: argument --shuffle-names: invalid int value: 'x'\n",
-    ),
-    "decompose path.txt --bogus": (
-        2, "", USAGE + "biclique-imbalance: error: unrecognized arguments: --bogus\n"
-    ),
-}
+    def test_a_closed_pipe_exits_1_with_empty_stderr(self):
+        cmd = [sys.executable, "-m", "biclique_imbalance.cli", "gen", "complete", "2000", "2000"]
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            assert proc.stdout.readline() == b"x1 y1\n"
+            proc.stdout.close()
+            assert proc.stderr.read() == b""
+            assert proc.wait(timeout=60) == 1
 
 
 class TestArgparseBytes:
-    @pytest.mark.parametrize(
-        "argv, want", ARGPARSE_PINS.items(), ids=[a or "no-arguments" for a in ARGPARSE_PINS]
-    )
-    def test_run(self, capsys, monkeypatch, argv, want):
-        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
-        got = run_caught(capsys, *argv.split())
-        # argparse up to 3.13.0 quotes the choices of an invalid choice; 3.13.13 does not.
-        unquoted = want[2].replace("'complete', 'chained'", "complete, chained")
-        assert got in [want, (*want[:2], unquoted)]
+    """The rows that argparse reads and no test above names."""
+
+    test_run = rows(**{
+        argv or "no-arguments": argv for argv in CLI_PINS if argv not in NAMED.union(DIRECT)
+    })
 
 
-# Each leaf command: its words, how many positionals a plain argv gives, and
-# its option spellings with the number of values each takes.
-LEAVES = [
-    ("eval", 2, [("-v", 0), ("--verbose", 0)]),
-    ("solve complete", 1, [("--parts", 2)]),
-    ("solve chained", 1, []),
-    ("verify", 2, []),
-    ("decompose", 1, []),
-    ("oracle", 1, [("--max-n", 1), ("--enumerate", 0)]),
-    ("gen complete", 2, []),
-    ("gen chained", 0, [("--spec", 1), ("--shuffle-names", 1)]),
-]
-VALUES = ["x", "", "-1", "-", "--", "-x", "a b", "\u0663", "+7", "7_0"]
-ABBREVIATIONS = {"--max-n": "--max", "--enumerate": "--enum", "--verbose": "--verb",
-                 "--shuffle-names": "--shuffle"}
+def _leaves(node=cli._GRAMMAR, words=()):
+    """Each leaf command of cli._GRAMMAR: its words, how many positionals a
+    plain argv gives, and its option spellings with the number of values each takes."""
+    if isinstance(node[0], str):  # a group
+        for word, (_, child) in node[1].items():
+            yield from _leaves(child, (*words, word))
+        return
+    _, positionals, options = node
+    yield words, len(positionals), [
+        (flag, 0 if kw.get("action") == "store_true" else kw.get("nargs") or 1)
+        for flags, kw in options.items()
+        for flag in flags
+    ]
+
+
+VALUES = ["x", "", "-1", "-", "--", "-x", "a b", "٣", "+7", "7_0"]
 
 
 def _leaf_argvs(words, n_pos, options):
     """Every interleaving of the positionals with each subset of the options,
     each value slot drawn from VALUES in turn (the others "x"); then the plain
-    argv with all options, varied: an option repeated, abbreviated, in its
-    "=" form or short of a value, a positional too few or too many, "-h" in
-    every slot, and as a tuple."""
-    words = words.split()
+    argv with all options, varied: an option repeated, a long one abbreviated
+    by its last two characters, in its "=" form or short of a value, a
+    positional too few or too many, "-h" in every slot, and as a tuple."""
+    words = list(words)
     for k in range(len(options) + 1):
         for chosen in itertools.combinations(options, k):
             for order in sorted(set(itertools.permutations(["P"] * n_pos + list(chosen))), key=str):
@@ -955,8 +890,8 @@ def _leaf_argvs(words, n_pos, options):
     for flag, n in options:
         i = plain.index(flag)
         yield plain + [flag] + ["7"] * n  # repeated
-        if flag in ABBREVIATIONS:
-            yield plain[:i] + [ABBREVIATIONS[flag]] + plain[i + 1 :]
+        if flag.startswith("--"):
+            yield plain[:i] + [flag[:-2]] + plain[i + 1 :]
         yield plain[:i] + [flag + "=7"] + plain[i + 1 + min(n, 1) :]
         if n:
             yield plain[:i] + plain[i + 1 + n :] + [flag] + ["7"] * (n - 1)  # a value short
@@ -973,7 +908,7 @@ class TestDirectArgs:
         """_direct_args gives None or what argparse gives, and None wherever
         argparse exits; this interpreter's own argparse is the reference."""
         argvs = [[], ["solve"], ["gen"], ["sideways"], ["solve", "sideways", "x"], ["-h"]]
-        argvs += [argv for leaf in LEAVES for argv in _leaf_argvs(*leaf)]
+        argvs += [argv for leaf in _leaves() for argv in _leaf_argvs(*leaf)]
         direct = 0
         for argv in argvs:
             got = cli._direct_args(argv)
@@ -987,60 +922,20 @@ class TestDirectArgs:
         assert 0 < direct < len(argvs)
         assert cli._direct_args(["decompose", Path("g.txt")]) is None
 
-    # The plain argv of the README and of perfbench/instances.py.
-    DOCUMENTED = [
-        "eval path.txt order.txt",
-        "eval path.txt order.txt -v",
-        "solve complete k23.txt",
-        "solve complete --parts 3 3",
-        "oracle path.txt",
-        "oracle path.txt --max-n 10",
-        "oracle path.txt --max-n 10 --enumerate",
-        "gen complete 2 3",
-        "gen chained --spec spec.txt",
-        "gen chained --spec spec.txt --shuffle-names 7",
-    ]
-
-    @pytest.mark.parametrize("argv", DOCUMENTED + list(CLI_PINS))
-    def test_plain_argv_does_not_build_the_parser(self, capsys, monkeypatch, pinned, argv):
+    @pytest.mark.parametrize("argv", DIRECT)
+    def test_plain_argv_does_not_build_the_parser(self, run, pin_paths, monkeypatch, argv):
         def build():
             raise AssertionError("argparse parsed a plain argv")
 
         monkeypatch.setattr(cli, "_build_parser", build)
-        assert run(capsys, *pinned(argv))[0] == CLI_PINS.get(argv, (0,))[0]
-        assert cli._direct_args(tuple(pinned(argv))) is not None
-
-
-def _ring_of_k33s(k):
-    """k K(3,3)s in a ring, each sharing the X vertex h<j+1> with the next."""
-    return "".join(
-        f"{x} b{j}_{t}\n"
-        for j in range(k)
-        for x in (f"h{j}", f"h{(j + 1) % k}", f"a{j}")
-        for t in range(3)
-    )
-
-
-# Each exit path of main: the argv (file names stand for their paths), the
-# exit code it returns, or the SystemExit code argparse raises.
-EXIT_PATHS = {
-    "solve chained chain.txt": 0,
-    "eval path.txt repeat.txt": 2,
-    "solve chained ring.txt": 3,
-    "oracle --max-n 0 path.txt": 4,
-    "solve sideways path.txt": SystemExit(2),
-    "-h": SystemExit(0),
-}
+        assert run(*argv.split())[0] == CLI_PINS[argv][0]
+        words = tuple(pin_paths.get(word, word) for word in argv.split())
+        assert cli._direct_args(words) is not None
 
 
 class TestCollectorPause:
     """main pauses the cyclic collector and lifts the int/str digit limit while
     a command runs, and gives both back as the caller had them."""
-
-    @pytest.fixture
-    def paths(self, pinned, write):
-        ring = write("ring.txt", _ring_of_k33s(4))
-        return lambda argv: [ring if a == "ring.txt" else a for a in pinned(argv)]
 
     @pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
     def collecting(self, request):
@@ -1049,18 +944,13 @@ class TestCollectorPause:
         yield request.param
         gc.enable()
 
-    @pytest.mark.parametrize("argv, want", EXIT_PATHS.items(), ids=list(EXIT_PATHS))
-    def test_main_restores_the_callers_state(self, paths, collecting, argv, want):
+    @pytest.mark.parametrize("argv", CLI_PINS, ids=ROW_IDS)
+    def test_main_restores_the_callers_state(self, run, collecting, argv):
         limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
         if limit is not None:
             sys.set_int_max_str_digits(5001)  # a limit that is no default
         try:
-            if isinstance(want, SystemExit):
-                with pytest.raises(SystemExit) as exc:
-                    main(paths(argv))
-                assert exc.value.code == want.code
-            else:
-                assert main(paths(argv)) == want
+            assert run(*argv.split())[0] == CLI_PINS[argv][0]
             assert gc.isenabled() is collecting
             if limit is not None:
                 assert sys.get_int_max_str_digits() == 5001
@@ -1068,32 +958,22 @@ class TestCollectorPause:
             if limit is not None:
                 sys.set_int_max_str_digits(limit)
 
-    @pytest.mark.parametrize(
-        "argv, code",
-        [
-            ("solve chained chain.txt", 0),
-            ("solve chained ring.txt", 3),
-            ("decompose chain.txt", 0),
-            ("verify k23.txt k23-p1.txt", 0),
-            ("eval -v path.txt order.txt", 0),
-            ("oracle --enumerate chain.txt", 0),
-            ("gen chained --spec spec6.txt", 0),
-        ],
-    )
-    def test_a_command_leaves_no_cycles_to_collect(self, paths, argv, code):
+    @pytest.mark.parametrize("argv, code", [(argv, CLI_PINS[argv][0]) for argv in DIRECT])
+    def test_a_command_leaves_no_cycles_to_collect(self, run, argv, code):
         # The premise of the pause: what a command leaves behind is freed by
-        # reference counting alone.
-        argv = paths(argv)
+        # reference counting alone. Frozen objects are not scanned, so the
+        # collection looks only at what the command made.
         gc.disable()
+        gc.freeze()
         try:
-            gc.collect()
-            assert main(argv) == code
+            assert run(*argv.split())[0] == code
             assert gc.collect() == 0
         finally:
+            gc.unfreeze()
             gc.enable()
 
     def test_no_collection_starts_while_a_large_chain_is_solved(self, capsys, write):
-        chain = write("chain.txt", "".join(f"{u} {v}\n" for u, v in k33_chain(4000)[0].edges()))
+        chain = write("chain.txt", _edge_text(k33_chain(4000)[0].edges()))
         starts = []
 
         def count(phase, info):
@@ -1143,10 +1023,9 @@ print("unused modules loaded:", sorted(unused & loaded))
 
 
 class TestColdStart:
-    def test_cli_loads_only_what_its_commands_use(self, write):
-        graph = write("k23.txt", "x1 y1\nx1 y2\nx1 y3\nx2 y1\nx2 y2\nx2 y3\n")
-        chain = write("chain.txt", "".join(f"{u} {v}\n" for u, v in CHAINED_EDGES))
-        ordering = write("o.txt", "y1 x1 y2 x2 y3\n")
+    def test_cli_loads_only_what_its_commands_use(self, pin_paths):
+        names = ("k23.txt", "figure.txt", "k23-optimal.txt")
+        graph, chain, ordering = (pin_paths[name] for name in names)
         proc = subprocess.run(
             [sys.executable, "-I", "-c", COLD_START_PROBE, str(SRC), graph, chain, ordering],
             capture_output=True,
@@ -1170,10 +1049,6 @@ for argv in json.loads(sys.argv[2]):
         code = main(argv)
     print(json.dumps([argv, code, out.getvalue(), err.getvalue()]))
 """
-
-
-def _edge_text(edges):
-    return "".join(f"{u} {v}\n" for u, v in edges)
 
 
 class TestHashSeedDeterminism:
