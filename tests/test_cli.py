@@ -45,6 +45,11 @@ def _edge_text(edges):
     return "".join(f"{u} {v}\n" for u, v in edges)
 
 
+def _spec_text(sizes, overlap_parts):
+    overlaps = [f"overlap {part}\n" for part in overlap_parts] + [""]
+    return "".join(f"component {a} {b}\n{o}" for (a, b), o in zip(sizes, overlaps))
+
+
 def _ring_of_k33s(k):
     """k K(3,3)s in a ring, each sharing the X vertex h<j+1> with the next."""
     return "".join(
@@ -473,9 +478,6 @@ class TestEval:
     )
     test_missing_vertex_exits_2 = rows("eval example.txt example-short.txt")
 
-    def test_unreadable_file_exits_2(self, run, tmp_path):
-        assert run("eval", str(tmp_path / "nope"), str(tmp_path / "nope"))[0] == 2
-
 
 class TestUnreadableInput:
     """A file that cannot be read or decoded is named in the error, exit 2."""
@@ -510,11 +512,12 @@ class TestUnreadableInput:
 
     def test_missing_file(self, run, files):
         nope = files["nope"]
-        assert run("eval", files["g.txt"], nope) == (
-            2,
-            "",
-            f"error: cannot read {nope}: [Errno 2] No such file or directory: {nope!r}\n",
-        )
+        for graph in (files["g.txt"], nope):  # a missing ordering, then a missing graph
+            assert run("eval", graph, nope) == (
+                2,
+                "",
+                f"error: cannot read {nope}: [Errno 2] No such file or directory: {nope!r}\n",
+            )
 
 
 class TestSolveComplete:
@@ -752,18 +755,13 @@ class TestPipelineClosure:
         for i in range(n):
             held = {overlap_parts[j] for j in (i - 1, i) if 0 <= j < n - 1}
             sizes.append((rng.randint(1 + ("X" in held), 3), rng.randint(1 + ("Y" in held), 3)))
-        lines = []
-        for i, (a, b) in enumerate(sizes):
-            lines.append(f"component {a} {b}")
-            if i < n - 1:
-                lines.append(f"overlap {overlap_parts[i]}")
         # The closed form. g(s, C) of an overlap s in part X is C's |Y|, and
         # the two overlap terms of s add up to -2 min(g(s, C_i), g(s, C_i+1)).
         closed_form = sum(a * b + a % 2 * (b % 2) for a, b in sizes) - 2 * sum(
             min(sizes[i][k], sizes[i + 1][k]) for i, k in enumerate(map("YX".index, overlap_parts))
         )
 
-        spec = write("spec.txt", "\n".join(lines) + "\n")
+        spec = write("spec.txt", _spec_text(sizes, overlap_parts))
         assert main(["gen", "chained", "--spec", spec]) == 0
         text = capsys.readouterr().out
         assert main(["solve", "chained", write("chain.txt", text)]) == 0
@@ -781,13 +779,8 @@ class TestPipelineClosure:
             spec = random_chain_spec(rng, max_comps=4, max_total=24, max_part=4)
             if spec is None:
                 continue
-            lines = []
-            for k, (a, b) in enumerate(spec.sizes):
-                lines.append(f"component {a} {b}")
-                if k < len(spec.overlap_parts):
-                    lines.append(f"overlap {spec.overlap_parts[k]}")
             spec_path = tmp_path / "spec.txt"
-            spec_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            spec_path.write_text(_spec_text(spec.sizes, spec.overlap_parts), encoding="utf-8")
 
             assert main(["gen", "chained", "--spec", str(spec_path),
                          "--shuffle-names", str(done)]) == 0
@@ -809,11 +802,22 @@ class TestPipelineClosure:
             done += 1
 
 
-class TestPinnedBytes:
-    """test_run checks the rows that argparse does not read and no test above
-    names; the other tests run main_exit, through `python -m`."""
+def pytest_generate_tests(metafunc):
+    """Gives each test_run the rows that no named test checks: TestPinnedBytes
+    those that argparse does not read, TestArgparseBytes those that it reads.
+    Collection starts after the whole module has run, so NAMED is complete."""
+    if metafunc.definition.name == "test_run":
+        direct = metafunc.cls is TestPinnedBytes
+        argvs = [argv for argv in CLI_PINS if argv not in NAMED and (argv in DIRECT) == direct]
+        metafunc.parametrize("argv", argvs, ids=[argv or "no-arguments" for argv in argvs])
 
-    test_run = rows(**{argv: argv for argv in DIRECT if argv not in NAMED})
+
+class TestPinnedBytes:
+    """test_run checks the rows that argparse does not read and no named test
+    checks; the other tests run main_exit, through `python -m`."""
+
+    def test_run(self, pinned, argv):
+        pinned(argv)
 
     @pytest.mark.parametrize(
         "argv",
@@ -844,11 +848,10 @@ class TestPinnedBytes:
 
 
 class TestArgparseBytes:
-    """The rows that argparse reads and no test above names."""
+    """test_run checks the rows that argparse reads and no named test checks."""
 
-    test_run = rows(**{
-        argv or "no-arguments": argv for argv in CLI_PINS if argv not in NAMED.union(DIRECT)
-    })
+    def test_run(self, pinned, argv):
+        pinned(argv)
 
 
 def _leaves(node=cli._GRAMMAR, words=()):
@@ -933,6 +936,27 @@ class TestDirectArgs:
         assert cli._direct_args(words) is not None
 
 
+# Run in a fresh interpreter as: python -c RUN_PROBE SRC ARGV_LISTS_JSON. Prints
+# the hash of a fixed string, then one JSON line per argv: the argv, its exit
+# code, stdout and stderr, and what a full collection found after it. The
+# collector is off, and a full collection also runs before each argv. Little
+# outlives the import in a fresh interpreter, so a full collection there
+# costs about a millisecond, where the test process's heap makes it cost ten.
+RUN_PROBE = """
+import contextlib, gc, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from biclique_imbalance.cli import main
+gc.disable()
+print(hash("biclique"))
+for argv in json.loads(sys.argv[2]):
+    out, err = io.StringIO(), io.StringIO()
+    gc.collect()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    print(json.dumps([argv, code, out.getvalue(), err.getvalue(), gc.collect()]))
+"""
+
+
 class TestCollectorPause:
     """main pauses the cyclic collector and lifts the int/str digit limit while
     a command runs, and gives both back as the caller had them."""
@@ -958,19 +982,22 @@ class TestCollectorPause:
             if limit is not None:
                 sys.set_int_max_str_digits(limit)
 
+    @pytest.fixture(scope="class")
+    def cycles_left(self, pin_paths):
+        """Each row that argparse does not read: its exit code and what a full
+        collection found after it, from one run of RUN_PROBE."""
+        argvs = [[pin_paths.get(word, word) for word in argv.split()] for argv in DIRECT]
+        cmd = [sys.executable, "-c", RUN_PROBE, str(SRC), json.dumps(argvs)]
+        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        probed = map(json.loads, proc.stdout.splitlines()[1:])
+        return {argv: [line[1], line[4]] for argv, line in zip(DIRECT, probed)}
+
     @pytest.mark.parametrize("argv, code", [(argv, CLI_PINS[argv][0]) for argv in DIRECT])
-    def test_a_command_leaves_no_cycles_to_collect(self, run, argv, code):
+    def test_a_command_leaves_no_cycles_to_collect(self, cycles_left, argv, code):
         # The premise of the pause: what a command leaves behind is freed by
-        # reference counting alone. Frozen objects are not scanned, so the
-        # collection looks only at what the command made.
-        gc.disable()
-        gc.freeze()
-        try:
-            assert run(*argv.split())[0] == code
-            assert gc.collect() == 0
-        finally:
-            gc.unfreeze()
-            gc.enable()
+        # reference counting alone.
+        assert cycles_left[argv] == [code, 0]
 
     def test_no_collection_starts_while_a_large_chain_is_solved(self, capsys, write):
         chain = write("chain.txt", _edge_text(k33_chain(4000)[0].edges()))
@@ -1026,29 +1053,10 @@ class TestColdStart:
     def test_cli_loads_only_what_its_commands_use(self, pin_paths):
         names = ("k23.txt", "figure.txt", "k23-optimal.txt")
         graph, chain, ordering = (pin_paths[name] for name in names)
-        proc = subprocess.run(
-            [sys.executable, "-I", "-c", COLD_START_PROBE, str(SRC), graph, chain, ordering],
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
+        cmd = [sys.executable, "-I", "-c", COLD_START_PROBE, str(SRC), graph, chain, ordering]
+        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "unused modules loaded: []"
-
-
-# Run as: python -c HASH_SEED_PROBE SRC ARGV_LISTS_JSON. Prints the hash of a
-# fixed string, then one line per command: its argv, exit code, stdout, stderr.
-HASH_SEED_PROBE = """
-import contextlib, io, json, sys
-sys.path.insert(0, sys.argv[1])
-from biclique_imbalance.cli import main
-print(hash("biclique"))
-for argv in json.loads(sys.argv[2]):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    print(json.dumps([argv, code, out.getvalue(), err.getvalue()]))
-"""
 
 
 class TestHashSeedDeterminism:
@@ -1080,13 +1088,9 @@ class TestHashSeedDeterminism:
         ]
         runs = []
         for seed in ("0", "1", "2"):
-            proc = subprocess.run(
-                [sys.executable, "-c", HASH_SEED_PROBE, str(SRC), json.dumps(commands)],
-                capture_output=True,
-                text=True,
-                timeout=60,
-                env={**os.environ, "PYTHONHASHSEED": seed},
-            )
+            cmd = [sys.executable, "-c", RUN_PROBE, str(SRC), json.dumps(commands)]
+            env = {**os.environ, "PYTHONHASHSEED": seed}
+            proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60, env=env)
             assert proc.returncode == 0, proc.stderr
             runs.append(proc.stdout.splitlines())
         hashes = {lines[0] for lines in runs}
