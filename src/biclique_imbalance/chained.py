@@ -129,10 +129,10 @@ class ChainSpec(namedtuple("ChainSpec", "sizes overlap_parts")):
         return None
 
 
-def _biclique_closure(g: Graph, b: Bipartition, side: frozenset[str]) -> ChainComponent:
+def _biclique_closure(g: Graph, b: Bipartition, side: set[str]) -> ChainComponent:
     """The maximal biclique with one part generated by side, a color class: the
     common neighbors of side, all in the other class, are the other part."""
-    common = frozenset.intersection(*map(g._adj.__getitem__, side))
+    common = set.intersection(*map(g._adj.__getitem__, side))
     if next(iter(side)) in b.x_part:
         return ChainComponent(side, common)
     return ChainComponent(common, side)

@@ -298,7 +298,12 @@ def _add_subcommands(parser, group) -> None:
 def _build_parser():
     import argparse  # only help, usage errors and unusual spellings need it
 
-    parser = argparse.ArgumentParser(
+    class Parser(argparse.ArgumentParser):
+        def print_help(self, file=None):
+            # argparse's own writer drops an OSError: let main_exit see a closed pipe.
+            (file or sys.stdout).write(self.format_help())
+
+    parser = Parser(
         prog="biclique-imbalance",
         description="Minimum-imbalance orderings of (chained) complete bipartite graphs.",
     )
@@ -345,7 +350,10 @@ def main(argv: list[str] | None = None) -> int:
 
 def main_exit() -> None:
     try:
-        code = main()
+        try:
+            code = main()
+        except SystemExit as exc:  # argparse's help and usage errors
+            code = exc.code
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed the pipe: stop quietly, and point stdout at devnull

@@ -8,15 +8,16 @@ construction, so they are safe to share across threads.
 Reading an edge list splits text with one space per line and no `#`, tab or
 carriage return into its tokens once; the text is plain `u v` lines iff it
 equals those tokens rendered as such lines. Any other text is read line by
-line, and only that reader raises parse errors. Both feed one adjacency map
-of lists, two appends per edge, that the graph freezes into sets. Everything
-after that works on whole sets. The bipartition search starts at the smallest
-vertex, and sorts all the vertices to find the next root only if it left one
-unreached. It tests whether a vertex's neighbors all lie in the other color
-class, which builds no set, and only if not takes their difference, the
-clashing neighbors and the ones it newly reaches, and sorts the latter. Its
-whole state is the two color classes and a parent link per reached vertex; as
-every edge joins them, the graph is complete iff it has nx * ny edges. The
+line, and only that reader raises parse errors. Both build the map of
+adjacency sets that the graph keeps, one add per endpoint; the graph hands
+out only copies of them. Everything after that works on whole sets. The
+bipartition search starts at the smallest vertex, and sorts all the vertices
+to find the next root only if it left one unreached. It tests whether a
+vertex's neighbors all lie in the other color class, which builds no set,
+and only if not takes their difference, the clashing neighbors and the ones
+it newly reaches, and sorts the latter. It keeps only the two color classes
+and the current component's queue; as every edge joins the classes, the
+graph is complete iff it has nx * ny edges. The
 check of a given partition tests each part's adjacency sets for disjointness
 from the part. Both are linear in V + E apart from those sorts, and build an
 error's witness only when they fail. The evaluator walks the ordering once
@@ -26,8 +27,8 @@ neighbors as the size of one intersection with that set.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict, deque
-from collections.abc import Iterable, Iterator, Mapping
+from collections import Counter, defaultdict
+from collections.abc import Iterable, Iterator
 
 from .errors import GraphParseError, NotBipartiteError
 
@@ -81,16 +82,16 @@ class Graph:
         self._freeze(adj)
 
     @classmethod
-    def _from_adj(cls, adj: Mapping[str, Iterable[str]]) -> "Graph":
-        """A graph over a symmetric adjacency map whose tokens are already valid."""
+    def _from_adj(cls, adj: dict[str, set[str]]) -> "Graph":
+        """A graph that keeps adj, a symmetric map of sets over valid tokens."""
         g = cls.__new__(cls)
         g._freeze(adj)
         return g
 
-    def _freeze(self, adj: Mapping[str, Iterable[str]]) -> None:
-        self._adj: dict[str, frozenset[str]] = dict(zip(adj, map(frozenset, adj.values())))
-        self._vertices = frozenset(self._adj)
-        self._edge_count = sum(map(len, self._adj.values())) // 2
+    def _freeze(self, adj: dict[str, set[str]]) -> None:
+        self._adj = adj  # kept, never changed: neighbors() hands out copies
+        self._vertices = frozenset(adj)
+        self._edge_count = sum(map(len, adj.values())) // 2
 
     @property
     def vertices(self) -> frozenset[str]:
@@ -106,12 +107,12 @@ class Graph:
 
     def neighbors(self, v: str) -> frozenset[str]:
         try:
-            return self._adj[v]
+            return frozenset(self._adj[v])  # a copy, O(deg v) a call
         except KeyError:
             raise ValueError(f"vertex {v!r} not in graph") from None
 
     def degree(self, v: str) -> int:
-        return len(self.neighbors(v))
+        return len(self._adj[v]) if v in self._adj else len(self.neighbors(v))
 
     def has_edge(self, u: str, v: str) -> bool:
         return u in self._adj and v in self._adj[u]
@@ -292,15 +293,15 @@ def parse_edge_list(text: str) -> Graph:
     else:
         us, vs, isolated = _tokenize_lines(text)
         pairs = zip(us, vs)
-    adj: defaultdict[str, list[str]] = defaultdict(list)
+    adj: defaultdict[str, set[str]] = defaultdict(set)
     for u, v in pairs:
-        adj[u].append(v)
-        adj[v].append(u)
+        adj[u].add(v)
+        adj[v].add(u)
     for v in isolated:
-        adj.setdefault(v, [])
+        adj.setdefault(v, set())
     # Tokens that str.split produced are non-empty and free of whitespace.
-    g = Graph._from_adj(adj)
-    if tokens is not None and any(map(frozenset.__contains__, g._adj.values(), g._adj)):
+    g = Graph._from_adj(dict(adj))
+    if tokens is not None and any(map(set.__contains__, g._adj.values(), g._adj)):
         _tokenize_lines(text)  # raises at the first self-loop, with its line
     return g
 
@@ -346,32 +347,32 @@ def _bipartition_and_roots(g: Graph) -> tuple[Bipartition, list[str], str | None
     The search starts at the smallest vertex and scans the sorted vertices for
     more roots only if it left one unreached. So the roots come in sorted
     order, the graph is connected iff there is at most one, and the second
-    root is the smallest vertex unreachable from the first. The whole graph is two-colored before this returns, so a graph
-    that is both disconnected and not bipartite raises NotBipartiteError.
+    root is the smallest vertex unreachable from the first. The whole graph is
+    two-colored before this returns, so a graph that is both disconnected and
+    not bipartite raises NotBipartiteError.
 
-    The search keeps two records: the color classes, as the sets xs (X) and
-    ys (Y), and the parent links, in the order the search reached the vertices.
+    The search keeps only the color classes xs (X) and ys (Y) and the current
+    component's queue. A vertex's search parent is its neighbor queued first,
+    so an odd-cycle witness rebuilds the parent links from queue ranks.
     """
     adj = g._adj
     roots: list[str] = []
     xs: set[str] = set()
     ys: set[str] = set()
-    parent: dict[str, str | None] = {}
+    queue: list[str] = []
 
     def candidates() -> Iterator[str]:
         yield min(adj)
-        if len(parent) < len(adj):
+        if len(xs) + len(ys) < len(adj):
             yield from sorted(adj)
 
     for root in candidates() if adj else ():
-        if root in parent:
+        if root in xs or root in ys:
             continue
         roots.append(root)
         xs.add(root)
-        parent[root] = None
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
+        queue = [root]
+        for v in queue:  # the loop reads what it appends
             same, other = (xs, ys) if v in xs else (ys, xs)
             nb = adj[v]
             if nb <= other:  # no clash, and nothing new to reach
@@ -379,16 +380,15 @@ def _bipartition_and_roots(g: Graph) -> tuple[Bipartition, list[str], str | None
             # The clashing neighbors and the ones this search has not reached.
             rest = nb - other
             if not rest.isdisjoint(same):
-                # The smallest clashing neighbor is the one a scan of the
-                # sorted neighbors would meet first.
+                rank = dict(zip(queue, range(len(queue))))
+                parent = {w: min(adj[w] & rank.keys(), key=rank.get) for w in queue}
+                parent[root] = None
+                # A scan of the sorted neighbors meets the smallest clash first.
                 raise NotBipartiteError(_odd_cycle_witness(v, min(rest & same), parent))
             reached = sorted(rest)
             other.update(reached)
-            for w in reached:
-                parent[w] = v
-            queue.extend(reached)
-    # parent holds the vertices in the order the search reached them.
-    return Bipartition(xs, ys), roots, next(reversed(parent), None)
+            queue += reached
+    return Bipartition(xs, ys), roots, queue[-1] if queue else None
 
 
 def is_complete_bipartite(g: Graph, b: Bipartition) -> bool:
@@ -396,9 +396,9 @@ def is_complete_bipartite(g: Graph, b: Bipartition) -> bool:
     if b.vertices != g.vertices:
         raise ValueError("bipartition does not cover exactly the graph's vertices")
     parts = (b.x_part, b.y_part)
-    if not all(g.neighbors(u).isdisjoint(part) for part in parts for u in part):
+    if not all(g._adj[u].isdisjoint(part) for part in parts for u in part):
         u, v = min(
-            (u, v) for part in parts for u in part for v in g.neighbors(u) & part if u < v
+            (u, v) for part in parts for u in part for v in g._adj[u] & part if u < v
         )
         raise ValueError(f"edge {u}-{v} joins two vertices of the same part")
     return g.edge_count == len(b.x_part) * len(b.y_part)
@@ -419,7 +419,7 @@ def vertex_imbalance(v: str, o: Ordering, g: Graph) -> int:
     """|neighbors left of v| minus |neighbors right of v|, in absolute value."""
     _check_cover(o, g._vertices, "graph")
     p = o.position(v)
-    left = sum(1 for u in g.neighbors(v) if o.position(u) < p)
+    left = sum(1 for u in g._adj[v] if o.position(u) < p)
     return abs(2 * left - g.degree(v))
 
 

@@ -837,14 +837,18 @@ class TestPinnedBytes:
         proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60, env=env)
         assert (proc.returncode, proc.stdout, proc.stderr) == run(*words)
 
-    def test_a_closed_pipe_exits_1_with_empty_stderr(self):
-        cmd = [sys.executable, "-m", "biclique_imbalance.cli", "gen", "complete", "2000", "2000"]
+    @pytest.mark.parametrize("words", [["-h"], ["gen", "complete", "2000", "2000"]], ids=" ".join)
+    def test_a_closed_pipe_exits_1_with_empty_stderr(self, words):
+        # The pipe's read end is closed before the child starts: no race.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        cmd = [sys.executable, "-m", "biclique_imbalance.cli", *words]
         env = {**os.environ, "PYTHONPATH": str(SRC)}
-        with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
-            assert proc.stdout.readline() == b"x1 y1\n"
-            proc.stdout.close()
-            assert proc.stderr.read() == b""
-            assert proc.wait(timeout=60) == 1
+        try:
+            proc = subprocess.run(cmd, stdout=write_end, stderr=subprocess.PIPE, timeout=60, env=env)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 class TestArgparseBytes:

@@ -14,12 +14,18 @@ from biclique_imbalance import (
     NotBipartiteError,
     Ordering,
     bipartition,
+    brute_force_min,
     construct_optimal_chained,
+    construct_optimal_complete,
+    decompose,
+    format_decomposition,
     generate_chained,
     is_complete_bipartite,
+    min_imbalance_chained,
     ordering_imbalance,
     parse_edge_list,
     parse_ordering,
+    verify_optimal_complete,
     vertex_imbalance,
     vertex_imbalances,
 )
@@ -246,12 +252,82 @@ class TestGraph:
     def test_neighbors_of_a_vertex_not_in_the_graph(self):
         with pytest.raises(ValueError, match=r"^vertex 'z' not in graph$"):
             Graph(["a"]).neighbors("z")
+        with pytest.raises(ValueError, match=r"^vertex 'z' not in graph$"):
+            Graph(["a"]).degree("z")
 
     def test_equality_and_repr(self):
         g = Graph(["d"], [("a", "b"), ("b", "c")])
         assert g == Graph(["d"], [("b", "c"), ("a", "b")]) != Graph((), [("a", "b")])
         assert g != {"a": {"b"}, "b": {"a", "c"}, "c": {"b"}, "d": set()}
         assert repr(g) == "Graph(4 vertices, 2 edges)"
+
+
+def _held(obj):
+    """obj and every object that its containers, slots and __dict__ hold."""
+    stack, seen = [obj], {}
+    while stack:
+        o = stack.pop()
+        if id(o) in seen or isinstance(o, (str, int)):
+            continue
+        seen[id(o)] = o
+        if isinstance(o, dict):
+            stack += [*o.keys(), *o.values()]
+        elif isinstance(o, (list, tuple, set, frozenset)):
+            stack += o
+        stack += [getattr(o, name) for name in getattr(type(o), "__slots__", ()) if hasattr(o, name)]
+        stack += getattr(o, "__dict__", {}).values()
+    return seen.values()
+
+
+K32_EDGES = [(x, y) for x in ("x1", "x2", "x3") for y in ("y1", "y2")]
+
+
+@pytest.mark.parametrize("edges", [K32_EDGES, CHAINED_EDGES], ids=["K(3,2)", "chain"])
+@pytest.mark.parametrize("build", [
+    lambda edges: parse_edge_list("".join(f"{u} {v}\n" for u, v in edges)),
+    lambda edges: parse_edge_list("".join(f"{u}\t{v}\n" for u, v in edges)),  # the line reader
+    lambda edges: Graph((), edges),
+], ids=["plain", "lines", "Graph"])
+class TestNoInternalSetEscapes:
+    """A graph keeps the adjacency sets it was built with and hands out none
+    of them, so no caller can change it."""
+
+    def test_neighbors_are_frozen_copies(self, edges, build):
+        g = build(edges)
+        for v in g.vertices:
+            nb = g.neighbors(v)
+            assert type(nb) is frozenset and nb == g._adj[v]
+            assert not any(nb is s for s in g._adj.values())
+
+    def test_results_hold_only_frozen_copies(self, edges, build):
+        g = build(edges)
+        d = decompose(g)
+        internal = set(map(id, g._adj.values()))
+        for result in (bipartition(g), d, construct_optimal_chained(d)):
+            for o in _held(result):
+                assert not isinstance(o, (set, frozenset)) or type(o) is frozenset
+                assert id(o) not in internal
+
+    def test_every_cli_call_leaves_the_graph_as_parsed(self, edges, build):
+        g = build(edges)
+        fresh = parse_edge_list("".join(f"{u} {v}\n" for u, v in edges))
+        b, d = bipartition(g), decompose(g)
+        assert g == fresh
+        calls = [
+            lambda: vertex_imbalances(construct_optimal_chained(d), g),
+            lambda: construct_optimal_complete(b),
+            lambda: verify_optimal_complete(construct_optimal_complete(b), b),
+            lambda: min_imbalance_chained(d),
+            lambda: format_decomposition(d),
+            lambda: brute_force_min(g, cap=g.vertex_count, count_optima=True),
+            lambda: [g.degree(v) for v in g.vertices],
+            lambda: g.edges(),
+        ]
+        if g.edge_count != b.nx * b.ny:  # the complete commands reject the chain first
+            del calls[1:3]
+        for call in calls:
+            call()
+            assert g == fresh and type(g._adj) is dict
 
 
 @pytest.mark.parametrize("token", ["", "a b", "a\u2003b", "a\x85b", "a\x1cb", 7])
