@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: eval, solve complete, solve chained, verify, decompose, oracle,
-gen. Data goes to stdout, diagnostics to stderr. Exit codes: 0 success,
-2 parse/format error, 3 structural rejection, 4 size cap exceeded,
-5 internal construction-invariant violation. `main` pauses the cyclic garbage
-collector while a command runs, and turns it back on only if it was on.
+gen. Data goes to stdout, diagnostics to stderr. A command exits 0, or with
+the `exit_code` of the error it raised (`errors.py` lists them). `main` pauses
+the cyclic garbage collector while a command runs, and turns it back on only
+if it was on.
 
 `_GRAMMAR` states the commands once. `_direct_args` reads a plain argv from it
 into the namespace argparse would make; argparse is imported, and its parser
@@ -19,6 +19,7 @@ import os
 import sys
 import types
 
+from . import errors
 from .chained import (
     construct_optimal_chained,
     decompose,
@@ -32,16 +33,7 @@ from .complete import (
     min_imbalance_formula,
     verify_optimal_complete,
 )
-from .errors import (
-    ConstructionInvariantViolatedError,
-    GraphParseError,
-    NotBipartiteError,
-    NotChainedError,
-    NotCompleteBipartiteError,
-    NotConnectedError,
-    SizeCapExceededError,
-    SpecInvalidError,
-)
+from .errors import GraphParseError, NotCompleteBipartiteError
 from .graph import (
     Graph,
     bipartition,
@@ -51,19 +43,8 @@ from .graph import (
 )
 from .oracle import DEFAULT_CAP, brute_force_min
 
-EXIT_OK = 0
-EXIT_PARSE = 2
-EXIT_STRUCTURAL = 3
-EXIT_SIZE_CAP = 4
-EXIT_INTERNAL = 5
-
-_STRUCTURAL = (
-    NotBipartiteError,
-    NotCompleteBipartiteError,
-    NotConnectedError,
-    NotChainedError,
-    SpecInvalidError,
-)
+# The package's errors, each with its exit code, and a bare ValueError (exit 2).
+_ERRORS = (ValueError, *(getattr(errors, name) for name in errors.__all__))
 
 
 def _read(path: str) -> str:
@@ -100,7 +81,7 @@ def _parse_nat(text: str) -> int:
     return int(text)
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> None:
     g = _load_graph(args.graph)
     o = parse_ordering(_read(args.ordering))
     per_vertex = vertex_imbalances(o, g)
@@ -108,33 +89,30 @@ def _cmd_eval(args) -> int:
     if args.verbose:
         report += map("{}\t{}".format, o, per_vertex)
     print("\n".join(report))
-    return EXIT_OK
 
 
-def _cmd_solve_complete(args) -> int:
+def _cmd_solve_complete(args) -> None:
     if args.parts is not None:
         if args.graph is not None:
             raise GraphParseError("solve complete takes a graph file or --parts NX NY, not both")
         nx_size, ny_size = map(_parse_nat, args.parts)
         print(min_imbalance_formula(nx_size, ny_size))
-        return EXIT_OK
+        return
     if args.graph is None:
         raise GraphParseError("solve complete needs a graph file or --parts NX NY")
     g = _load_graph(args.graph)
     b = _complete_bipartition(g)
     print(min_imbalance_formula(len(b.x_part), len(b.y_part)))
     print(" ".join(construct_optimal_complete(b)))
-    return EXIT_OK
 
 
-def _cmd_solve_chained(args) -> int:
+def _cmd_solve_chained(args) -> None:
     g = _load_graph(args.graph)
     d = decompose(g)
     print(min_imbalance_chained(d), " ".join(construct_optimal_chained(d)), sep="\n")
-    return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> None:
     g = _load_graph(args.graph)
     o = parse_ordering(_read(args.ordering))
     b = _complete_bipartition(g)
@@ -146,16 +124,14 @@ def _cmd_verify(args) -> int:
             f"not-optimal property={verdict.failed_property} "
             f"achieved={verdict.achieved} minimum={verdict.minimum}"
         )
-    return EXIT_OK
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args) -> None:
     g = _load_graph(args.graph)
     print(format_decomposition(decompose(g)))
-    return EXIT_OK
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args) -> None:
     g = _load_graph(args.graph)
     cap = _parse_nat(args.max_n) if args.max_n is not None else DEFAULT_CAP
     result = brute_force_min(g, cap=cap, count_optima=args.enumerate)
@@ -163,7 +139,6 @@ def _cmd_oracle(args) -> int:
     print(" ".join(result.witness))
     if args.enumerate:
         print(result.optima_count)
-    return EXIT_OK
 
 
 def _emit_edge_list(g: Graph) -> None:
@@ -172,7 +147,7 @@ def _emit_edge_list(g: Graph) -> None:
     print("\n".join(lines))
 
 
-def _cmd_gen_complete(args) -> int:
+def _cmd_gen_complete(args) -> None:
     nx_size, ny_size = map(_parse_nat, (args.nx, args.ny))
     if nx_size < 1 or ny_size < 1:
         raise GraphParseError("part sizes must be at least 1")
@@ -181,10 +156,9 @@ def _cmd_gen_complete(args) -> int:
     for i in range(1, nx_size + 1):
         x = f"x{i}"
         sys.stdout.write(x + x.join(tails))
-    return EXIT_OK
 
 
-def _cmd_gen_chained(args) -> int:
+def _cmd_gen_chained(args) -> None:
     spec = parse_chain_spec(_read(args.spec))
     graph, _ = generate_chained(spec)
     if args.shuffle_names is not None:
@@ -198,7 +172,6 @@ def _cmd_gen_chained(args) -> int:
     # Sidecar report: re-derived from the emitted graph so names and chain
     # orientation always agree with what was printed.
     print(format_decomposition(decompose(graph)), file=sys.stderr)
-    return EXIT_OK
 
 
 # The command grammar, stated once. A group is (dest, {word: (help, node)});
@@ -313,19 +286,11 @@ def _build_parser():
 
 def _run(args) -> int:
     try:
-        return args.func(args)
-    except _STRUCTURAL as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_STRUCTURAL
-    except SizeCapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SIZE_CAP
-    except ConstructionInvariantViolatedError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        args.func(args)
+    except _ERRORS as exc:
+        print(f"{getattr(exc, 'label', 'error')}: {exc}", file=sys.stderr)
+        return getattr(exc, "exit_code", 2)
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:

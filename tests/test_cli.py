@@ -2,9 +2,9 @@
 
 CLI_PINS is the one table of fixed CLI runs: each row maps an argv on the
 files of PIN_FILES to its exit code, stdout and stderr. A row is checked once,
-by the test below that names what it shows, or else by TestPinnedBytes or
-TestArgparseBytes. TestCollectorPause and TestDirectArgs run every row again
-for the properties no single output shows.
+by TestPinnedBytes if cli._direct_args reads it, or else by TestArgparseBytes.
+TestCollectorPause and TestDirectArgs run every row again for the properties
+no single output shows.
 """
 
 import contextlib
@@ -118,6 +118,7 @@ ARGPARSE = "argparse"  # ends a row that argparse reads, not cli._direct_args
 PATH_REPORT = (0, "2\na\t1\nb\t0\nc\t1\n", "")
 EXAMPLE_REPORT = (0, "6\na\t2\nb\t1\nc\t1\nd\t1\ne\t1\n", "")
 NOT_DECIMAL = "error: expected a decimal natural number, got {!r}\n"
+# A graph without edges has no two nonempty parts: exit 3, not 2.
 NO_EDGES = (3, "", "error: graph is not a complete bipartite graph: it has no edges\n")
 NO_VERTICES = (3, "", "error: not a chained complete bipartite graph: graph has no vertices\n")
 NOT_COVERED = (2, "", "error: ordering does not cover exactly the bipartition's vertices\n")
@@ -368,7 +369,11 @@ CLI_PINS = {
     ),
 }
 DIRECT = [argv for argv, want in CLI_PINS.items() if want[3:] != (ARGPARSE,)]
-ROW_IDS = [argv or "no-arguments" for argv in CLI_PINS]
+BY_ARGPARSE = [argv for argv in CLI_PINS if argv not in DIRECT]
+
+
+def _row_id(argv):
+    return argv or "no-arguments"
 
 
 @pytest.fixture(scope="module")
@@ -415,24 +420,6 @@ def pinned(run):
     return check
 
 
-NAMED = set()  # the rows that a named test checks
-
-
-def rows(*argvs, **by_id):
-    """A test that checks rows of CLI_PINS, named for what they show: all
-    argvs in one test, or each row of by_id in a test of its own under that id."""
-    NAMED.update(argvs, by_id.values())
-    if by_id:
-        @pytest.mark.parametrize("argv", list(by_id.values()), ids=list(by_id))
-        def test(self, pinned, argv):
-            pinned(argv)
-    else:
-        def test(self, pinned):
-            for argv in argvs:
-                pinned(argv)
-    return test
-
-
 @pytest.fixture
 def write(tmp_path):
     def _write(name, text):
@@ -465,18 +452,6 @@ def _schoolbook_product_plus_one(a, b):
     while len(out) > 1 and out[-1] == 0:
         out.pop()
     return str(out[-1]) + "".join(f"{d:09d}" for d in reversed(out[:-1]))
-
-
-class TestEval:
-    test_total = rows("eval example.txt example-order.txt")
-    test_verbose_table = rows("eval example.txt example-order.txt --verbose")
-    test_edgeless = rows("eval pair.txt pair-order.txt")
-    test_verbose_report_bytes = rows(
-        example="eval example.txt example-order.txt -v",
-        edgeless="eval pair.txt pair-order.txt -v",
-        empty="eval empty.txt empty.txt -v",
-    )
-    test_missing_vertex_exits_2 = rows("eval example.txt example-short.txt")
 
 
 class TestUnreadableInput:
@@ -521,15 +496,6 @@ class TestUnreadableInput:
 
 
 class TestSolveComplete:
-    test_parts = rows("solve complete --parts 4 9", "solve complete --parts 3 3")
-    test_parts_reject_garbage = rows("solve complete --parts -3 4", "solve complete --parts 0 4")
-    test_parts_reject_digits_that_are_not_decimal = rows("solve complete --parts ² 3")
-    test_parts_accept_decimal_digits_of_any_script = rows("solve complete --parts ٣ 3")
-    test_graph_input = rows("solve complete k22.txt")
-    test_path_graph_exits_3 = rows("solve complete p4.txt")
-    test_no_input_exits_2 = rows("solve complete")
-    test_graph_and_parts_together_exit_2 = rows("solve complete k22.txt --parts 2 2")
-
     def test_parts_arbitrary_precision(self, run):
         a = str(10**200 + 1)
         b = str(10**200 + 3)
@@ -555,24 +521,7 @@ class TestSolveComplete:
         assert run("solve", "complete", "--parts", "3", "3") == (0, "10\n", "")
 
 
-class TestEdgelessGraph:
-    """A graph without edges has no two nonempty parts: exit 3, not exit 2."""
-
-    test_rejected_as_not_complete_bipartite = rows(**{
-        "solve-": "solve complete empty.txt",
-        "solve-a\n": "solve complete lone.txt",
-        "solve-a\nb\n": "solve complete pair.txt",
-        "verify-": "verify empty.txt empty.txt",
-        "verify-a\n": "verify lone.txt lone.txt",
-        "verify-a\nb\n": "verify pair.txt pair.txt",
-    })
-
-
 class TestSolveChained:
-    test_paper_figure = rows("solve chained figure.txt")
-    test_disconnected_exits_3 = rows("solve chained disc.txt")
-    test_byte_order_mark_is_not_read_as_part_of_a_vertex = rows("solve chained bom.txt")
-
     @pytest.mark.parametrize(
         "damage, message",
         [
@@ -598,16 +547,6 @@ class TestSolveChained:
         assert (code, out) == (5, "")
         assert err.startswith(message)
         assert err.count("\n") == 1
-
-
-class TestVerify:
-    test_optimal = rows("verify k22.txt k22-optimal.txt")
-    test_not_optimal_still_exits_0 = rows("verify k22.txt k22-p1.txt")
-    test_triangle_exits_3 = rows("verify triangle.txt order.txt")
-    test_ordering_missing_or_adding_a_vertex_exits_2 = rows(**{
-        "y1 x1 x2\n": "verify k22.txt k22-short.txt",
-        "y1 x1 x2 y2 z\n": "verify k22.txt k22-long.txt",
-    })
 
 
 class TestCompletenessByEdgeCount:
@@ -660,28 +599,7 @@ class TestCompletenessByEdgeCount:
             assert verified == (0, report + "\n", "")
 
 
-class TestDecompose:
-    test_paper_figure_report = rows("decompose figure.txt")
-    test_k33_single_component = rows("decompose k33.txt")
-    test_six_cycle_exits_3 = rows("decompose c6.txt")
-    test_empty_file_exits_3 = rows(
-        command0="decompose empty.txt", command1="solve chained empty.txt"
-    )
-    test_orientation_tie_puts_the_larger_vertex_list_first = rows("decompose tie.txt")
-
-
 class TestOracle:
-    test_k22 = rows("oracle k22.txt")
-    test_cap_without_flag_exits_4 = rows("oracle figure.txt", "oracle figure.txt --max-n 11")
-    test_enumerate_single_edge = rows("oracle edge.txt --enumerate")
-    test_cap_that_is_no_natural_number_exits_2 = rows(
-        **{"-1": "oracle edge.txt --max-n -1", "abc": "oracle edge.txt --max-n abc"}
-    )
-    test_zero_cap_exits_4 = rows("oracle edge.txt --max-n 0")
-    test_state_cap_exits_4 = rows("oracle p40.txt --max-n 40")
-    test_enumerate_paper_figure_bytes = rows("oracle figure.txt --max-n 11 --enumerate")
-    test_enumerate_k23_bytes = rows("oracle k23.txt --enumerate")
-
     def test_enumerate_large_star(self, run, write):
         g = write("star.txt", "".join(f"x1 y{i}\n" for i in range(1, 1201)))
         code, out, _ = run("oracle", g, "--max-n", "1201", "--enumerate")
@@ -693,19 +611,6 @@ class TestOracle:
 
 
 class TestGen:
-    test_complete = rows("gen complete 2 2")
-    test_complete_stdout_bytes = rows("gen complete 2 3")
-    test_chained_paper_figure_bytes = rows("gen chained --spec figure-spec.txt")
-    test_complete_rejects_digits_that_are_not_decimal = rows("gen complete 3 ²")
-    test_complete_with_an_empty_part_exits_2 = rows("gen complete 0 3")
-    test_singleton_overlap_spec_exits_3 = rows("gen chained --spec singleton-spec.txt")
-    test_overlap_in_no_part_exits_2 = rows("gen chained --spec overlap-z-spec.txt")
-    test_spec_size_that_is_no_decimal_natural_number_exits_2 = rows(
-        **{s: f"gen chained --spec size{s}-spec.txt" for s in BAD_SIZES}
-    )
-    test_spec_size_in_other_decimal_digits_is_read = rows("gen chained --spec arabic-spec.txt")
-    test_spec_size_zero_exits_3 = rows("gen chained --spec zero-spec.txt")
-
     def test_shuffle_names_is_deterministic(self, run):
         _, out1, _ = run("gen", "chained", "--spec", "spec.txt", "--shuffle-names", "7")
         _, out2, _ = run("gen", "chained", "--spec", "spec.txt", "--shuffle-names", "7")
@@ -802,20 +707,11 @@ class TestPipelineClosure:
             done += 1
 
 
-def pytest_generate_tests(metafunc):
-    """Gives each test_run the rows that no named test checks: TestPinnedBytes
-    those that argparse does not read, TestArgparseBytes those that it reads.
-    Collection starts after the whole module has run, so NAMED is complete."""
-    if metafunc.definition.name == "test_run":
-        direct = metafunc.cls is TestPinnedBytes
-        argvs = [argv for argv in CLI_PINS if argv not in NAMED and (argv in DIRECT) == direct]
-        metafunc.parametrize("argv", argvs, ids=[argv or "no-arguments" for argv in argvs])
-
-
 class TestPinnedBytes:
-    """test_run checks the rows that argparse does not read and no named test
-    checks; the other tests run main_exit, through `python -m`."""
+    """test_run checks the rows that cli._direct_args reads; the other tests
+    run main_exit, through `python -m`."""
 
+    @pytest.mark.parametrize("argv", DIRECT)
     def test_run(self, pinned, argv):
         pinned(argv)
 
@@ -827,6 +723,8 @@ class TestPinnedBytes:
             "-h",
             "solve sideways path.txt",
             "oracle path.txt --enumerate",
+            "solve chained disc.txt",
+            "oracle edge.txt --max-n 0",
         ],
     )
     def test_module_entry_point_matches_main(self, run, pin_paths, argv):
@@ -852,8 +750,9 @@ class TestPinnedBytes:
 
 
 class TestArgparseBytes:
-    """test_run checks the rows that argparse reads and no named test checks."""
+    """test_run checks the rows that argparse reads."""
 
+    @pytest.mark.parametrize("argv", BY_ARGPARSE, ids=_row_id)
     def test_run(self, pinned, argv):
         pinned(argv)
 
@@ -972,19 +871,37 @@ class TestCollectorPause:
         yield request.param
         gc.enable()
 
-    @pytest.mark.parametrize("argv", CLI_PINS, ids=ROW_IDS)
-    def test_main_restores_the_callers_state(self, run, collecting, argv):
+    @pytest.fixture
+    def digit_limit(self):
+        """Sets an int/str digit limit that is no default, and gives it (None
+        where sys has no limit); the old limit is set back afterwards."""
         limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-        if limit is not None:
-            sys.set_int_max_str_digits(5001)  # a limit that is no default
-        try:
-            assert run(*argv.split())[0] == CLI_PINS[argv][0]
-            assert gc.isenabled() is collecting
-            if limit is not None:
-                assert sys.get_int_max_str_digits() == 5001
-        finally:
-            if limit is not None:
-                sys.set_int_max_str_digits(limit)
+        if limit is None:
+            yield None
+            return
+        sys.set_int_max_str_digits(5001)
+        yield 5001
+        sys.set_int_max_str_digits(limit)
+
+    @staticmethod
+    def _caller_state():
+        return gc.isenabled(), getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+    @pytest.mark.parametrize("argv", CLI_PINS, ids=_row_id)
+    def test_main_restores_the_callers_state(self, run, collecting, digit_limit, argv):
+        assert run(*argv.split())[0] == CLI_PINS[argv][0]
+        assert self._caller_state() == (collecting, digit_limit)
+
+    def test_a_bug_in_a_command_propagates(self, collecting, digit_limit, monkeypatch, pin_paths):
+        # _run turns only the package's errors and ValueError into exit codes.
+        def bug(args):
+            raise KeyError("bug")
+
+        help_text, (_, positionals, options) = cli._GRAMMAR[1]["decompose"]
+        monkeypatch.setitem(cli._GRAMMAR[1], "decompose", (help_text, (bug, positionals, options)))
+        with pytest.raises(KeyError, match="bug"):
+            main(["decompose", pin_paths["k22.txt"]])
+        assert self._caller_state() == (collecting, digit_limit)
 
     @pytest.fixture(scope="class")
     def cycles_left(self, pin_paths):

@@ -267,3 +267,14 @@ def test_errors_all_names_every_exception_class():
     }
     assert len(classes) == 8
     assert sorted(errors.__all__) == sorted(classes)
+    # The CLI exits with each class's exit_code.
+    assert {name: getattr(errors, name).exit_code for name in errors.__all__} == {
+        "GraphParseError": 2,
+        "NotBipartiteError": 3,
+        "NotCompleteBipartiteError": 3,
+        "NotConnectedError": 3,
+        "NotChainedError": 3,
+        "SpecInvalidError": 3,
+        "SizeCapExceededError": 4,
+        "ConstructionInvariantViolatedError": 5,
+    }
