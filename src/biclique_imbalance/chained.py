@@ -34,7 +34,7 @@ from collections import namedtuple
 from functools import cached_property
 from itertools import count, islice
 
-from .complete import _fill_runs, _signed_imbalances, min_imbalance_formula
+from .complete import _fill_runs, min_imbalance_formula
 from .errors import (
     ConstructionInvariantViolatedError,
     GraphParseError,
@@ -73,6 +73,8 @@ class ChainDecomposition(namedtuple("ChainDecomposition", "components overlaps o
 
     overlap_in_x[i] is True iff s_{i+1} belongs to the global X part.
     """
+
+    _graph_tokens = False  # True on decompose's results: a graph checked their tokens
 
     @property
     def n(self) -> int:
@@ -252,6 +254,7 @@ def decompose(g: Graph) -> ChainDecomposition:
     in_x = tuple(s in b.x_part for s in overlaps)
     d = ChainDecomposition(tuple(comps), tuple(overlaps), in_x)
     _check_maximal(d)
+    d._graph_tokens = True
     return d
 
 
@@ -281,9 +284,9 @@ def _validated_subordering(comp: ChainComponent, s_prev: str, s_next: str) -> li
     """The tokens of comp between its boundary vertices s_prev and s_next.
 
     The boundaries are two distinct vertices of comp: the real overlaps, or
-    the synthesized endpoints for the first and last components. One deal
-    into the run table builds the whole block (see the module docstring); it
-    must cover comp, run from s_prev to s_next and evaluate to the closed form.
+    the synthesized endpoints for the first and last components. One deal into
+    the run table builds the block. It must fill comp (the ordering catches a
+    repeat), run from s_prev to s_next and evaluate to the closed form.
     """
     x, y, vertices = comp.x_part, comp.y_part, comp.vertices
     if s_prev == s_next or s_prev not in vertices or s_next not in vertices:
@@ -298,7 +301,7 @@ def _validated_subordering(comp: ChainComponent, s_prev: str, s_next: str) -> li
     b_seq = sorted(b - {s_next}, reverse=descending)
     (a_seq if same else b_seq).append(s_next)
     block = _fill_runs(a_seq, b_seq, same)
-    if len(block) != len(vertices) or frozenset(block) != vertices:
+    if len(block) != len(vertices) or not vertices.issuperset(block):
         raise ConstructionInvariantViolatedError(
             "component subordering does not cover the component exactly"
         )
@@ -306,8 +309,15 @@ def _validated_subordering(comp: ChainComponent, s_prev: str, s_next: str) -> li
         raise ConstructionInvariantViolatedError(
             f"component subordering does not run from {s_prev} to {s_next}"
         )
-    xs, ys = _signed_imbalances(block, comp)
-    achieved = sum(map(abs, xs)) + sum(map(abs, ys))
+    # The signed imbalance of a's next vertex is 2 * (b's vertices before) - |b|.
+    next_a, next_b, achieved = -len(b), -len(a), 0
+    for v in block:
+        if v in a:
+            achieved += abs(next_a)
+            next_b += 2
+        else:
+            achieved += abs(next_b)
+            next_a += 2
     expected = min_imbalance_formula(len(x), len(y))
     if achieved != expected:
         raise ConstructionInvariantViolatedError(
@@ -345,7 +355,7 @@ def construct_optimal_chained(d: ChainDecomposition) -> Ordering:
     seq = [s0]
     for comp, s_prev, s_next in zip(d.components, bounds, bounds[1:]):
         seq += [*_validated_subordering(comp, s_prev, s_next), s_next]
-    return Ordering(seq)
+    return Ordering._from_tokens(seq) if d._graph_tokens else Ordering(seq)
 
 
 def generate_chained(spec: ChainSpec) -> tuple[Graph, ChainDecomposition]:

@@ -35,6 +35,7 @@ from .complete import (
 )
 from .errors import GraphParseError, NotCompleteBipartiteError
 from .graph import (
+    Bipartition,
     Graph,
     bipartition,
     parse_edge_list,
@@ -67,6 +68,12 @@ def _complete_bipartition(g: Graph):
         raise NotCompleteBipartiteError(
             "graph is not a complete bipartite graph: it has no edges"
         )
+    # K(X, Y) with Y = N(min V): each x in X = V - Y has N(x) = Y, and there is no
+    # other edge. The search colors min V as X, so only a rejection needs it.
+    y = g._adj[min(g._adj)]
+    x = g.vertices - y
+    if len(x) * len(y) == g.edge_count and all(g._adj[v] == y for v in x):
+        return Bipartition(x, y)
     # Every edge joins b's parts, so g is complete iff it has nx * ny edges.
     b = bipartition(g)
     if g.edge_count != b.nx * b.ny:

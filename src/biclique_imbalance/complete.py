@@ -15,7 +15,6 @@ with thousands of digits.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable
 
 from .graph import Bipartition, Ordering, _check_cover
 
@@ -139,22 +138,6 @@ def shift_right(o: Ordering, b: Bipartition) -> Ordering:
 OptimalityVerdict = namedtuple("OptimalityVerdict", "optimal failed_property achieved minimum")
 
 
-def _signed_imbalances(seq: Iterable[str], b: Bipartition) -> tuple[list[int], list[int]]:
-    """Signed imbalances (neighbors before minus neighbors after) of the X and
-    of the Y vertices of seq, in sequence order, on the complete bigraph of b.
-    """
-    x = b.x_part
-    nx, ny = len(x), len(b.y_part)
-    xs: list[int] = []
-    ys: list[int] = []
-    for v in seq:
-        if v in x:
-            xs.append(2 * len(ys) - ny)
-        else:
-            ys.append(2 * len(xs) - nx)
-    return xs, ys
-
-
 def _property_failure(signed: list[int], other: int) -> str | None:
     """First failing property for one profile part, from its signed imbalances.
 
@@ -192,7 +175,12 @@ def verify_optimal_complete(o: Ordering, b: Bipartition) -> OptimalityVerdict:
     if nx < 1 or ny < 1:
         raise ValueError("verification requires both parts non-empty")
     _check_cover(o, b.vertices, "bipartition")
-    xs, ys = _signed_imbalances(o, b)
+    x, xs, ys = b.x_part, [], []  # signed imbalances: neighbors before minus after
+    for v in o:
+        if v in x:
+            xs.append(2 * len(ys) - ny)
+        else:
+            ys.append(2 * len(xs) - nx)
     failed = _property_failure(ys, nx) or _property_failure(xs, ny)
     return OptimalityVerdict(
         optimal=failed is None,

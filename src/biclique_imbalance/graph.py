@@ -9,20 +9,21 @@ Reading an edge list splits text with one space per line and no `#`, tab or
 carriage return into its tokens once; the text is plain `u v` lines iff it
 equals those tokens rendered as such lines. Any other text is read line by
 line, and only that reader raises parse errors. Both build the map of
-adjacency sets that the graph keeps, one add per endpoint; the graph hands
-out only copies of them. Everything after that works on whole sets. The
-bipartition search starts at the smallest vertex, and sorts all the vertices
-to find the next root only if it left one unreached. It tests whether a
-vertex's neighbors all lie in the other color class, which builds no set,
-and only if not takes their difference, the clashing neighbors and the ones
-it newly reaches, and sorts the latter. It keeps only the two color classes
-and the current component's queue; as every edge joins the classes, the
-graph is complete iff it has nx * ny edges. The
-check of a given partition tests each part's adjacency sets for disjointness
-from the part. Both are linear in V + E apart from those sorts, and build an
-error's witness only when they fail. The evaluator walks the ordering once
-with the set of vertices not yet placed, and counts each vertex's later
-neighbors as the size of one intersection with that set.
+adjacency sets that the graph keeps, one add per endpoint; Graph._from_adj,
+like Ordering._from_tokens for a graph's tokens, skips the token check. The
+graph hands out only copies of its sets. Everything after that works on
+whole sets. The bipartition search starts at the smallest vertex, and sorts
+all the vertices to find the next root only if it left one unreached. It
+tests whether a vertex's neighbors all lie in the other color class, which
+builds no set, and only if not takes their difference, the clashing
+neighbors and the ones it newly reaches, and sorts the latter. It keeps only
+the two color classes and the current component's queue; as every edge joins
+the classes, the graph is complete iff it has nx * ny edges. The check of a
+given partition tests each part's adjacency sets for disjointness from the
+part. Both are linear in V + E apart from those sorts, and build an error's
+witness only when they fail. The evaluator walks the ordering once with the
+set of vertices not yet placed, and counts each vertex's later neighbors as
+the size of one intersection with that set.
 """
 
 from __future__ import annotations
@@ -188,12 +189,21 @@ class Ordering:
     def __init__(self, sequence: Iterable[str]):
         seq = list(sequence)
         _check_tokens(seq)
+        self._index(seq)
+
+    @classmethod
+    def _from_tokens(cls, seq: list[str]) -> Ordering:
+        """An ordering of a graph's tokens, valid already: only repeats are checked."""
+        return cls.__new__(cls)._index(seq)
+
+    def _index(self, seq: list[str]) -> Ordering:
         pos = dict(zip(seq, range(1, len(seq) + 1)))
         if len(pos) != len(seq):
             dupes = sorted(v for v, k in Counter(seq).items() if k > 1)
             raise ValueError(f"duplicate vertices in ordering: {dupes}")
         self._pos = pos
         self._matched: frozenset[str] | None = None
+        return self
 
     @property
     def sequence(self) -> tuple[str, ...]:

@@ -809,12 +809,33 @@ class TestComponentSubordering:
         with pytest.raises(ValueError):
             _validated_subordering(comp, "a", "a")
 
+    def test_empty_part_fails_the_closed_form_call(self):
+        # The block of K(2, 0) deals, covers and runs end to end; only the
+        # closed form's part-size check stops it.
+        comp = ChainComponent(frozenset({"a", "b"}), frozenset())
+        with pytest.raises(ValueError, match=r"^part sizes must be at least 1, got \(2, 0\)$"):
+            _validated_subordering(comp, "a", "b")
+
 
 class TestConstructChained:
     def test_no_endpoint_left_in_a_one_vertex_component(self):
         comp = ChainComponent(frozenset({"s"}), frozenset())
         with pytest.raises(ValueError, match="^component has no available endpoint vertex$"):
             _pick_endpoint(comp, {"s"})
+
+    def test_hand_built_tokens_are_checked(self):
+        # Only a decomposition that decompose built skips the token check:
+        # its tokens are a graph's. A hand-built one, or a copy with a field
+        # replaced, gets the full check of Ordering.
+        bad = "token with spaces"
+        message = re.escape(f"got {bad!r}")
+        comp = ChainComponent(frozenset({"x1", bad}), frozenset({"y1", "y2"}))
+        with pytest.raises(ValueError, match=message):
+            construct_optimal_chained(ChainDecomposition((comp,), (), ()))
+        d = decompose(Graph((), [("x1", "y1"), ("x1", "y2"), ("x2", "y1"), ("x2", "y2")]))
+        with pytest.raises(ValueError, match=message):
+            construct_optimal_chained(d._replace(components=(comp,)))
+        assert construct_optimal_chained(d) == construct_optimal_chained(ChainDecomposition(*d))
 
     def test_glued_k22s_exact(self):
         g, d = generate_chained(GLUED_SPEC)

@@ -23,6 +23,8 @@ import pytest
 
 from biclique_imbalance import (
     ChainSpec,
+    NotBipartiteError,
+    NotCompleteBipartiteError,
     bipartition,
     generate_chained,
     is_complete_bipartite,
@@ -533,8 +535,12 @@ class TestSolveChained:
                 lambda full: [full[0], *full[2:]],
                 "internal error: component subordering does not cover the component exactly\n",
             ),
+            (
+                lambda full: [full[-1], *full[1:-1], full[0]],
+                "internal error: component subordering does not run from ",
+            ),
         ],
-        ids=["suboptimal layout", "layout missing a vertex"],
+        ids=["suboptimal layout", "layout missing a vertex", "layout with its ends swapped"],
     )
     def test_layout_that_fails_the_self_check_exits_5_and_prints_nothing(
         self, run, monkeypatch, damage, message
@@ -548,10 +554,76 @@ class TestSolveChained:
         assert err.startswith(message)
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("seed", [None, *range(20)])
+    def test_prints_the_library_construction(self, run, write, seed):
+        # The command orders tokens that the parsed graph checked; the library
+        # call on a hand-built copy of the decomposition checks them again.
+        if seed is None:
+            text = _edge_text(CHAINED_EDGES)
+        else:
+            rng = random.Random(seed)
+            while (spec := random_chain_spec(rng, max_comps=6, max_total=60, max_part=6)) is None:
+                pass
+            g, _ = renamed(*generate_chained(spec), rng)
+            text = _edge_text(g.edges())
+        d = chained.decompose(parse_edge_list(text))
+        code, out, err = run("solve", "chained", write("g.txt", text))
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            str(chained.min_imbalance_chained(d)),
+            " ".join(chained.construct_optimal_chained(chained.ChainDecomposition(*d))),
+        ]
+
 
 class TestCompletenessByEdgeCount:
     """bipartition colors every edge across its parts, so a graph is complete
-    bipartite iff it has nx * ny edges; solve complete and verify use that."""
+    bipartite iff it has nx * ny edges. solve complete and verify first try a
+    certificate: Y = N(min V), every other vertex has neighbors Y, and there
+    are |X| * |Y| edges. It gives the search's value, and only a graph that
+    fails it goes to the search, which then decides and explains."""
+
+    @staticmethod
+    def _searched(g):
+        """What the commands did before the certificate: the search, then the
+        edge count."""
+        b = bipartition(g)
+        if g.edge_count != b.nx * b.ny:
+            raise NotCompleteBipartiteError("graph is not a complete bipartite graph")
+        return b
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_near_misses_agree_with_the_search(self, monkeypatch, seed):
+        rng = random.Random(seed)
+        a, b = rng.randint(2, 6), rng.randint(2, 6)
+        xs, ys = [f"x{i}" for i in range(a)], [f"y{j}" for j in range(b)]
+        complete = [(x, y) for x in xs for y in ys]
+        rng.shuffle(complete)
+        cases = {
+            "complete": complete,
+            "duplicated edge lines": complete + rng.sample(complete, 3),
+            "one edge missing": complete[1:] + [complete[0][:1], complete[0][1:]],
+            "an edge inside X": complete + [(xs[0], xs[-1])],
+            "a pendant vertex": complete + [(rng.choice(xs + ys), "p")],
+            "an isolated smallest vertex": complete + [("a",)],
+            "an isolated vertex": complete + [("z",)],
+            # x0 = min V sees all of Y and every x sees only Y, but y0-y1
+            # closes a triangle: only the edge count fails the certificate.
+            "an odd cycle behind a complete-looking min V": complete + [(ys[0], ys[1])],
+        }
+        for name, lines in cases.items():
+            g = parse_edge_list("".join(" ".join(line) + "\n" for line in lines))
+            try:
+                want = self._searched(g)
+            except (NotBipartiteError, NotCompleteBipartiteError) as exc:
+                with pytest.raises(type(exc)) as got:
+                    cli._complete_bipartition(g)
+                assert (type(got.value), str(got.value)) == (type(exc), str(exc)), name
+                continue
+            assert name in ("complete", "duplicated edge lines")
+            # The certificate alone accepts it: the search is not run.
+            with monkeypatch.context() as m:
+                m.setattr(cli, "bipartition", None)
+                assert cli._complete_bipartition(g) == want, name
 
     @staticmethod
     def _k(rng, a, b, tag):
