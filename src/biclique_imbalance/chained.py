@@ -285,8 +285,8 @@ def _validated_subordering(comp: ChainComponent, s_prev: str, s_next: str) -> li
 
     The boundaries are two distinct vertices of comp: the real overlaps, or
     the synthesized endpoints for the first and last components. One deal into
-    the run table builds the block. It must fill comp (the ordering catches a
-    repeat), run from s_prev to s_next and evaluate to the closed form.
+    the run table builds the block. It must cover comp exactly, run from s_prev
+    to s_next and evaluate to the closed form.
     """
     x, y, vertices = comp.x_part, comp.y_part, comp.vertices
     if s_prev == s_next or s_prev not in vertices or s_next not in vertices:
@@ -301,7 +301,7 @@ def _validated_subordering(comp: ChainComponent, s_prev: str, s_next: str) -> li
     b_seq = sorted(b - {s_next}, reverse=descending)
     (a_seq if same else b_seq).append(s_next)
     block = _fill_runs(a_seq, b_seq, same)
-    if len(block) != len(vertices) or not vertices.issuperset(block):
+    if len(block) != len(vertices) or frozenset(block) != vertices:
         raise ConstructionInvariantViolatedError(
             "component subordering does not cover the component exactly"
         )

@@ -68,17 +68,15 @@ def _complete_bipartition(g: Graph):
         raise NotCompleteBipartiteError(
             "graph is not a complete bipartite graph: it has no edges"
         )
-    # K(X, Y) with Y = N(min V): each x in X = V - Y has N(x) = Y, and there is no
-    # other edge. The search colors min V as X, so only a rejection needs it.
+    # g is complete bipartite iff it is K(X, Y) with Y = N(min V): each x in
+    # X = V - Y has N(x) = Y, and there is no other edge. That is the search's
+    # value, as it colors min V as X; it runs only to report an odd cycle.
     y = g._adj[min(g._adj)]
     x = g.vertices - y
     if len(x) * len(y) == g.edge_count and all(g._adj[v] == y for v in x):
         return Bipartition(x, y)
-    # Every edge joins b's parts, so g is complete iff it has nx * ny edges.
-    b = bipartition(g)
-    if g.edge_count != b.nx * b.ny:
-        raise NotCompleteBipartiteError("graph is not a complete bipartite graph")
-    return b
+    bipartition(g)
+    raise NotCompleteBipartiteError("graph is not a complete bipartite graph")
 
 
 def _parse_nat(text: str) -> int:

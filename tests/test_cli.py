@@ -539,8 +539,17 @@ class TestSolveChained:
                 lambda full: [full[-1], *full[1:-1], full[0]],
                 "internal error: component subordering does not run from ",
             ),
+            (
+                lambda full: [*full[:2], full[1], *full[3:]],
+                "internal error: component subordering does not cover the component exactly\n",
+            ),
         ],
-        ids=["suboptimal layout", "layout missing a vertex", "layout with its ends swapped"],
+        ids=[
+            "suboptimal layout",
+            "layout missing a vertex",
+            "layout with its ends swapped",
+            "layout repeating a vertex in place of another",
+        ],
     )
     def test_layout_that_fails_the_self_check_exits_5_and_prints_nothing(
         self, run, monkeypatch, damage, message
@@ -577,10 +586,10 @@ class TestSolveChained:
 
 class TestCompletenessByEdgeCount:
     """bipartition colors every edge across its parts, so a graph is complete
-    bipartite iff it has nx * ny edges. solve complete and verify first try a
-    certificate: Y = N(min V), every other vertex has neighbors Y, and there
-    are |X| * |Y| edges. It gives the search's value, and only a graph that
-    fails it goes to the search, which then decides and explains."""
+    bipartite iff it has nx * ny edges. solve complete and verify decide by a
+    certificate instead: Y = N(min V), every other vertex has neighbors Y, and
+    there are |X| * |Y| edges. It gives the search's value; the search runs
+    only on a graph that fails it, to name an odd cycle if there is one."""
 
     @staticmethod
     def _searched(g):
