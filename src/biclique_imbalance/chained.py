@@ -74,8 +74,6 @@ class ChainDecomposition(namedtuple("ChainDecomposition", "components overlaps o
     overlap_in_x[i] is True iff s_{i+1} belongs to the global X part.
     """
 
-    _graph_tokens = False  # True on decompose's results: a graph checked their tokens
-
     @property
     def n(self) -> int:
         return len(self.components)
@@ -108,12 +106,7 @@ class ChainSpec(namedtuple("ChainSpec", "sizes overlap_parts")):
                 raise SpecInvalidError(
                     f"component {i} has an empty part: ({nx_size}, {ny_size})"
                 )
-        lone = self._lone_overlap()
-        # Each overlap's letter is checked before the sizes it picks.
-        for i, part in enumerate(self.overlap_parts[: lone[0] + 1 if lone else None], 1):
-            if part not in ("X", "Y"):
-                raise SpecInvalidError(f"overlap {i} part must be X or Y, got {part!r}")
-        if lone:
+        if lone := self._lone_overlap():
             i, k = lone
             part = self.overlap_parts[i]
             raise SpecInvalidError(
@@ -123,8 +116,12 @@ class ChainSpec(namedtuple("ChainSpec", "sizes overlap_parts")):
 
     def _lone_overlap(self) -> tuple[int, int] | None:
         """0-based (overlap, component) of the first overlap alone in its part of a
-        component, left component first: that component is not maximal."""
+        component, left component first: that component is not maximal. The
+        overlaps are taken in order, each one's letter checked before the two
+        sizes it picks, so a letter other than X or Y raises at its overlap."""
         for i, part in enumerate(self.overlap_parts):
+            if part not in ("X", "Y"):
+                raise SpecInvalidError(f"overlap {i + 1} part must be X or Y, got {part!r}")
             for k in (i, i + 1):
                 if self.sizes[k][part != "X"] < 2:
                     return i, k
@@ -254,7 +251,6 @@ def decompose(g: Graph) -> ChainDecomposition:
     in_x = tuple(s in b.x_part for s in overlaps)
     d = ChainDecomposition(tuple(comps), tuple(overlaps), in_x)
     _check_maximal(d)
-    d._graph_tokens = True
     return d
 
 
@@ -355,7 +351,7 @@ def construct_optimal_chained(d: ChainDecomposition) -> Ordering:
     seq = [s0]
     for comp, s_prev, s_next in zip(d.components, bounds, bounds[1:]):
         seq += [*_validated_subordering(comp, s_prev, s_next), s_next]
-    return Ordering._from_tokens(seq) if d._graph_tokens else Ordering(seq)
+    return Ordering(seq)
 
 
 def generate_chained(spec: ChainSpec) -> tuple[Graph, ChainDecomposition]:

@@ -146,12 +146,6 @@ def _cmd_oracle(args) -> None:
         print(result.optima_count)
 
 
-def _emit_edge_list(g: Graph) -> None:
-    lines = sorted(v for v in g.vertices if g.degree(v) == 0)
-    lines += map(" ".join, g.edges())
-    print("\n".join(lines))
-
-
 def _cmd_gen_complete(args) -> None:
     nx_size, ny_size = map(_parse_nat, (args.nx, args.ny))
     if nx_size < 1 or ny_size < 1:
@@ -173,7 +167,7 @@ def _cmd_gen_chained(args) -> None:
         random.Random(args.shuffle_names).shuffle(fresh)
         mapping = dict(zip(names, fresh))
         graph = Graph((), ((mapping[u], mapping[v]) for u, v in graph.edges()))
-    _emit_edge_list(graph)
+    print("\n".join(map(" ".join, graph.edges())))
     # Sidecar report: re-derived from the emitted graph so names and chain
     # orientation always agree with what was printed.
     print(format_decomposition(decompose(graph)), file=sys.stderr)

@@ -824,9 +824,8 @@ class TestConstructChained:
             _pick_endpoint(comp, {"s"})
 
     def test_hand_built_tokens_are_checked(self):
-        # Only a decomposition that decompose built skips the token check:
-        # its tokens are a graph's. A hand-built one, or a copy with a field
-        # replaced, gets the full check of Ordering.
+        # A hand-built decomposition, or a copy with a field replaced, gets the
+        # full check of Ordering, like one that decompose built.
         bad = "token with spaces"
         message = re.escape(f"got {bad!r}")
         comp = ChainComponent(frozenset({"x1", bad}), frozenset({"y1", "y2"}))
@@ -935,6 +934,44 @@ class TestGenerate:
         with pytest.raises(SpecInvalidError) as exc:
             spec.validate()
         assert str(exc.value) == message
+
+    def test_first_spec_fault_in_every_small_spec(self):
+        # Every spec of 1-4 components with part sizes 1-3 and overlap letters
+        # X, Y, Q or "". The rule: take the overlaps in order, and check each
+        # one's letter, then its left component's size in that part, then its
+        # right one's. A spec extends a one-shorter one, whose fault comes first.
+        def fault(i, part, left, right):
+            if part not in ("X", "Y"):
+                return f"overlap {i} part must be X or Y, got {part!r}"
+            for k, size in ((i, left["XY".index(part)]), (i + 1, right["XY".index(part)])):
+                if size < 2:
+                    return (
+                        f"overlap {i} in part {part} needs component {k} to have "
+                        f"{part} size >= 2, got {size}"
+                    )
+            return None
+
+        def check(sizes, parts, want):
+            try:
+                ChainSpec(sizes, parts).validate()
+                got = None
+            except SpecInvalidError as exc:
+                got = str(exc)
+            assert got == want, (sizes, parts)
+            checked.append(want is None)
+            if len(sizes) < 4:
+                for part in ("X", "Y", "Q", ""):
+                    for pair in pairs:
+                        more = want or fault(len(sizes), part, sizes[-1], pair)
+                        check((*sizes, pair), (*parts, part), more)
+
+        pairs = list(itertools.product((1, 2, 3), repeat=2))
+        checked = []
+        for pair in pairs:
+            check((pair,), (), None)
+        assert len(checked) == sum(9**n * 4 ** (n - 1) for n in range(1, 5))
+        # Specs of 1, 2, 3 and 4 components: a part that holds an overlap is 2 or 3.
+        assert sum(checked) == 9 + 72 + 720 + 7200
 
     def test_profile_is_the_chain_spec(self):
         d = generate_chained(FIG_SPEC)[1]

@@ -699,6 +699,25 @@ class TestGen:
         assert out1 == out2
         assert out1 != out3
 
+    def test_prints_only_the_sorted_edges(self, run, write):
+        # Both parts of every component are nonempty, so each vertex has an
+        # edge: the edge lines name them all, and no line is a lone vertex.
+        rng, specs = random.Random(30), []
+        while len(specs) < 20:
+            specs += filter(None, [random_chain_spec(rng, max_comps=6, max_total=60, max_part=6)])
+        for n, spec in enumerate(specs):
+            path = write(f"spec{n}.txt", _spec_text(*spec))
+            g, _ = generate_chained(spec)
+            names = sorted(g.vertices)
+            fresh = [f"v{k}" for k in range(1, len(names) + 1)]
+            random.Random(n).shuffle(fresh)
+            for options, new_names in {(): names, ("--shuffle-names", str(n)): fresh}.items():
+                m = dict(zip(names, new_names))
+                code, out, _ = run("gen", "chained", "--spec", path, *options)
+                lines = [line.split() for line in out.splitlines()]
+                assert code == 0 and {len(tokens) for tokens in lines} == {2}
+                assert lines == sorted(sorted([m[u], m[v]]) for u, v in g.edges())
+
     def test_spec_size_beyond_the_int_str_digit_limit_is_read_exactly(self, run, write):
         size = "1" + "234567890" * 555 + "1231"
         assert len(size) == 5000

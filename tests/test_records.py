@@ -3,6 +3,7 @@
 import copy
 import inspect
 import pickle
+import random
 import typing
 from fractions import Fraction
 
@@ -20,9 +21,13 @@ from biclique_imbalance import (
     OverlapInequalityProbe,
     SpecInvalidError,
     YPositionProfile,
+    construct_optimal_chained,
+    decompose,
     generate_chained,
     interval_representation,
 )
+from conftest import chained_example_graph
+from test_chained import FIG_SPEC, renamed
 
 B = Bipartition({"a"}, {"b"})
 B_REPR = "Bipartition(x_part=frozenset({'a'}), y_part=frozenset({'b'}))"
@@ -112,6 +117,20 @@ def test_subclassed_records_keep_their_methods():
     assert d.n == 1
     assert d.vertices == frozenset({"a", "b"})
     assert d.vertices is d.vertices
+
+
+def test_decompositions_carry_no_provenance():
+    # A decomposition is a plain record, whatever built it: decompose leaves
+    # only the cached vertex set in its __dict__, and a copy of it, or one
+    # rebuilt from its fields, gives the same construction.
+    chain = renamed(*generate_chained(FIG_SPEC), random.Random(3))[0]
+    for g in (chained_example_graph(), chain):
+        d = decompose(g)
+        o = construct_optimal_chained(d)
+        assert d.vertices == g.vertices
+        assert vars(d).keys() == {"vertices"}
+        assert construct_optimal_chained(d._replace()) == o
+        assert construct_optimal_chained(ChainDecomposition(*d)) == o
 
 
 class TestBipartition:
