@@ -2,8 +2,10 @@
 
 Vertices are opaque string tokens (non-empty, no whitespace); their
 lexicographic order is the tie-breaker for every "arbitrary" choice in the
-package. Ordering positions are 1-based. All values here are immutable after
-construction, so they are safe to share across threads.
+package. A token list passes in C if its space join is printable (split()
+cuts at no other printable character), has one space per gap and no empty
+token; else each is checked. Ordering positions are 1-based. All values here
+are immutable after construction, so they are safe to share across threads.
 
 Reading an edge list splits text with one space per line and no `#`, tab or
 carriage return into its tokens once; the text is plain `u v` lines iff it
@@ -49,15 +51,15 @@ __all__ = [
 def _check_tokens(tokens: list[str]) -> None:
     """Raise at the first token that is no non-empty string without whitespace."""
     try:
-        if " ".join(tokens).split() == tokens:  # all are good: one C-level pass
-            return
+        s = " ".join(tokens)
     except TypeError:  # a token that is not a str
-        pass
-    for token in tokens:
-        if not isinstance(token, str) or token.split() != [token]:
-            raise ValueError(
-                f"vertex token must be a non-empty string without whitespace, got {token!r}"
-            )
+        s = "\0"  # unprintable: fails the test below, so each token is checked
+    if not (s.isprintable() and s.count(" ") == len(tokens) - 1 and all(tokens)):
+        for token in tokens:
+            if not isinstance(token, str) or token.split() != [token]:
+                raise ValueError(
+                    f"vertex token must be a non-empty string without whitespace, got {token!r}"
+                )
 
 
 class Graph:

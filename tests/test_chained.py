@@ -84,7 +84,7 @@ def renamed(g, d, rng):
         ChainComponent(frozenset(m[v] for v in c.x_part), frozenset(m[v] for v in c.y_part))
         for c in d.components
     )
-    return graph, ChainDecomposition(comps, tuple(m[s] for s in d.overlaps), d.overlap_in_x)
+    return graph, ChainDecomposition(comps, tuple(m[s] for s in d.overlaps))
 
 
 def unlabelled(comps):
@@ -291,7 +291,6 @@ def chain_condition_failures(g, d):
                 if s in c.vertices
             ),
         ),
-        ("overlap side", d.overlap_in_x != tuple(s in xs for s in d.overlaps)),
         ("vertex cover", xs | ys != g.vertices),
         ("edge cover", not all(in_one(u, v) for u, v in g.edges())),
     ]
@@ -326,7 +325,7 @@ class TestDecompose:
             frozenset({"x4", "x5"}), frozenset({"y4", "y5", "y6"})
         )
         assert d.overlaps == ("x2", "y4")
-        assert d.overlap_in_x == (True, False)
+        assert d.profile().overlap_parts == ("X", "Y")
 
     def test_single_component(self):
         g, _ = complete_bigraph(2, 2)
@@ -339,7 +338,7 @@ class TestDecompose:
         assert g.vertex_count == 7
         d = decompose(g)
         assert d.n == 2
-        assert d.overlap_in_x == (True,)
+        assert d.profile().overlap_parts == ("X",)
         assert profiles_match_up_to_reversal(built, d)
 
     def test_chain_orientation_is_normalized(self):
@@ -435,8 +434,7 @@ class TestVerifyChain:
     def chain(graph_edges, comps, overlaps=(), vertices=()):
         g = Graph(vertices, graph_edges)
         built = tuple(ChainComponent(frozenset(x), frozenset(y)) for x, y in comps)
-        in_x = tuple(any(s in c.x_part for c in built) for s in overlaps)
-        return g, ChainDecomposition(built, tuple(overlaps), in_x)
+        return g, ChainDecomposition(built, tuple(overlaps))
 
     def test_component_missing_one_edge(self):
         # the path x1-y1-x2-y2 split along its color classes is K(2,2) less x1y2
@@ -549,11 +547,11 @@ class TestLoneOverlap:
     def test_size_check_on_hand_built_decompositions(self):
         k22 = ChainComponent(frozenset({"x1", "x2"}), frozenset({"y1", "y2"}))
         star = ChainComponent(frozenset({"x2"}), frozenset({"y3", "y4"}))
-        d = ChainDecomposition((k22, star), ("x2",), (True,))
+        d = ChainDecomposition((k22, star), ("x2",))
         with rejects("component C2 is not maximal: extendable by y1"):
             _check_maximal(d)
         with rejects("component C1 is not maximal: extendable by y1"):
-            _check_maximal(ChainDecomposition((star, k22), ("x2",), (True,)))
+            _check_maximal(ChainDecomposition((star, k22), ("x2",)))
         _check_maximal(generate_chained(FIG_SPEC)[1])
 
 
@@ -775,7 +773,6 @@ class TestComponentSubordering:
                 ChainComponent(frozenset({"s", "x2"}), frozenset({"y3", "y4"})),
             ),
             ("s",),
-            (True,),
         )
         with pytest.raises(ConstructionInvariantViolatedError):
             construct_optimal_chained(lone)
@@ -830,7 +827,7 @@ class TestConstructChained:
         message = re.escape(f"got {bad!r}")
         comp = ChainComponent(frozenset({"x1", bad}), frozenset({"y1", "y2"}))
         with pytest.raises(ValueError, match=message):
-            construct_optimal_chained(ChainDecomposition((comp,), (), ()))
+            construct_optimal_chained(ChainDecomposition((comp,), ()))
         d = decompose(Graph((), [("x1", "y1"), ("x1", "y2"), ("x2", "y1"), ("x2", "y2")]))
         with pytest.raises(ValueError, match=message):
             construct_optimal_chained(d._replace(components=(comp,)))

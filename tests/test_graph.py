@@ -1,7 +1,9 @@
 """Core graph types, parsing, bipartition, and the imbalance evaluators."""
 
 import random
+import sys
 from collections import deque
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +31,7 @@ from biclique_imbalance import (
     vertex_imbalance,
     vertex_imbalances,
 )
-from biclique_imbalance.graph import _bipartition_and_roots, _tokenize_lines
+from biclique_imbalance.graph import _bipartition_and_roots, _check_tokens, _tokenize_lines
 from conftest import CHAINED_EDGES, chained_example_graph, complete_bigraph, example_graph
 from test_chained import k33_chain, random_chain_spec, renamed
 
@@ -339,6 +341,58 @@ def test_graph_and_ordering_reject_bad_tokens(token):
     ):
         with pytest.raises(ValueError, match="vertex token must be a non-empty string"):
             build()
+
+
+def _split_token_rule(tokens):
+    """The token check that the C-level test replaced, as the reference: join,
+    split and compare, then name the first bad token."""
+    try:
+        if " ".join(tokens).split() == tokens:
+            return None
+    except TypeError:
+        pass
+    for token in tokens:
+        if not isinstance(token, str) or token.split() != [token]:
+            return f"vertex token must be a non-empty string without whitespace, got {token!r}"
+    return None
+
+
+def _token_verdict(tokens):
+    try:
+        _check_tokens(tokens)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestTokenCheck:
+    """_check_tokens gives the old rule's verdict: the same pass, or the same
+    error naming the same first bad token."""
+
+    def test_every_whitespace_code_point(self):
+        spaces = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+        assert " " in spaces and "\x85" in spaces
+        for ch in spaces:
+            for tokens in ([ch], [f"a{ch}b"], ["a", ch], [f"{ch}a", "b"], ["a", f"b{ch}"]):
+                assert _token_verdict(tokens) == _split_token_rule(tokens), tokens
+
+    def test_random_lists_agree_with_the_old_rule(self):
+        rng = random.Random(31)
+        # Letters, whitespace, and unprintable characters that split() keeps inside a token.
+        chars = [*"abé", " ", "\t", "\x00", "\x1c", "\x85", "\xa0", "\u3000", "\u200b", "\u200e"]
+        pool = ["", *chars, *(p + q for p in chars for q in chars)]
+        pool += ["".join(rng.choices(chars, k=3)) for _ in range(200)]
+        pool += [7, None, b"a", ("a",)]
+        pool += ["a", "b", "ab", "é", "bé"] * 60  # so that many lists pass at once
+        lengths = rng.choices(range(5), k=200_000)
+        flat = iter(rng.choices(pool, k=sum(lengths)))
+        passed = 0
+        for n in lengths:
+            tokens = list(islice(flat, n))
+            verdict = _token_verdict(tokens)
+            assert verdict == _split_token_rule(tokens), tokens
+            passed += verdict is None
+        assert 20_000 < passed < 180_000
 
 
 def _sorted_scan_bipartition(g):

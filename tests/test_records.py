@@ -68,9 +68,9 @@ RECORDS = [
         "ChainSpec(sizes=((2, 3),), overlap_parts=())",
     ),
     (
-        ChainDecomposition((B,), (), ()),
-        ("components", "overlaps", "overlap_in_x"),
-        f"ChainDecomposition(components=({B_REPR},), overlaps=(), overlap_in_x=())",
+        ChainDecomposition((B,), ()),
+        ("components", "overlaps"),
+        f"ChainDecomposition(components=({B_REPR},), overlaps=())",
     ),
 ]
 IDS = [type(r).__name__ for r, _, _ in RECORDS]
@@ -113,7 +113,7 @@ def test_subclassed_records_keep_their_methods():
         YPositionProfile((0, 2, 3), (1, 0), ("y1",)).y_at(2)
     with pytest.raises(SpecInvalidError, match="spec needs at least one component"):
         ChainSpec((), ()).validate()
-    d = ChainDecomposition((B,), (), ())
+    d = ChainDecomposition((B,), ())
     assert d.n == 1
     assert d.vertices == frozenset({"a", "b"})
     assert d.vertices is d.vertices
