@@ -12,25 +12,28 @@ where g(s, C) is the number of neighbors of overlap s inside C, i.e. the
 size of C's opposite part.
 
 The decomposer walks the chain in time linear in the graph up to sorting: it
-starts from the component of a vertex the bipartition search reached last
-(never an overlap), and steps from each component to the next through the
-one vertex with neighbors beyond it. Each component, the closure of a
-neighborhood, is one intersection of adjacency sets, and a degree scan finds
-its exits. The walk guarantees every chain condition, maximality too except
-at an overlap alone in its part of a component (see _walk_chain), so
-maximality is a size test at each overlap; only exits and failure witnesses
-get sorted. Construction of optimal orderings lays out each component
-between its two boundary vertices as at most six alternating runs of its two
-parts, dealt by _fill_runs of the complete case. Which vertices fill a run
-does not change the imbalance: the rest go in sorted order, descending (the
-mirror image of the block built from the far end) when the boundaries lie in
-different parts, the first one's even and the last one's odd. Each block is
-checked against the closed form before any is emitted.
+starts from the component of a vertex that is no overlap on a chain, and
+steps from each component to the next through the one vertex with neighbors
+beyond it. Each component, the closure of a neighborhood, is one
+intersection of adjacency sets, and a degree scan finds its exits. A walk
+whose components cover every vertex and edge proves the graph connected and
+bipartite, and guarantees every chain condition, maximality too except at an
+overlap alone in its part of a component (see _walk_chain), so maximality is
+a size test at each overlap; only exits and failure witnesses get sorted.
+The bipartition search runs only to explain a rejection. Construction of
+optimal orderings lays out each component between its two boundary vertices
+as at most six alternating runs of its two parts, dealt by _fill_runs of the
+complete case. Which vertices fill a run does not change the imbalance: the
+rest go in sorted order, descending (the mirror image of the block built
+from the far end) when the boundaries lie in different parts, the first
+one's even and the last one's odd. Each block is checked against the closed
+form before any is emitted.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from functools import cached_property
 from itertools import count, islice
 
@@ -105,7 +108,7 @@ class ChainSpec(namedtuple("ChainSpec", "sizes overlap_parts")):
                 raise SpecInvalidError(
                     f"component {i} has an empty part: ({nx_size}, {ny_size})"
                 )
-        if lone := self._lone_overlap():
+        if lone := _lone_overlap(self._overlap_sizes()):
             i, k = lone
             part = self.overlap_parts[i]
             raise SpecInvalidError(
@@ -113,27 +116,20 @@ class ChainSpec(namedtuple("ChainSpec", "sizes overlap_parts")):
                 f"{part} size >= 2, got {self.sizes[k][part != 'X']}"
             )
 
-    def _lone_overlap(self) -> tuple[int, int] | None:
-        """0-based (overlap, component) of the first overlap alone in its part of a
-        component, left component first: that component is not maximal. The
-        overlaps are taken in order, each one's letter checked before the two
-        sizes it picks, so a letter other than X or Y raises at its overlap."""
+    def _overlap_sizes(self) -> Iterator[tuple[int, int]]:
+        """Each overlap's part sizes in its two components, in order, its letter
+        checked first: a letter other than X or Y raises at its overlap."""
         for i, part in enumerate(self.overlap_parts):
             if part not in ("X", "Y"):
                 raise SpecInvalidError(f"overlap {i + 1} part must be X or Y, got {part!r}")
-            for k in (i, i + 1):
-                if self.sizes[k][part != "X"] < 2:
-                    return i, k
-        return None
+            yield self.sizes[i][part != "X"], self.sizes[i + 1][part != "X"]
 
 
-def _biclique_closure(g: Graph, b: Bipartition, side: set[str]) -> ChainComponent:
-    """The maximal biclique with one part generated by side, a color class: the
-    common neighbors of side, all in the other class, are the other part."""
+def _biclique_closure(g: Graph, side: set[str], side_is_x: bool) -> ChainComponent:
+    """The maximal biclique with one part side, side_is_x telling which: the
+    common neighbors of side, none in side, are the other part."""
     common = set.intersection(*map(g._adj.__getitem__, side))
-    if next(iter(side)) in b.x_part:
-        return ChainComponent(side, common)
-    return ChainComponent(common, side)
+    return ChainComponent(side, common) if side_is_x else ChainComponent(common, side)
 
 
 def _exits(g: Graph, comp: ChainComponent, entry: str, limit: int) -> list[str]:
@@ -155,41 +151,73 @@ def _exits(g: Graph, comp: ChainComponent, entry: str, limit: int) -> list[str]:
     return out
 
 
-def _walk_chain(
-    g: Graph, b: Bipartition, start: str
-) -> tuple[list[ChainComponent], list[str]]:
+def _start(g: Graph, r: str) -> str:
+    """Where the walk starts, r the smallest vertex: r unless r is lone, else
+    the smallest vertex of least degree unless that is 2 and it is lone too,
+    else the smallest vertex of degree 2 with a neighbor of another degree,
+    or r if there is none (see _walk_chain)."""
+    adj = g._adj
+
+    def lone(v: str) -> bool:  # v is the only common neighbor of N(v)
+        return len(set.intersection(*map(adj.__getitem__, adj[v]))) == 1
+
+    if adj[r] and not lone(r):
+        return r
+    delta = min(map(len, adj.values()))
+    if delta == 0:  # an isolated vertex in a graph with an edge
+        raise NotChainedError("a vertex has no neighbors")
+    v = min(v for v, nb in adj.items() if len(nb) == delta)
+    if delta != 2 or not lone(v):
+        return v
+    mixed = (v for v, nb in adj.items() if len(nb) == 2 and any(len(adj[w]) != 2 for w in nb))
+    return min(mixed, default=r)
+
+
+def _walk_chain(g: Graph, start: str) -> tuple[list[ChainComponent], list[str]]:
     """Components and overlaps, walking out from the component of start.
 
-    start is no overlap, so its component is the closure of its neighbors,
-    an end component on a chain: a later one would hold a vertex farther from
-    the search root, as no overlap is alone in its part. So the second
-    direction, from a second exit, runs only on graphs that are then
-    rejected. From exit s the next component is the closure of s's neighbors
-    outside the last one. It has at most one exit besides s and meets the
-    components found before it only at s.
+    The first component is the closure of N(start), its Y part; from exit s
+    the next is the closure of s's neighbors outside the last component, the
+    part opposite s. It has at most one exit besides s and meets the earlier
+    components only at s. The second direction, from the first component's
+    second exit, runs on a valid chain whose start lies in a middle component.
 
-    A walk that returns on a connected bipartite graph with an edge leaves
-    only maximality to test. Each component is complete with both parts
-    nonempty: a side (N(start), or an exit's neighbors outside the last
-    component, which exist as its degree exceeds its opposite part) and the
-    side's common neighbors, the generating vertex among them. Every edge
-    p-q, and by connectivity every vertex, lies in a component: if p's
-    component C lacks q, p is neither start nor C's entry, whose neighbors lie
-    in C and the component before it, so p is an exit, and the walk branched
-    or put p and q in the next component. An overlap alone in its part of C
-    is extended by its neighbors in the other component, so C is not maximal.
+    A walk that returns is accepted on its own certificate: its components
+    cover the V vertices and hold the E edges. Each is complete with two
+    nonempty parts, a side and its common neighbors, and two share at most
+    one vertex, so no edge counts twice. So the graph is connected, and the
+    colors, which put s in the same part of both its components, two-color
+    it. Conversely, on a connected bipartite graph such a walk meets the
+    certificate. Every edge p-q, and by connectivity every vertex, lies in a
+    component: if p's component C lacks q, p is neither start nor C's entry,
+    whose neighbors lie in C and the component before it, so p is an exit,
+    and the walk branched or put p and q in the next component.
 
-    Conversely, that is the only way to lose maximality. Write a component as
-    (P, Q), P its side and Q all common neighbors of P, so only P can grow.
-    Q holds the entry e, start or the overlap s it was entered through, so a
-    v growing P lies in N(e) - P: empty for the first component, where
-    P = N(start), and s's opposite part in the one before for a later one.
-    Such v lies only in earlier components, which meet this one only at s,
-    so v is adjacent to all of Q iff Q = {s}. An exit t is never alone in its
-    part of the component it leaves: Q also holds the entry, and P = {t}
-    makes Q = N(t). So maximality is a test on part sizes (_check_maximal).
+    An overlap alone in its part of C is extended by its neighbors in the
+    other component, so C is not maximal, and nothing else breaks
+    maximality. Write a component as (P, Q), P its side and Q all common
+    neighbors of P, so only P can grow. Q holds the entry e, start or the
+    overlap s it was entered through, so a v growing P lies in N(e) - P:
+    empty for the first component, where P = N(start), and s's opposite part
+    in the one before for a later one. Such v lies only in earlier
+    components, which meet this one only at s, so v is adjacent to all of Q
+    iff Q = {s}. An exit t is never alone in its part of the component it
+    leaves: Q also holds the entry, and P = {t} makes Q = N(t). So
+    maximality is a test on part sizes (_check_maximal).
+
+    On a valid chain the walk returns if start is no overlap, as _start's
+    choice never is. Call v lone if v is the only common neighbor of N(v).
+    Every overlap is lone: the common neighbors of its two opposite parts are
+    its two parts, which meet only at it. An overlap of least degree has
+    degree 2 and two neighbors of degree 2: a non-overlap in its part of
+    either component would have a smaller degree, so both its parts are
+    pairs of overlaps, each adjacent only to the one vertex of the opposite
+    part. If no vertex of degree 2 has a neighbor of another degree, a
+    connected graph of least degree 2 is a cycle, a chain only as K(2, 2),
+    which has no overlap.
     """
-    first = _biclique_closure(g, b, g._adj[start])
+    adj = g._adj
+    first = _biclique_closure(g, adj[start], False)
     comps, overlaps = [first], []
     seen = set(first.vertices)
     for s in _exits(g, first, start, 2):
@@ -198,7 +226,10 @@ def _walk_chain(
         comps.reverse()
         overlaps.reverse()
         while s is not None:
-            nxt = _biclique_closure(g, b, g._adj[s] - comps[-1].vertices)
+            side = adj[s] - comps[-1].vertices
+            if not side:  # s has a neighbor in its own part: not bipartite
+                raise NotChainedError(f"{s} has no neighbor outside its component")
+            nxt = _biclique_closure(g, side, s in comps[-1].y_part)
             if len(seen & nxt.vertices) > 1:  # s lies in both
                 raise NotChainedError(
                     f"the component entered through {s} meets an earlier one at "
@@ -209,15 +240,32 @@ def _walk_chain(
             overlaps.append(s)
             onward = _exits(g, nxt, s, 1)
             s = onward[0] if onward else None
+    if len(seen) != len(adj) or sum([c.nx * c.ny for c in comps]) != g.edge_count:
+        raise NotChainedError(f"the walk from {start} leaves vertices or edges uncovered")
     return comps, overlaps
+
+
+def _lone_overlap(sizes: Iterable[tuple[int, int]]) -> tuple[int, int] | None:
+    """0-based (overlap, component) of the first overlap alone in its part of a
+    component, left component first, read lazily from each overlap's sizes."""
+    for i, (left, right) in enumerate(sizes):
+        if left < 2 or right < 2:
+            return i, i + (left >= 2)
+    return None
 
 
 def _check_maximal(d: ChainDecomposition) -> None:
     """Reject an overlap alone in its part of a component, which the overlap's
-    opposite part in the other component extends (see _walk_chain)."""
-    if lone := d.profile()._lone_overlap():
+    opposite part in the other component extends (see _walk_chain). The
+    overlap's part is the one holding it in its left component."""
+    cs = d.components
+    sizes = (
+        (len(a.x_part), len(c.x_part)) if s in a.x_part else (len(a.y_part), len(c.y_part))
+        for s, a, c in zip(d.overlaps, cs, cs[1:])
+    )
+    if lone := _lone_overlap(sizes):
         i, k = lone
-        s, other = d.overlaps[i], d.components[2 * i + 1 - k]
+        s, other = d.overlaps[i], cs[2 * i + 1 - k]
         raise NotChainedError(
             f"component C{k + 1} is not maximal: extendable by "
             f"{min(other.y_part if s in other.x_part else other.x_part)}"
@@ -230,19 +278,26 @@ def decompose(g: Graph) -> ChainDecomposition:
     The chain is normalized so that the lexicographically smallest
     end-component vertex lies in C_1; when both end components have the same
     smallest vertex (their shared overlap), the one whose sorted vertex list
-    is lexicographically larger comes first. Raises NotBipartiteError,
-    NotConnectedError, or NotChainedError (with a reason) otherwise.
+    is lexicographically larger comes first, and the smallest vertex lies in
+    an X part. The walk decides alone (see _walk_chain); the bipartition
+    search runs only on a rejection, to raise NotBipartiteError, then
+    NotConnectedError, before the walk's NotChainedError.
     """
     if g.vertex_count == 0:
         raise NotChainedError("graph has no vertices")
     if g.edge_count == 0:
         raise NotChainedError("graph has no edges for any component to cover")
-    b, roots, last = _bipartition_and_roots(g)
-    if len(roots) > 1:
-        raise NotConnectedError(f"graph is not connected ({roots[1]} unreachable)")
-    # An overlap is a cut vertex with vertices strictly farther from the root
-    # on its far side, so the vertex the search reached last is no overlap.
-    comps, overlaps = _walk_chain(g, b, last)
+    r = min(g._adj)
+    try:
+        start = _start(g, r)
+        comps, overlaps = _walk_chain(g, start)
+    except NotChainedError:
+        roots = _bipartition_and_roots(g)[1]
+        if len(roots) > 1:
+            raise NotConnectedError(f"graph is not connected ({roots[1]} unreachable)") from None
+        raise
+    if start != r and any(r in c.y_part for c in comps):
+        comps = [ChainComponent(c.y_part, c.x_part) for c in comps]
     head, tail = comps[0].vertices, comps[-1].vertices
     if min(tail) < min(head) or (min(tail) == min(head) and sorted(tail) > sorted(head)):
         comps.reverse()

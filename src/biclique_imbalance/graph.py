@@ -13,11 +13,13 @@ equals those tokens rendered as such lines. Any other text is read line by
 line, and only that reader raises parse errors. Both build the map of
 adjacency sets that the graph keeps, one add per endpoint; Graph._from_adj
 skips the token check. The graph hands out only copies of its sets. Everything after that works on
-whole sets. The bipartition search starts at the smallest vertex, and sorts
-all the vertices to find the next root only if it left one unreached. It
-tests whether a vertex's neighbors all lie in the other color class, which
-builds no set, and only if not takes their difference, the clashing
-neighbors and the ones it newly reaches, and sorts the latter. It keeps only
+whole sets. The bipartition search, which the chain decomposer and the
+K(a, b) certificate run only to explain a rejection, starts at the smallest
+vertex, and sorts all the vertices to find the next root only if it left
+one unreached. It tests whether a vertex's neighbors all lie in the other
+color class, which builds no set, and only if not takes their difference,
+the clashing neighbors and the ones it newly reaches, and sorts the latter.
+It keeps only
 the two color classes and the current component's queue; as every edge joins
 the classes, the graph is complete iff it has nx * ny edges. The check of a
 given partition tests each part's adjacency sets for disjointness from the
@@ -342,9 +344,8 @@ def bipartition(g: Graph) -> Bipartition:
     return _bipartition_and_roots(g)[0]
 
 
-def _bipartition_and_roots(g: Graph) -> tuple[Bipartition, list[str], str | None]:
-    """bipartition(g), the smallest vertex of each connected component, and the
-    vertex the breadth-first search reached last (one farthest from its root).
+def _bipartition_and_roots(g: Graph) -> tuple[Bipartition, list[str]]:
+    """bipartition(g) and the smallest vertex of each connected component.
 
     The search starts at the smallest vertex and scans the sorted vertices for
     more roots only if it left one unreached. So the roots come in sorted
@@ -361,7 +362,6 @@ def _bipartition_and_roots(g: Graph) -> tuple[Bipartition, list[str], str | None
     roots: list[str] = []
     xs: set[str] = set()
     ys: set[str] = set()
-    queue: list[str] = []
 
     def candidates() -> Iterator[str]:
         yield min(adj)
@@ -390,7 +390,7 @@ def _bipartition_and_roots(g: Graph) -> tuple[Bipartition, list[str], str | None
             reached = sorted(rest)
             other.update(reached)
             queue += reached
-    return Bipartition(xs, ys), roots, queue[-1] if queue else None
+    return Bipartition(xs, ys), roots
 
 
 def is_complete_bipartite(g: Graph, b: Bipartition) -> bool:

@@ -1,6 +1,7 @@
 """Chain decomposition, the chained closed form, constructions, generation,
 interval representations, and the overlap inequality probe."""
 
+import collections
 import itertools
 import random
 import re
@@ -38,12 +39,13 @@ from biclique_imbalance import (
     parse_chain_spec,
     vertex_imbalance,
 )
+from biclique_imbalance import chained
 from biclique_imbalance.chained import (
-    _biclique_closure,
     _check_maximal,
-    _exits,
     _pick_endpoint,
+    _start,
     _validated_subordering,
+    _walk_chain,
 )
 from biclique_imbalance.complete import _fill_runs
 from biclique_imbalance.graph import _bipartition_and_roots
@@ -88,8 +90,8 @@ def renamed(g, d, rng):
 
 
 def unlabelled(comps):
-    """Components as unordered pairs of parts: the search root decides which
-    part of the graph is called X."""
+    """Components as unordered pairs of parts: the smallest vertex decides
+    which part of the graph is called X."""
     return [frozenset((c.x_part, c.y_part)) for c in comps]
 
 
@@ -364,12 +366,36 @@ class TestDecompose:
         with pytest.raises(NotBipartiteError):
             decompose(g)
 
+    @pytest.mark.parametrize(
+        "extra, error, message",
+        [
+            # The smallest vertex is isolated: no walk starts.
+            ((["a"], []), NotConnectedError, "graph is not connected (x1 unreachable)"),
+            # The walk meets the triangle's edge t1-t2 from the start t1.
+            (
+                ([], [("y4", "t1"), ("t1", "t2"), ("t2", "y4")]),
+                NotBipartiteError,
+                "graph is not bipartite; odd cycle: t2 t1 y4",
+            ),
+            # The walk returns over the chain and leaves z1-z2 uncovered.
+            (([], [("z1", "z2")]), NotConnectedError, "graph is not connected (z1 unreachable)"),
+        ],
+        ids=["isolated-first", "triangle", "disjoint-edge"],
+    )
+    def test_search_explains_the_walks_rejection(self, extra, error, message):
+        # The README chain, two K(2, 2)s glued at x2, plus vertices or edges.
+        chain = [(x, y) for x in ("x1", "x2") for y in ("y1", "y2")]
+        chain += [(x, y) for x in ("x2", "x3") for y in ("y3", "y4")]
+        vertices, edges = extra
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            decompose(Graph(vertices, chain + edges))
+
     def test_six_cycle_rejected(self):
         g = Graph(
             (),
             [("x1", "y1"), ("y1", "x2"), ("x2", "y2"), ("y2", "x3"), ("x3", "y3"), ("y3", "x1")],
         )
-        with rejects("the component entered through x1 meets an earlier one at x3"):
+        with rejects("the component entered through y2 meets an earlier one at y3"):
             decompose(g)
 
     def test_edgeless_rejected(self):
@@ -386,7 +412,7 @@ class TestDecompose:
             (),
             [("c", "m1"), ("m1", "e1"), ("c", "m2"), ("m2", "e2"), ("c", "m3"), ("m3", "e3")],
         )
-        with rejects("the chain branches at the component reached through c: m1, m2"):
+        with rejects("the chain branches at the component reached through c: m2, m3"):
             decompose(g2)
 
     def test_ring_of_k33s_rejected(self):
@@ -397,7 +423,7 @@ class TestDecompose:
             for x in (f"s{(i - 1) % 4}", f"s{i}", f"a{i}")
             for y in "pqr"
         ]
-        with rejects("the component entered through s3 meets an earlier one at s2"):
+        with rejects("the component entered through s2 meets an earlier one at s3"):
             decompose(Graph((), edges))
 
     def test_tree_of_components_rejected(self):
@@ -405,7 +431,7 @@ class TestDecompose:
         edges = [(h, y) for h in ("h1", "h2", "h3") for y in ("p", "q", "r")]
         for k in (1, 2, 3):
             edges += [(x, f"{y}{k}") for x in (f"h{k}", f"a{k}", f"b{k}") for y in "pqr"]
-        with rejects("the chain branches at the component reached through h3: h1, h2"):
+        with rejects("the chain branches at the component reached through h1: h2, h3"):
             decompose(Graph((), edges))
 
     def test_extra_edge_between_non_consecutive_components_rejected(self):
@@ -421,7 +447,7 @@ class TestDecompose:
         overlaps = set(d.overlaps)
         x = min(d.components[1].x_part - overlaps)
         y = min(d.components[1].y_part - overlaps)
-        with rejects("the chain branches at the component reached through y6: x3, x5"):
+        with rejects("the chain branches at the component reached through x3: y5, y6"):
             decompose(Graph((), [e for e in g.edges() if set(e) != {x, y}]))
 
 
@@ -478,57 +504,58 @@ class TestVerifyChain:
         assert chain_condition_failures(g, d) == ["sides", "overlaps", "edge cover"]
 
 
-# decompose's messages on lone_overlap_chains(), recorded with the maximality
-# check that scanned every component's adjacency sets.
+# decompose's messages on lone_overlap_chains(), recorded with the walk from
+# the vertex _start picks. A lone overlap may be that vertex, so the walk may
+# branch where a walk from an end component finds a component not maximal.
 LONE_OVERLAP_REJECTIONS = [
     "component C1 is not maximal: extendable by v9",
-    "component C1 is not maximal: extendable by v9",
-    "the chain branches at the component reached through v11: v6, v7",
-    "component C1 is not maximal: extendable by v12",
+    "component C2 is not maximal: extendable by v7",
+    "component C2 is not maximal: extendable by v6",
+    "the chain branches at the component reached through v6: v12, v14, v4",
     "component C3 is not maximal: extendable by v1",
-    "component C2 is not maximal: extendable by v2",
-    "component C3 is not maximal: extendable by v1",
-    "component C4 is not maximal: extendable by v1",
     "component C3 is not maximal: extendable by v4",
-    "component C1 is not maximal: extendable by v5",
-    "the chain branches at the component reached through v8: v12, v3",
-    "the chain branches at the component reached through v6: v1, v9",
-    "the component entered through v18 meets an earlier one at v2",
-    "component C2 is not maximal: extendable by v12",
-    "the chain branches at the component reached through v11: v3, v7, v8",
-    "component C3 is not maximal: extendable by v2",
-    "component C1 is not maximal: extendable by v7",
-    "component C1 is not maximal: extendable by v11",
-    "component C2 is not maximal: extendable by v11",
-    "the chain branches at the component reached through v18: v14, v20, v8",
     "component C3 is not maximal: extendable by v1",
-    "the chain branches at the component reached through v14: v10, v9",
-    "component C2 is not maximal: extendable by v3",
-    "the component entered through v4 meets an earlier one at v7",
-    "the chain branches at the component reached through v8: v10, v7, v9",
-    "the chain branches at the component reached through v1: v15, v4, v8",
-    "component C4 is not maximal: extendable by v10",
-    "the component entered through v11 meets an earlier one at v5",
-    "the component entered through v2 meets an earlier one at v4",
-    "the chain branches at the component reached through v1: v2, v4",
-    "the chain branches at the component reached through v4: v20, v5, v7",
-    "the component entered through v3 meets an earlier one at v5",
-    "the chain branches at the component reached through v10: v5, v9",
-    "component C1 is not maximal: extendable by v18",
-    "the chain branches at the component reached through v8: v5, v7",
-    "component C1 is not maximal: extendable by v4",
-    "component C1 is not maximal: extendable by v1",
-    "component C1 is not maximal: extendable by v10",
-    "component C2 is not maximal: extendable by v4",
-    "component C2 is not maximal: extendable by v5",
-    "component C2 is not maximal: extendable by v10",
-    "component C4 is not maximal: extendable by v2",
     "component C4 is not maximal: extendable by v1",
-    "component C4 is not maximal: extendable by v17",
-    "component C4 is not maximal: extendable by v7",
+    "the chain branches at the component reached through v5: v4, v9",
+    "component C2 is not maximal: extendable by v8",
+    "component C3 is not maximal: extendable by v12",
+    "the chain branches at the component reached through v11: v13, v3, v8",
+    "the chain branches at the component reached through v12: v18, v2",
+    "component C3 is not maximal: extendable by v6",
+    "the chain branches at the component reached through v1: v11, v3, v7, v8",
+    "component C3 is not maximal: extendable by v2",
+    "the chain branches at the component reached through v7: v4, v6",
     "component C1 is not maximal: extendable by v11",
-    "component C3 is not maximal: extendable by v13",
-    "component C2 is not maximal: extendable by v22",
+    "the chain branches at the component reached through v7: v11, v12, v5",
+    "component C4 is not maximal: extendable by v14",
+    "component C3 is not maximal: extendable by v1",
+    "component C2 is not maximal: extendable by v10",
+    "component C3 is not maximal: extendable by v7",
+    "component C1 is not maximal: extendable by v4",
+    "component C3 is not maximal: extendable by v10",
+    "the chain branches at the component reached through v11: v15, v2, v4, v8",
+    "the chain branches at the component reached through v10: v11, v2",
+    "component C1 is not maximal: extendable by v11",
+    "the component entered through v2 meets an earlier one at v4",
+    "the chain branches at the component reached through v12: v1, v2, v4",
+    "component C4 is not maximal: extendable by v20",
+    "component C4 is not maximal: extendable by v3",
+    "component C3 is not maximal: extendable by v5",
+    "the chain branches at the component reached through v18: v11, v13, v16, v2, v7",
+    "the chain branches at the component reached through v1: v5, v7, v8",
+    "component C2 is not maximal: extendable by v2",
+    "component C1 is not maximal: extendable by v1",
+    "the chain branches at the component reached through v1: v10, v12, v6",
+    "the chain branches at the component reached through v14: v4, v8",
+    "the chain branches at the component reached through v15: v5, v8",
+    "the chain branches at the component reached through v12: v10, v8",
+    "the chain branches at the component reached through v1: v13, v2, v8, v9",
+    "component C4 is not maximal: extendable by v1",
+    "the chain branches at the component reached through v1: v15, v17, v6, v8",
+    "the chain branches at the component reached through v7: v17, v4",
+    "component C1 is not maximal: extendable by v11",
+    "the chain branches at the component reached through v5: v13, v7",
+    "the chain branches at the component reached through v20: v22, v7, v9",
 ]
 
 
@@ -646,6 +673,140 @@ class TestMutationFuzz:
         d = assert_decompose_matches_recogniser(g, xs, ys)
         if d is not None:
             assert min_imbalance_chained(d) == brute_force_min(g, cap=g.vertex_count).minimum
+
+
+def walk_from_last(g):
+    """A decomposer that runs the bipartition search first: the search's
+    verdict, then the walk from the vertex that a breadth-first search from
+    the smallest vertex, over sorted neighbors, reaches last. That vertex has
+    the greatest distance from the root, and an overlap has farther vertices
+    on its far side, so it is no overlap."""
+    if g.edge_count == 0:
+        raise NotChainedError("graph has no edges for any component to cover")
+    b, roots = _bipartition_and_roots(g)
+    if len(roots) > 1:
+        raise NotConnectedError(f"graph is not connected ({roots[1]} unreachable)")
+    order, seen = [roots[0]], {roots[0]}
+    for v in order:
+        for w in sorted(g._adj[v] - seen):
+            seen.add(w)
+            order.append(w)
+    comps, overlaps = _walk_chain(g, order[-1])
+    if not comps[0].x_part <= b.x_part:
+        comps = [ChainComponent(c.y_part, c.x_part) for c in comps]
+    head, tail = comps[0].vertices, comps[-1].vertices
+    if min(tail) < min(head) or (min(tail) == min(head) and sorted(tail) > sorted(head)):
+        comps.reverse()
+        overlaps.reverse()
+    d = ChainDecomposition(tuple(comps), tuple(overlaps))
+    _check_maximal(d)
+    return d
+
+
+def mutated_chain_graphs(rng, count):
+    """(mutation, graph) for count renamed chains of 1-4 components with parts
+    of 1-3 vertices, each after one mutation or none: an added or removed
+    edge, a pendant vertex, a glued K(2, 2), a path of 1-3 new vertices
+    between two vertices, which may close a ring, or an isolated vertex. New
+    names start with a or w in turn, so some sort first."""
+    bases = []
+    while len(bases) < 400:
+        spec = random_chain_spec(rng, max_comps=4, max_total=16, max_part=3)
+        if spec is not None:
+            g = renamed(*generate_chained(spec), rng)[0]
+            bases.append((g._adj, sorted(g.vertices)))
+    fresh = itertools.count(1)
+    for _ in range(count):
+        base, vertices = rng.choice(bases)
+        adj = {v: set(nb) for v, nb in base.items()}
+
+        def new():
+            k = next(fresh)
+            v = f"{'aw'[k % 2]}{k}"
+            adj[v] = set()
+            return v
+
+        def link(*path):
+            for u, v in zip(path, path[1:]):
+                if u != v:
+                    adj[u].add(v)
+                    adj[v].add(u)
+
+        mutation = rng.choice(("none", "add", "remove", "pendant", "glue", "path", "isolated"))
+        if mutation == "add":
+            link(*rng.sample(vertices, 2))
+        elif mutation == "remove":
+            u = rng.choice(vertices)
+            v = rng.choice(sorted(adj[u]))
+            adj[u].remove(v)
+            adj[v].remove(u)
+        elif mutation == "pendant":
+            link(rng.choice(vertices), new())
+        elif mutation == "glue":
+            p, q = new(), new()
+            link(p, rng.choice(vertices), q, new(), p)
+        elif mutation == "path":
+            inner = [new() for _ in range(rng.randint(1, 3))]
+            link(rng.choice(vertices), *inner, rng.choice(vertices))
+        elif mutation == "isolated":
+            new()
+        yield mutation, Graph._from_adj(adj)
+
+
+class TestWalkFirst:
+    """decompose walks first and runs the bipartition search only to explain a
+    rejection."""
+
+    def test_start_is_no_overlap_whichever_vertex_sorts_first(self):
+        # Every valid spec of 1-4 components with parts of 1-3 vertices, with
+        # each vertex in turn renamed 0, which sorts before every x and y.
+        checked = 0
+        for n in range(1, 5):
+            for sizes in itertools.product(itertools.product((1, 2, 3), repeat=2), repeat=n):
+                for parts in itertools.product("XY", repeat=n - 1):
+                    try:
+                        g, d = generate_chained(ChainSpec(sizes, parts))
+                    except SpecInvalidError:
+                        continue
+                    for v in sorted(g.vertices):
+                        adj = dict(g._adj)
+                        adj["0"] = adj.pop(v)
+                        adj.update((w, adj[w] - {v} | {"0"}) for w in adj["0"])
+                        start = _start(Graph._from_adj(adj), "0")
+                        assert (v if start == "0" else start) not in d.overlaps, (sizes, parts, v)
+                        checked += 1
+        assert checked == 119_916
+
+    def test_agrees_with_the_walk_from_the_last_reached_vertex(self):
+        def outcome(decomposer, g):
+            try:
+                return "chain", decomposer(g)
+            except (NotBipartiteError, NotConnectedError) as exc:
+                return type(exc).__name__, str(exc)
+            except NotChainedError:  # each walk names what it met from its own start
+                return "NotChainedError", None
+
+        kinds = collections.Counter()
+        for mutation, g in mutated_chain_graphs(random.Random(2032), 20_000):
+            want = outcome(walk_from_last, g)
+            assert outcome(decompose, g) == want, (mutation, sorted(g.edges()))
+            kinds[want[0]] += 1
+        assert min(kinds.values()) > 1000 and len(kinds) == 4, kinds
+
+    def test_accepts_without_the_search(self, monkeypatch):
+        def search(g):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(chained, "_bipartition_and_roots", search)
+        assert decompose(chained_example_graph()) == generate_chained(FIG_SPEC)[1]
+        rng = random.Random(4321)
+        done = 0
+        while done < 50:
+            spec = random_chain_spec(rng, max_comps=8, max_total=80, max_part=5)
+            if spec is not None:
+                g, d = renamed(*generate_chained(spec), rng)
+                assert same_chain_up_to_reversal(d, decompose(g)), spec
+                done += 1
 
 
 class TestGCount:
@@ -1003,13 +1164,13 @@ class TestRandomizedRoundTrips:
             done += 1
 
     @staticmethod
-    def renamed_chains(rng, count=60):
-        """count random small chains, then star chains of 1 to 12 components,
-        each under three random renamings. Names decide the BFS root, so
-        renaming moves where the search starts. Star chains are paths, where
-        a component centre and an overlap look the same locally."""
+    def renamed_chains(rng):
+        """60 random small chains, then star chains of 1 to 12 components,
+        each under three random renamings. Names decide where the walk
+        starts, so renaming moves the start. Star chains are paths, where a
+        component centre and an overlap look the same locally."""
         specs = []
-        while len(specs) < count:
+        while len(specs) < 60:
             spec = random_chain_spec(rng, max_comps=8, max_total=60, max_part=4)
             if spec is not None:
                 specs.append(spec)
@@ -1025,15 +1186,6 @@ class TestRandomizedRoundTrips:
             dd = decompose(g)
             assert same_chain_up_to_reversal(d, dd), spec
             assert chain_condition_failures(g, dd) == [], spec
-
-    def test_walk_starts_in_an_end_component(self):
-        # The vertex the search reached last lies in an end component: a later
-        # component holds a vertex farther from the root, as no overlap is
-        # alone in its part. So the walk's start component has one exit at most.
-        for spec, (g, _) in self.renamed_chains(random.Random(2927), count=600):
-            b, _, last = _bipartition_and_roots(g)
-            first = _biclique_closure(g, b, g._adj[last])
-            assert len(_exits(g, first, last, 2)) <= 1, spec
 
     def test_no_overlap_in_singleton_part(self):
         rng = random.Random(11)

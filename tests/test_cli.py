@@ -106,6 +106,12 @@ PIN_FILES = {
     "bom.txt": "\ufeffx1 y1\nx1 y2\n",
     # Both end components have the overlap a as their smallest vertex.
     "tie.txt": "a y1\na y2\nc y1\nc y2\na z1\na z2\nb z1\nb z2\n",
+    # The overlap 0 sorts first and has the least degree, 2, as do its
+    # neighbors c and d: a walk from it would find c and d a branch.
+    "tie2.txt": _edge_text(
+        pair.split()
+        for pair in "a b1,a b2,s1 b1,s1 b2,s1 c,0 c,0 d,s3 d,s3 f1,s3 f2,e f1,e f2".split(",")
+    ),
     "ring.txt": _ring_of_k33s(4),
     "figure.txt": _edge_text(CHAINED_EDGES),  # the paper's figure
     "figure-spec.txt": "component 2 2\noverlap X\ncomponent 2 2\noverlap Y\ncomponent 2 3\n",
@@ -174,11 +180,12 @@ CLI_PINS = {
     "solve chained gen6.txt": (0, "18\nx1 y1 x2 y2 x3 y3 x4 y4 x6 y5 x7 y6 x5\n", ""),
     "solve chained figure.txt": (0, "6\nx1 y1 y2 x2 y3 x3 y4 x5 y5 y6 x4\n", ""),
     "solve chained bom.txt": (0, "2\ny1 x1 y2\n", ""),
+    "solve chained tie2.txt": (0, "6\na b1 b2 s1 c 0 d s3 f1 f2 e\n", ""),
     "solve chained disc.txt": (3, "", "error: graph is not connected (c unreachable)\n"),
     "solve chained ring.txt": (
         3, "",
         "error: not a chained complete bipartite graph: "
-        "the component entered through h0 meets an earlier one at h3\n",
+        "the component entered through h2 meets an earlier one at h1\n",
     ),
     "solve chained empty.txt": NO_VERTICES,
     "verify k23.txt k23-optimal.txt": (0, "optimal\n", ""),
@@ -203,7 +210,7 @@ CLI_PINS = {
     "decompose c6.txt": (
         3, "",
         "error: not a chained complete bipartite graph: "
-        "the component entered through a meets an earlier one at e\n",
+        "the component entered through d meets an earlier one at f\n",
     ),
     "decompose empty.txt": NO_VERTICES,
     "oracle path.txt": (0, "2\na b c\n", ""),

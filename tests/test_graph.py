@@ -398,7 +398,7 @@ class TestTokenCheck:
 def _sorted_scan_bipartition(g):
     """Reference two-coloring: breadth-first from each smallest uncolored
     vertex, scanning every vertex's neighbors in sorted order. Returns the
-    X part, the Y part, the roots and the vertex colored last."""
+    X part, the Y part and the roots."""
     color, parent, depth, roots = {}, {}, {}, []
     for root in sorted(g.vertices):
         if root in color:
@@ -423,14 +423,13 @@ def _sorted_scan_bipartition(g):
                     raise NotBipartiteError(path_v + path_w[-2::-1])
     x = frozenset(v for v, c in color.items() if c)
     y = frozenset(v for v, c in color.items() if not c)
-    return x, y, roots, next(reversed(color), None)
+    return x, y, roots
 
 
 def _set_difference_bipartition(g):
     """Reference two-coloring: the package's breadth-first search with one set
     difference per vertex, its neighbors minus the other color class, in
-    place of the subset test. Returns the X part, the Y part, the roots and
-    the vertex reached last."""
+    place of the subset test. Returns the X part, the Y part and the roots."""
     roots, parent = [], {}
     sides = {True: set(), False: set()}
     for root in sorted(g.vertices):
@@ -460,7 +459,7 @@ def _set_difference_bipartition(g):
             for w in reached:
                 parent[w] = v
             queue.extend(reached)
-    return frozenset(sides[True]), frozenset(sides[False]), roots, next(reversed(parent), None)
+    return frozenset(sides[True]), frozenset(sides[False]), roots
 
 
 class TestBipartition:
@@ -514,15 +513,14 @@ class TestBipartition:
         assert info.value.cycle == cycle
         assert str(info.value) == "graph is not bipartite; odd cycle: " + " ".join(cycle)
 
-    def test_roots_and_last_reached_vertex(self):
+    def test_roots_in_sorted_order(self):
         g = Graph(["q", "h"], [("b", "a"), ("b", "c"), ("d", "e"), ("e", "f"), ("f", "g")])
-        b, roots, last = _bipartition_and_roots(g)
+        b, roots = _bipartition_and_roots(g)
         assert b.x_part == {"a", "c", "d", "f", "h", "q"}
         assert b.y_part == {"b", "e", "g"}
         assert roots == ["a", "d", "h", "q"]
-        assert last == "q"
-        assert _bipartition_and_roots(chained_example_graph())[1:] == (["x1"], "y6")
-        assert _bipartition_and_roots(Graph())[1:] == ([], None)
+        assert _bipartition_and_roots(chained_example_graph())[1] == ["x1"]
+        assert _bipartition_and_roots(Graph())[1] == []
 
     def test_matches_sorted_scan_reference_on_random_graphs(self):
         rng = random.Random(20211101)
@@ -544,8 +542,8 @@ class TestBipartition:
                 assert info.value.cycle == ref.cycle
                 assert str(info.value) == str(ref)
                 continue
-            b, roots, last = _bipartition_and_roots(g)
-            assert (b.x_part, b.y_part, roots, last) == expected
+            b, roots = _bipartition_and_roots(g)
+            assert (b.x_part, b.y_part, roots) == expected
 
     def test_matches_sorted_scan_reference_on_deep_graphs(self):
         # Long cycles, trees plus one edge and sparse random graphs of 50-600
@@ -582,8 +580,8 @@ class TestBipartition:
                 assert str(info.value) == str(ref)
                 outcomes.append(len(ref.cycle))
                 continue
-            b, roots, last = _bipartition_and_roots(g)
-            assert (b.x_part, b.y_part, roots, last) == expected
+            b, roots = _bipartition_and_roots(g)
+            assert (b.x_part, b.y_part, roots) == expected
             outcomes.append(0)
         # Both verdicts occur, and some witness cycles are long.
         assert 0 in outcomes and max(outcomes) > 100
@@ -623,8 +621,8 @@ class TestBipartition:
                 assert info.value.cycle == ref.cycle
                 verdicts[False] += 1
                 continue
-            b, roots, last = _bipartition_and_roots(g)
-            assert (b.x_part, b.y_part, roots, last) == expected
+            b, roots = _bipartition_and_roots(g)
+            assert (b.x_part, b.y_part, roots) == expected
             verdicts[True] += 1
         assert verdicts == {True: 300, False: 150}
 
