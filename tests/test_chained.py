@@ -2,6 +2,7 @@
 interval representations, and the overlap inequality probe."""
 
 import collections
+import decimal
 import itertools
 import random
 import re
@@ -876,6 +877,114 @@ class TestChainedFormula:
     def test_single_component_degenerates_to_complete_formula(self):
         g, _ = complete_bigraph(3, 3)
         assert min_imbalance_chained(decompose(g)) == min_imbalance_formula(3, 3)
+
+    @pytest.mark.parametrize(
+        "comps, overlaps, message",
+        [
+            (0, (), "spec needs at least one component"),
+            (3, ("b",), "3 components need 2 overlaps, got 1"),
+            (2, (), "2 components need 1 overlaps, got 0"),
+            (2, ("b", "e"), "2 components need 1 overlaps, got 2"),
+        ],
+    )
+    def test_malformed_records_are_rejected(self, comps, overlaps, message):
+        # K(2, 2)s, the first two glued at b; the third touches neither.
+        k22s = (
+            ChainComponent({"a", "b"}, {"c", "d"}),
+            ChainComponent({"b", "e"}, {"f", "h"}),
+            ChainComponent({"i", "j"}, {"k", "m"}),
+        )
+        d = ChainDecomposition(k22s[:comps], overlaps)
+        with pytest.raises(SpecInvalidError) as exc:
+            min_imbalance_chained(d)
+        assert str(exc.value) == message
+
+
+def three_sum_form(spec):
+    """The paper's closed form, in its three sums, evaluated in decimal
+    arithmetic that raises on any rounding."""
+    ctx = decimal.Context(prec=1000, traps=[decimal.Inexact])
+    first = second = third = decimal.Decimal(0)
+    for nx, ny in spec.sizes:
+        nx, ny = decimal.Decimal(nx), decimal.Decimal(ny)
+        parity = ctx.multiply(ctx.remainder(nx, 2), ctx.remainder(ny, 2))
+        first = ctx.add(first, ctx.add(ctx.multiply(nx, ny), parity))
+    for i, part in enumerate(spec.overlap_parts):
+        opposite = "XY".index(part) ^ 1  # g(s, C) is the size of C's other part
+        g1 = decimal.Decimal(spec.sizes[i][opposite])
+        g2 = decimal.Decimal(spec.sizes[i + 1][opposite])
+        second = ctx.add(second, ctx.add(g1, g2))
+        third = ctx.add(third, ctx.abs(ctx.subtract(g1, g2)))
+    return int(ctx.add(ctx.subtract(first, second), third))
+
+
+def all_valid_specs(max_total):
+    """Every valid ChainSpec with at most max_total vertices. A valid spec
+    without its last component is valid, so each extends a shorter one."""
+
+    def fits(spec):
+        try:
+            spec.validate()
+        except SpecInvalidError:
+            return False
+        return sum(a + b for a, b in spec.sizes) - len(spec.overlap_parts) <= max_total
+
+    pairs = list(itertools.product(range(1, max_total), repeat=2))
+    level = [spec for spec in (ChainSpec((pair,), ()) for pair in pairs) if fits(spec)]
+    found = []
+    while level:
+        found += level
+        longer = (
+            ChainSpec((*spec.sizes, pair), (*spec.overlap_parts, part))
+            for spec in level
+            for pair in pairs
+            for part in "XY"
+        )
+        level = [spec for spec in longer if fits(spec)]
+    return found
+
+
+class TestSpecMinimum:
+    """ChainSpec.minimum(), the closed form on cardinalities alone."""
+
+    def test_matches_the_three_sum_form_on_200_digit_sizes(self):
+        rng = random.Random(2002)
+        # A few sizes of each parity, so that overlaps tie and parities vary.
+        bases = [rng.randrange(10**199, 10**200) for _ in range(3)]
+        pool = [base + k for base in bases for k in range(3)]
+        sizes = tuple((rng.choice(pool), rng.choice(pool)) for _ in range(1000))
+        spec = ChainSpec(sizes, tuple(rng.choice("XY") for _ in range(999)))
+        spec.validate()
+        assert spec.minimum() == three_sum_form(spec)
+        for n in (1, 2, 3, 10):
+            head = ChainSpec(sizes[:n], spec.overlap_parts[: n - 1])
+            assert head.minimum() == three_sum_form(head)
+
+    def test_generated_chains_profile_to_their_spec(self):
+        # So criterion 05's oracle check covers ChainSpec.minimum() too.
+        from test_acceptance import _all_chain_specs  # it imports this module
+
+        specs = all_valid_specs(9)
+        assert set(_all_chain_specs(max_total=9, max_comps=3)) <= set(specs)
+        for spec in specs:
+            d = generate_chained(spec)[1]
+            assert d.profile() == spec
+            assert min_imbalance_chained(d) == spec.minimum() == three_sum_form(spec)
+
+    def test_reversal_and_part_swap_keep_the_minimum(self):
+        rng = random.Random(3131)
+        checked = 0
+        while checked < 300:
+            spec = random_chain_spec(rng, max_comps=12, max_total=10**6, max_part=10**4)
+            if spec is None:
+                continue
+            sizes, parts = spec
+            reversed_spec = ChainSpec(sizes[::-1], parts[::-1])
+            swapped = ChainSpec(
+                tuple((ny, nx) for nx, ny in sizes), tuple("Y" if p == "X" else "X" for p in parts)
+            )
+            assert spec.minimum() == reversed_spec.minimum() == swapped.minimum(), spec
+            checked += 1
 
 
 class TestComponentSubordering:
