@@ -19,9 +19,10 @@ steps from each component to the next through the one vertex with neighbors
 beyond it. Each component, the closure of a neighborhood, is one
 intersection of adjacency sets, and a degree scan finds its exits. A walk
 whose components cover every vertex and edge proves the graph connected and
-bipartite, and guarantees every chain condition, maximality too except at an
-overlap alone in its part of a component (see _walk_chain), so maximality is
-a size test at each overlap; only exits and failure witnesses get sorted.
+bipartite, and guarantees every chain condition but maximality, which fails
+only at an overlap alone in its part of the component the walk enters through
+it, so the walk tests that size as it enters each component (see
+_walk_chain); only exits and failure witnesses get sorted.
 The bipartition search runs only to explain a rejection. Construction of
 optimal orderings lays out each component between its two boundary vertices
 as at most six alternating runs of its two parts, dealt by _fill_runs of the
@@ -35,7 +36,6 @@ form before any is emitted.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable, Iterator
 from functools import cached_property
 from itertools import count, islice
 
@@ -104,13 +104,15 @@ class ChainSpec(namedtuple("ChainSpec", "sizes overlap_parts")):
                 raise SpecInvalidError(
                     f"component {i} has an empty part: ({nx_size}, {ny_size})"
                 )
-        if lone := _lone_overlap(self._overlap_sizes()):
-            i, k = lone
-            part = self.overlap_parts[i]
-            raise SpecInvalidError(
-                f"overlap {i + 1} in part {part} needs component {k + 1} to have "
-                f"{part} size >= 2, got {self.sizes[k][part != 'X']}"
-            )
+        for i, part in enumerate(self.overlap_parts, start=1):
+            if part not in ("X", "Y"):
+                raise SpecInvalidError(f"overlap {i} part must be X or Y, got {part!r}")
+            for k in (i, i + 1):
+                if (size := self.sizes[k - 1][part != "X"]) < 2:
+                    raise SpecInvalidError(
+                        f"overlap {i} in part {part} needs component {k} to have "
+                        f"{part} size >= 2, got {size}"
+                    )
 
     def _check_counts(self) -> None:
         if len(self.sizes) < 1:
@@ -129,14 +131,6 @@ class ChainSpec(namedtuple("ChainSpec", "sizes overlap_parts")):
             g1, g2 = left[part == "X"], right[part == "X"]  # sizes opposite the overlap
             total -= 2 * (g1 if g1 < g2 else g2)  # inline: min() cost 70 % more
         return total
-
-    def _overlap_sizes(self) -> Iterator[tuple[int, int]]:
-        """Each overlap's part sizes in its two components, in order, its letter
-        checked first: a letter other than X or Y raises at its overlap."""
-        for i, part in enumerate(self.overlap_parts):
-            if part not in ("X", "Y"):
-                raise SpecInvalidError(f"overlap {i + 1} part must be X or Y, got {part!r}")
-            yield self.sizes[i][part != "X"], self.sizes[i + 1][part != "X"]
 
 
 def _biclique_closure(g: Graph, side: set[str], side_is_x: bool) -> ChainComponent:
@@ -216,8 +210,9 @@ def _walk_chain(g: Graph, start: str) -> tuple[list[ChainComponent], list[str]]:
     in the one before for a later one. Such v lies only in earlier
     components, which meet this one only at s, so v is adjacent to all of Q
     iff Q = {s}. An exit t is never alone in its part of the component it
-    leaves: Q also holds the entry, and P = {t} makes Q = N(t). So
-    maximality is a test on part sizes (_check_maximal).
+    leaves: Q also holds the entry, and P = {t} makes Q = N(t). So the walk
+    tests maximality as it enters each component: s must not be alone in its
+    part. The test follows the meet and branch tests, which keep precedence.
 
     On a valid chain the walk returns if start is no overlap, as _start's
     choice never is. Call v lone if v is the only common neighbor of N(v).
@@ -240,51 +235,30 @@ def _walk_chain(g: Graph, start: str) -> tuple[list[ChainComponent], list[str]]:
         comps.reverse()
         overlaps.reverse()
         while s is not None:
-            side = adj[s] - comps[-1].vertices
+            last = comps[-1]
+            side = adj[s] - last.vertices
             if not side:  # s has a neighbor in its own part: not bipartite
                 raise NotChainedError(f"{s} has no neighbor outside its component")
-            nxt = _biclique_closure(g, side, s in comps[-1].y_part)
+            in_y = s in last.y_part
+            nxt = _biclique_closure(g, side, in_y)
             if len(seen & nxt.vertices) > 1:  # s lies in both
                 raise NotChainedError(
                     f"the component entered through {s} meets an earlier one at "
                     f"{min(seen & nxt.vertices - {s})}"
                 )
+            onward = _exits(g, nxt, s, 1)
+            if len(nxt.y_part if in_y else nxt.x_part) == 1:  # s alone in its part
+                raise NotChainedError(
+                    f"the component entered through {s} is not maximal: extendable by "
+                    f"{min(last.x_part if in_y else last.y_part)}"
+                )
             seen |= nxt.vertices
             comps.append(nxt)
             overlaps.append(s)
-            onward = _exits(g, nxt, s, 1)
             s = onward[0] if onward else None
     if len(seen) != len(adj) or sum([c.nx * c.ny for c in comps]) != g.edge_count:
         raise NotChainedError(f"the walk from {start} leaves vertices or edges uncovered")
     return comps, overlaps
-
-
-def _lone_overlap(sizes: Iterable[tuple[int, int]]) -> tuple[int, int] | None:
-    """0-based (overlap, component) of the first overlap alone in its part of a
-    component, left component first, read lazily from each overlap's sizes."""
-    for i, (left, right) in enumerate(sizes):
-        if left < 2 or right < 2:
-            return i, i + (left >= 2)
-    return None
-
-
-def _check_maximal(d: ChainDecomposition) -> None:
-    """Reject an overlap alone in its part of a component, which the overlap's
-    opposite part in the other component extends (see _walk_chain). The
-    overlap's part is the one holding it in its left component."""
-    # Scanned lazily, not via profile(), which builds all sizes on a valid chain.
-    cs = d.components
-    sizes = (
-        (len(a.x_part), len(c.x_part)) if s in a.x_part else (len(a.y_part), len(c.y_part))
-        for s, a, c in zip(d.overlaps, cs, cs[1:])
-    )
-    if lone := _lone_overlap(sizes):
-        i, k = lone
-        s, other = d.overlaps[i], cs[2 * i + 1 - k]
-        raise NotChainedError(
-            f"component C{k + 1} is not maximal: extendable by "
-            f"{min(other.y_part if s in other.x_part else other.x_part)}"
-        )
 
 
 def decompose(g: Graph) -> ChainDecomposition:
@@ -317,9 +291,7 @@ def decompose(g: Graph) -> ChainDecomposition:
     if min(tail) < min(head) or (min(tail) == min(head) and sorted(tail) > sorted(head)):
         comps.reverse()
         overlaps.reverse()
-    d = ChainDecomposition(tuple(comps), tuple(overlaps))
-    _check_maximal(d)
-    return d
+    return ChainDecomposition(tuple(comps), tuple(overlaps))
 
 
 def g_count(d: ChainDecomposition, s: str, j: int) -> int:

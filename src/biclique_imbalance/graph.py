@@ -264,13 +264,13 @@ def _plain_tokens(text: str) -> list[str] | None:
     tokens, a newline after each line but maybe the last), else None.
 
     `str.split` splits on `str.isspace`, a superset of the `splitlines`
-    boundaries, so the line reader would see these lines and the same tokens:
-    only a self-loop can still be wrong. C-level scans send text with a `#`,
-    tab or carriage return, or not one space per line, to the line reader.
+    boundaries, so text equal to its tokens rendered as such lines gives the
+    line reader these lines and the same tokens: only a self-loop can still
+    be wrong. A `#` is no space but starts a comment there, so text holding
+    one goes to the line reader. Text with a tab or carriage return cannot
+    match the rendering, and a C-level scan sends it there without a split.
     """
     if "#" in text or "\t" in text or "\r" in text:
-        return None
-    if text.count(" ") != text.count("\n") + (text[-1:] not in ("", "\n")):
         return None
     tokens = text.split()
     n = len(tokens)

@@ -42,7 +42,6 @@ from biclique_imbalance import (
 )
 from biclique_imbalance import chained
 from biclique_imbalance.chained import (
-    _check_maximal,
     _pick_endpoint,
     _start,
     _validated_subordering,
@@ -50,44 +49,17 @@ from biclique_imbalance.chained import (
 )
 from biclique_imbalance.complete import _fill_runs
 from biclique_imbalance.graph import _bipartition_and_roots
-from conftest import chained_example_graph, complete_bigraph
+from conftest import (
+    FIG_SPEC,
+    chained_example_graph,
+    complete_bigraph,
+    k33_chain,
+    profiles_match_up_to_reversal,
+    random_chain_spec,
+    renamed,
+)
 
-FIG_SPEC = ChainSpec(((2, 2), (2, 2), (2, 3)), ("X", "Y"))
 GLUED_SPEC = ChainSpec(((2, 2), (2, 2)), ("X",))
-
-
-def random_chain_spec(rng, max_comps=12, max_total=400, max_part=30):
-    n = rng.randint(1, max_comps)
-    parts = [rng.choice("XY") for _ in range(n - 1)]
-    sizes = []
-    for i in range(n):
-        min_x = 2 if (i > 0 and parts[i - 1] == "X") or (i < n - 1 and parts[i] == "X") else 1
-        min_y = 2 if (i > 0 and parts[i - 1] == "Y") or (i < n - 1 and parts[i] == "Y") else 1
-        sizes.append(
-            (rng.randint(min_x, max(min_x, max_part)), rng.randint(min_y, max(min_y, max_part)))
-        )
-    if sum(a + b for a, b in sizes) - (n - 1) > max_total:
-        return None
-    return ChainSpec(tuple(sizes), tuple(parts))
-
-
-def profiles_match_up_to_reversal(d1, d2):
-    p1, p2 = d1.profile(), d2.profile()
-    return p2 == p1 or p2 == (tuple(reversed(p1[0])), tuple(reversed(p1[1])))
-
-
-def renamed(g, d, rng):
-    """g and d with every vertex renamed by a random bijection onto v<k> names."""
-    names = sorted(g.vertices)
-    fresh = [f"v{k}" for k in range(1, len(names) + 1)]
-    rng.shuffle(fresh)
-    m = dict(zip(names, fresh))
-    graph = Graph((), ((m[u], m[v]) for u, v in g.edges()))
-    comps = tuple(
-        ChainComponent(frozenset(m[v] for v in c.x_part), frozenset(m[v] for v in c.y_part))
-        for c in d.components
-    )
-    return graph, ChainDecomposition(comps, tuple(m[s] for s in d.overlaps))
 
 
 def unlabelled(comps):
@@ -110,15 +82,20 @@ def restrict(g, o, keep):
     return Graph(keep, edges), Ordering(v for v in o if v in keep)
 
 
-def k33_chain(n):
-    """n K(3,3) components glued alternately at X and Y overlaps."""
-    return generate_chained(ChainSpec(((3, 3),) * n, tuple("XY"[i % 2] for i in range(n - 1))))
-
-
 def rejects(reason):
     """pytest.raises for a NotChainedError whose whole message gives reason."""
     message = f"not a chained complete bipartite graph: {reason}"
     return pytest.raises(NotChainedError, match=f"^{re.escape(message)}$")
+
+
+def mirror_images(spec):
+    """spec, reversed, with X and Y swapped, and both: each profile that
+    decompose may give for a renamed chain built from spec."""
+    swapped = ChainSpec(
+        tuple((b, a) for a, b in spec.sizes), tuple("XY"[p == "X"] for p in spec.overlap_parts)
+    )
+    turned = [ChainSpec(s.sizes[::-1], s.overlap_parts[::-1]) for s in (spec, swapped)]
+    return {spec, swapped, *turned}
 
 
 def glued_chain(sizes, parts, rng):
@@ -506,55 +483,57 @@ class TestVerifyChain:
 
 
 # decompose's messages on lone_overlap_chains(), recorded with the walk from
-# the vertex _start picks. A lone overlap may be that vertex, so the walk may
-# branch where a walk from an end component finds a component not maximal.
+# the vertex _start picks. The walk names a component that is not maximal by
+# the overlap it entered it through, the first lone one it meets. A lone
+# overlap may be _start's pick, so the walk may branch where a walk from an
+# end component finds a component not maximal.
 LONE_OVERLAP_REJECTIONS = [
-    "component C1 is not maximal: extendable by v9",
-    "component C2 is not maximal: extendable by v7",
-    "component C2 is not maximal: extendable by v6",
+    "the component entered through v9 is not maximal: extendable by v10",
+    "the component entered through v9 is not maximal: extendable by v7",
+    "the component entered through v10 is not maximal: extendable by v6",
     "the chain branches at the component reached through v6: v12, v14, v4",
-    "component C3 is not maximal: extendable by v1",
-    "component C3 is not maximal: extendable by v4",
-    "component C3 is not maximal: extendable by v1",
-    "component C4 is not maximal: extendable by v1",
+    "the component entered through v8 is not maximal: extendable by v1",
+    "the component entered through v2 is not maximal: extendable by v4",
+    "the component entered through v4 is not maximal: extendable by v1",
+    "the component entered through v15 is not maximal: extendable by v1",
     "the chain branches at the component reached through v5: v4, v9",
-    "component C2 is not maximal: extendable by v8",
-    "component C3 is not maximal: extendable by v12",
+    "the component entered through v5 is not maximal: extendable by v8",
+    "the component entered through v8 is not maximal: extendable by v12",
     "the chain branches at the component reached through v11: v13, v3, v8",
     "the chain branches at the component reached through v12: v18, v2",
-    "component C3 is not maximal: extendable by v6",
+    "the component entered through v12 is not maximal: extendable by v6",
     "the chain branches at the component reached through v1: v11, v3, v7, v8",
-    "component C3 is not maximal: extendable by v2",
+    "the component entered through v6 is not maximal: extendable by v2",
     "the chain branches at the component reached through v7: v4, v6",
-    "component C1 is not maximal: extendable by v11",
+    "the component entered through v10 is not maximal: extendable by v11",
     "the chain branches at the component reached through v7: v11, v12, v5",
-    "component C4 is not maximal: extendable by v14",
-    "component C3 is not maximal: extendable by v1",
-    "component C2 is not maximal: extendable by v10",
-    "component C3 is not maximal: extendable by v7",
-    "component C1 is not maximal: extendable by v4",
-    "component C3 is not maximal: extendable by v10",
+    "the component entered through v15 is not maximal: extendable by v14",
+    "the component entered through v6 is not maximal: extendable by v1",
+    "the component entered through v2 is not maximal: extendable by v10",
+    "the component entered through v3 is not maximal: extendable by v7",
+    "the component entered through v3 is not maximal: extendable by v4",
+    "the component entered through v6 is not maximal: extendable by v10",
     "the chain branches at the component reached through v11: v15, v2, v4, v8",
     "the chain branches at the component reached through v10: v11, v2",
-    "component C1 is not maximal: extendable by v11",
+    "the component entered through v10 is not maximal: extendable by v11",
     "the component entered through v2 meets an earlier one at v4",
     "the chain branches at the component reached through v12: v1, v2, v4",
-    "component C4 is not maximal: extendable by v20",
-    "component C4 is not maximal: extendable by v3",
-    "component C3 is not maximal: extendable by v5",
+    "the component entered through v4 is not maximal: extendable by v20",
+    "the component entered through v12 is not maximal: extendable by v3",
+    "the component entered through v10 is not maximal: extendable by v5",
     "the chain branches at the component reached through v18: v11, v13, v16, v2, v7",
     "the chain branches at the component reached through v1: v5, v7, v8",
-    "component C2 is not maximal: extendable by v2",
-    "component C1 is not maximal: extendable by v1",
+    "the component entered through v4 is not maximal: extendable by v2",
+    "the component entered through v10 is not maximal: extendable by v1",
     "the chain branches at the component reached through v1: v10, v12, v6",
     "the chain branches at the component reached through v14: v4, v8",
     "the chain branches at the component reached through v15: v5, v8",
     "the chain branches at the component reached through v12: v10, v8",
     "the chain branches at the component reached through v1: v13, v2, v8, v9",
-    "component C4 is not maximal: extendable by v1",
+    "the component entered through v9 is not maximal: extendable by v1",
     "the chain branches at the component reached through v1: v15, v17, v6, v8",
     "the chain branches at the component reached through v7: v17, v4",
-    "component C1 is not maximal: extendable by v11",
+    "the component entered through v14 is not maximal: extendable by v11",
     "the chain branches at the component reached through v5: v13, v7",
     "the chain branches at the component reached through v20: v22, v7, v9",
 ]
@@ -572,15 +551,32 @@ class TestLoneOverlap:
             with rejects(reason):
                 decompose(g)
 
-    def test_size_check_on_hand_built_decompositions(self):
-        k22 = ChainComponent(frozenset({"x1", "x2"}), frozenset({"y1", "y2"}))
-        star = ChainComponent(frozenset({"x2"}), frozenset({"y3", "y4"}))
-        d = ChainDecomposition((k22, star), ("x2",))
-        with rejects("component C2 is not maximal: extendable by y1"):
-            _check_maximal(d)
-        with rejects("component C1 is not maximal: extendable by y1"):
-            _check_maximal(ChainDecomposition((star, k22), ("x2",)))
-        _check_maximal(generate_chained(FIG_SPEC)[1])
+    def test_every_small_glued_chain(self):
+        # Every glued chain of 1-3 components with parts of 1-3 vertices and
+        # every choice of letters: a valid spec decomposes to itself, and a
+        # rejection needs an invalid one. An invalid spec may still glue into
+        # another chain: ((1, 1), (1, 2), (1, 1)) glued at Y and Y is P5.
+        rng = random.Random(1357)
+        outcomes = collections.Counter()
+        for n in range(1, 4):
+            for sizes in itertools.product(itertools.product((1, 2, 3), repeat=2), repeat=n):
+                for parts in itertools.product("XY", repeat=n - 1):
+                    spec = ChainSpec(sizes, parts)
+                    try:
+                        spec.validate()
+                    except SpecInvalidError:
+                        spec = None
+                    try:
+                        got = decompose(glued_chain(sizes, parts, rng)).profile()
+                    except NotChainedError:
+                        assert spec is None, (sizes, parts)
+                        outcomes["rejected"] += 1
+                        continue
+                    got.validate()
+                    if spec is not None:
+                        assert got in mirror_images(spec), (spec, got)
+                    outcomes["valid" if spec else "another chain"] += 1
+        assert outcomes == {"valid": 801, "another chain": 306, "rejected": 1980}, outcomes
 
 
 class TestBruteForceRecogniser:
@@ -681,7 +677,8 @@ def walk_from_last(g):
     verdict, then the walk from the vertex that a breadth-first search from
     the smallest vertex, over sorted neighbors, reaches last. That vertex has
     the greatest distance from the root, and an overlap has farther vertices
-    on its far side, so it is no overlap."""
+    on its far side, so it is no overlap. A chain it finds must pass the
+    spec rule, which rejects an overlap alone in its part."""
     if g.edge_count == 0:
         raise NotChainedError("graph has no edges for any component to cover")
     b, roots = _bipartition_and_roots(g)
@@ -700,7 +697,10 @@ def walk_from_last(g):
         comps.reverse()
         overlaps.reverse()
     d = ChainDecomposition(tuple(comps), tuple(overlaps))
-    _check_maximal(d)
+    try:  # maximality from the spec rule, not from the walk's own test
+        d.profile().validate()
+    except SpecInvalidError as exc:
+        raise NotChainedError(str(exc)) from None
     return d
 
 

@@ -36,8 +36,7 @@ from biclique_imbalance import (
 from biclique_imbalance import chained, cli
 from biclique_imbalance.cli import main
 from biclique_imbalance.graph import vertex_imbalances
-from conftest import CHAINED_EDGES
-from test_chained import k33_chain, random_chain_spec, renamed
+from conftest import CHAINED_EDGES, k33_chain, random_chain_spec, renamed
 
 EXAMPLE = "a b\na c\nb c\nb d\nc e\n"
 SRC = Path(__file__).resolve().parents[1] / "src"

@@ -32,8 +32,15 @@ from biclique_imbalance import (
     vertex_imbalances,
 )
 from biclique_imbalance.graph import _bipartition_and_roots, _check_tokens, _tokenize_lines
-from conftest import CHAINED_EDGES, chained_example_graph, complete_bigraph, example_graph
-from test_chained import k33_chain, random_chain_spec, renamed
+from conftest import (
+    CHAINED_EDGES,
+    chained_example_graph,
+    complete_bigraph,
+    example_graph,
+    k33_chain,
+    random_chain_spec,
+    renamed,
+)
 
 
 class TestParseEdgeList:

@@ -18,8 +18,12 @@ from biclique_imbalance import (
     ordering_imbalance,
 )
 from biclique_imbalance import oracle
-from conftest import chained_example_graph, complete_bigraph, example_graph
-from test_chained import random_chain_spec
+from conftest import (
+    chained_example_graph,
+    complete_bigraph,
+    example_graph,
+    random_chain_spec,
+)
 
 
 def test_k22_minimum():

@@ -26,8 +26,7 @@ from biclique_imbalance import (
     generate_chained,
     interval_representation,
 )
-from conftest import chained_example_graph
-from test_chained import FIG_SPEC, renamed
+from conftest import FIG_SPEC, chained_example_graph, renamed
 
 B = Bipartition({"a"}, {"b"})
 B_REPR = "Bipartition(x_part=frozenset({'a'}), y_part=frozenset({'b'}))"
