@@ -310,6 +310,80 @@ def _ordering_of(pattern: str, bp: Bipartition) -> Ordering:
     return Ordering([next(xs) if c == "X" else next(ys) for c in pattern])
 
 
+def _step_passes(rank: int, signed: int, n: int, other: int) -> bool:
+    """P1-P3 as a rule on one step: the rank-r vertex of a profile part of n
+    vertices, placed after L of the other part's `other` vertices, has the
+    signed imbalance 2L - other. Ranks 0 and n + 1 are the pads, -other and
+    +other."""
+    if rank == n // 2 and signed > 0:
+        return False  # P1
+    if rank == (n + 1) // 2 + 1 and signed < 0:
+        return False  # P2
+    return not (rank == (n + 1) // 2 and n % 2 == other % 2 == 1 and abs(signed) != 1)  # P3
+
+
+def _pads_pass(a: int, b: int) -> bool:
+    return all(_step_passes(0, -m, n, m) and _step_passes(n + 1, m, n, m) for n, m in ((a, b), (b, a)))
+
+
+def _step_rule_accepts(pattern: str, a: int, b: int) -> bool:
+    """The step rule under both designations, along an X/Y pattern of K(a, b)."""
+    i = j = 0
+    accepted = _pads_pass(a, b)
+    for c in pattern:
+        if c == "X":
+            i += 1
+            accepted = accepted and _step_passes(i, 2 * j - b, a, b)
+        else:
+            j += 1
+            accepted = accepted and _step_passes(j, 2 * i - a, b, a)
+    return accepted
+
+
+# A grid cell: the least cost of a path into it, and how many paths into it
+# cost least, pass the step rule, and both.
+_NO_PATH = (math.inf, 0, 0, 0)
+
+
+def _path_counts(a: int, b: int) -> tuple[int, int, int, int]:
+    """The least cost of an X/Y pattern of K(a, b), and how many patterns have
+    it (T), pass the step rule (A), and both (A and T).
+
+    A pattern is a lattice path from (0, 0) to (a, b). The X step from (i, j)
+    is the (i + 1)-th X, placed after j Y's: it costs |2j - b|. The Y step
+    costs |2i - a|. A path costs least iff each step keeps it at the least
+    cost of the cell it enters.
+    """
+    pads = int(_pads_pass(a, b))
+    up = [_NO_PATH] * (b + 1)  # the cells of row i - 1
+    for i in range(a + 1):
+        row, left = [], _NO_PATH
+        y_signed = 2 * i - a
+        for j in range(b + 1):
+            if i == j == 0:
+                left = (0, 1, pads, pads)
+                row.append(left)
+                continue
+            x_signed = 2 * j - b
+            cx, tx, ax, atx = up[j]
+            cx += abs(x_signed)
+            if not _step_passes(i, x_signed, a, b):
+                ax = atx = 0
+            cy, ty, ay, aty = left
+            cy += abs(y_signed)
+            if not _step_passes(j, y_signed, b, a):
+                ay = aty = 0
+            least = min(cx, cy)
+            if cx != least:
+                tx = atx = 0
+            if cy != least:
+                ty = aty = 0
+            left = (least, tx + ty, ax + ay, atx + aty)
+            row.append(left)
+        up = row
+    return up[b]
+
+
 class TestBalancedHalves:
     """An ordering of K(a, b) is optimal iff its first h and its last h
     vertices each hold p vertices of the a-part. On each half the imbalances
@@ -323,6 +397,7 @@ class TestBalancedHalves:
                 pattern = "".join("X" if i in xs else "Y" for i in range(a + b))
                 got = verify_optimal_complete(_ordering_of(pattern, bp), bp).optimal
                 assert got == _halves_balanced(pattern, a, b), (a, b, pattern)
+                assert got == _step_rule_accepts(pattern, a, b), (a, b, pattern)
 
     def test_equals_the_verifier_on_random_and_near_optimal_orderings(self):
         rng = random.Random(5)
@@ -365,3 +440,20 @@ class TestBalancedHalves:
                 g, _ = complete_bigraph(a, b)
                 got = brute_force_min(g, cap=a + b, count_optima=True).optima_count
                 assert got == want, (a, b)
+
+
+class TestStepRule:
+    """P1-P3 read step by step along an X/Y pattern, under both designations,
+    accept exactly the least-cost patterns: counted over every pattern of
+    K(a, b), A = T = A and T proves it for each (a, b), and with it the
+    characterization over all C(a + b, a) * a! * b! orderings."""
+
+    def test_counts_prove_the_characterization_up_to_k40_40(self):
+        for a, b in itertools.product(range(1, 41), repeat=2):
+            least, tight, accepted, both = _path_counts(a, b)
+            assert least == a * b + (a % 2) * (b % 2), (a, b)
+            assert accepted == tight == both, (a, b)
+            # Times a! * b!, the count that test_optimum_count_equals_the_oracle
+            # checks against the oracle.
+            p, q = a // 2, b // 2
+            assert tight == (1 + (a % 2 == b % 2 == 1)) * math.comb(p + q, p) ** 2, (a, b)

@@ -433,40 +433,21 @@ def _sorted_scan_bipartition(g):
     return x, y, roots
 
 
-def _set_difference_bipartition(g):
-    """Reference two-coloring: the package's breadth-first search with one set
-    difference per vertex, its neighbors minus the other color class, in
-    place of the subset test. Returns the X part, the Y part and the roots."""
-    roots, parent = [], {}
-    sides = {True: set(), False: set()}
-    for root in sorted(g.vertices):
-        if root in parent:
-            continue
-        roots.append(root)
-        sides[True].add(root)
-        parent[root] = None
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            c = v in sides[True]
-            rest = g.neighbors(v).difference(sides[not c])
-            if not rest.isdisjoint(sides[c]):
-                # The tree paths of v and of its smallest clashing neighbor
-                # w, up to their lowest common ancestor, closed by v-w.
-                w = min(rest & sides[c])
-                path_v = [v]
-                while parent[path_v[-1]] is not None:
-                    path_v.append(parent[path_v[-1]])
-                path_w = [w]
-                while path_w[-1] not in path_v:
-                    path_w.append(parent[path_w[-1]])
-                raise NotBipartiteError(path_v[: path_v.index(path_w[-1]) + 1] + path_w[-2::-1])
-            reached = sorted(rest)
-            sides[not c].update(reached)
-            for w in reached:
-                parent[w] = v
-            queue.extend(reached)
-    return frozenset(sides[True]), frozenset(sides[False]), roots
+def _check_against_sorted_scan(g):
+    """Check _bipartition_and_roots(g) against _sorted_scan_bipartition(g):
+    the same parts and roots, or the same odd-cycle witness and message.
+    Returns the witness, or None if g is bipartite."""
+    try:
+        expected = _sorted_scan_bipartition(g)
+    except NotBipartiteError as ref:
+        with pytest.raises(NotBipartiteError) as info:
+            _bipartition_and_roots(g)
+        assert info.value.cycle == ref.cycle
+        assert str(info.value) == str(ref)
+        return ref.cycle
+    b, roots = _bipartition_and_roots(g)
+    assert (b.x_part, b.y_part, roots) == expected
+    return None
 
 
 class TestBipartition:
@@ -540,17 +521,7 @@ class TestBipartition:
             else:
                 pairs = [(u, v) for u in vertices for v in vertices if u < v]
             p = rng.choice([0.2, 0.4, 0.7, 1.0])
-            g = Graph(vertices, [e for e in pairs if rng.random() < p])
-            try:
-                expected = _sorted_scan_bipartition(g)
-            except NotBipartiteError as ref:
-                with pytest.raises(NotBipartiteError) as info:
-                    _bipartition_and_roots(g)
-                assert info.value.cycle == ref.cycle
-                assert str(info.value) == str(ref)
-                continue
-            b, roots = _bipartition_and_roots(g)
-            assert (b.x_part, b.y_part, roots) == expected
+            _check_against_sorted_scan(Graph(vertices, [e for e in pairs if rng.random() < p]))
 
     def test_matches_sorted_scan_reference_on_deep_graphs(self):
         # Long cycles, trees plus one edge and sparse random graphs of 50-600
@@ -577,23 +548,12 @@ class TestBipartition:
                     u, v = rng.sample(range(n), 2)
                     if trial % 8 == 3 or side[u] != side[v]:
                         edges.append((u, v))
-            g = Graph(names, [(names[u], names[v]) for u, v in edges])
-            try:
-                expected = _sorted_scan_bipartition(g)
-            except NotBipartiteError as ref:
-                with pytest.raises(NotBipartiteError) as info:
-                    _bipartition_and_roots(g)
-                assert info.value.cycle == ref.cycle
-                assert str(info.value) == str(ref)
-                outcomes.append(len(ref.cycle))
-                continue
-            b, roots = _bipartition_and_roots(g)
-            assert (b.x_part, b.y_part, roots) == expected
-            outcomes.append(0)
+            cycle = _check_against_sorted_scan(Graph(names, [(names[u], names[v]) for u, v in edges]))
+            outcomes.append(len(cycle) if cycle else 0)
         # Both verdicts occur, and some witness cycles are long.
         assert 0 in outcomes and max(outcomes) > 100
 
-    def test_matches_the_set_difference_search(self):
+    def test_matches_sorted_scan_reference_on_chains_and_odd_cycles(self):
         # Renamed chains, random bipartite graphs with isolated vertices and
         # several components, and graphs with an odd cycle, some of them
         # also disconnected with a bipartite component sorted first.
@@ -620,17 +580,7 @@ class TestBipartition:
             graphs.append(Graph(names, edges))
         verdicts = {True: 0, False: 0}
         for g in graphs:
-            try:
-                expected = _set_difference_bipartition(g)
-            except NotBipartiteError as ref:
-                with pytest.raises(NotBipartiteError) as info:
-                    _bipartition_and_roots(g)
-                assert info.value.cycle == ref.cycle
-                verdicts[False] += 1
-                continue
-            b, roots = _bipartition_and_roots(g)
-            assert (b.x_part, b.y_part, roots) == expected
-            verdicts[True] += 1
+            verdicts[_check_against_sorted_scan(g) is None] += 1
         assert verdicts == {True: 300, False: 150}
 
     def test_parts_must_be_disjoint(self):
