@@ -452,17 +452,17 @@ def overlap_inequality_probe(o: Ordering, d: ChainDecomposition) -> OverlapInequ
         raise ValueError(f"probe requires exactly two components, got {d.n}")
     _check_cover(o, d.vertices, "chain")
     s = d.overlaps[0]
-    before = set(islice(o, o.position(s) - 1))
+    pos, at = o._pos, o.position(s)
     counts = []
     for comp in d.components:
-        neighbors = comp.y_part if s in comp.x_part else comp.x_part
-        left = len(neighbors & before)
-        counts.append((left, len(neighbors) - left))
-    (l1, r1), (l2, r2) = counts
+        neighbors = comp.y_part if s in comp.x_part else comp.x_part  # g(s, C_i) of them
+        left = 0
+        for v in neighbors:  # count those placed before s
+            left += pos[v] < at
+        counts += (left, len(neighbors) - left)
+    l1, r1, l2, r2 = counts
     lhs = abs(l1 - r1 + l2 - r2) - abs(l1 - r1) - abs(l2 - r2)
-    g1, g2 = l1 + r1, l2 + r2  # s's neighbors in C_i number g(s, C_i)
-    rhs = -2 * min(g1, g2)
-    return OverlapInequalityProbe(lhs, rhs, l1, r1, l2, r2)
+    return OverlapInequalityProbe(lhs, -2 * min(l1 + r1, l2 + r2), *counts)
 
 
 def parse_chain_spec(text: str) -> ChainSpec:

@@ -79,11 +79,14 @@ def _complete_bipartition(g: Graph):
     raise NotCompleteBipartiteError("graph is not a complete bipartite graph")
 
 
-def _parse_nat(text: str) -> int:
-    # Exactly the digits int() reads: '٣' is one, '²' is not.
+def _parse_nat(text: str, read=int):
+    # Exactly the digits int() and Decimal() read: '٣' is one, '²' is not.
     if not text.isdecimal():
         raise GraphParseError(f"expected a decimal natural number, got {text!r}")
-    return int(text)
+    try:
+        return read(text)
+    except ValueError as exc:  # an int past the interpreter's digit limit
+        raise GraphParseError(f"number too long: {exc}") from None
 
 
 def _cmd_eval(args) -> None:
@@ -100,13 +103,15 @@ def _cmd_solve_complete(args) -> None:
     if args.parts is not None:
         if args.graph is not None:
             raise GraphParseError("solve complete takes a graph file or --parts NX NY, not both")
-        nx_size, ny_size = map(_parse_nat, args.parts)
-        print(min_imbalance_formula(nx_size, ny_size))
+        # decimal reads, multiplies and prints in near-linear time; traps make rounding an error.
+        from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded, localcontext
+        nx_size, ny_size = (_parse_nat(text, Decimal) for text in args.parts)
+        with localcontext(Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded])):
+            print(min_imbalance_formula(nx_size, ny_size))
         return
     if args.graph is None:
         raise GraphParseError("solve complete needs a graph file or --parts NX NY")
-    g = _load_graph(args.graph)
-    b = _complete_bipartition(g)
+    b = _complete_bipartition(_load_graph(args.graph))
     print(min_imbalance_formula(len(b.x_part), len(b.y_part)))
     print(" ".join(construct_optimal_complete(b)))
 
@@ -140,10 +145,13 @@ def _cmd_oracle(args) -> None:
     g = _load_graph(args.graph)
     cap = _parse_nat(args.max_n) if args.max_n is not None else DEFAULT_CAP
     result = brute_force_min(g, cap=cap, count_optima=args.enumerate)
-    print(result.minimum)
-    print(" ".join(result.witness))
+    print(result.minimum, " ".join(result.witness), sep="\n")
     if args.enumerate:
-        print(result.optima_count)
+        try:
+            print(result.optima_count)
+        except ValueError:  # str() of an int past the interpreter's digit limit
+            from decimal import Decimal  # converts without that limit
+            print(Decimal(result.optima_count))
 
 
 def _cmd_gen_complete(args) -> None:
@@ -158,8 +166,7 @@ def _cmd_gen_complete(args) -> None:
 
 
 def _cmd_gen_chained(args) -> None:
-    spec = parse_chain_spec(_read(args.spec))
-    graph, _ = generate_chained(spec)
+    graph, _ = generate_chained(parse_chain_spec(_read(args.spec)))
     if args.shuffle_names is not None:
         names = sorted(graph.vertices)
         fresh = [f"v{k}" for k in range(1, len(names) + 1)]
@@ -295,19 +302,12 @@ def _run(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # A command makes no reference cycles, so pause the cyclic collector, whose
-    # full passes rescan every container made so far. Answers are exact at any
-    # size, so lift Python 3.10.7+'s int/str digit limit after parsing. Restore both.
+    # full passes rescan every container made so far. Restore it.
     collecting = gc.isenabled()
     gc.disable()
-    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     try:
-        args = _direct_args(argv) or _build_parser().parse_args(argv)
-        if limit is not None:
-            sys.set_int_max_str_digits(0)
-        return _run(args)
+        return _run(_direct_args(argv) or _build_parser().parse_args(argv))
     finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
         if collecting:
             gc.enable()
 

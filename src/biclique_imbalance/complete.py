@@ -8,8 +8,8 @@ shifts that preserve optimality, each of which moves one Y vertex to an end
 of the ordering; and verifies optimality of arbitrary orderings in one
 linear pass via the three block-sum properties.
 
-Part sizes are plain Python ints, so the formula works unchanged on inputs
-with thousands of digits.
+Part sizes are ints or, as `solve complete --parts` passes them, integral
+Decimals in an exact context, so the formula is exact at any length.
 """
 
 from __future__ import annotations

@@ -4,7 +4,6 @@ chain helpers that several test modules use."""
 from __future__ import annotations
 
 import gc
-import sys
 
 import pytest
 
@@ -18,19 +17,12 @@ from biclique_imbalance import (
 )
 
 
-def _digit_limit():
-    return getattr(sys, "get_int_max_str_digits", lambda: None)()
-
-
 @pytest.fixture(autouse=True)
-def _collector_and_digit_limit_restored():
-    """Fail a test that leaves the cyclic collector off or the int/str digit
-    limit changed. Tests call cli.main in process, and main pauses the one and
-    lifts the other while a command runs."""
-    limit = _digit_limit()
+def _collector_restored():
+    """Fail a test that leaves the cyclic collector off. Tests call cli.main in
+    process, and main pauses the collector while a command runs."""
     yield
     assert gc.isenabled(), "the test left the cyclic garbage collector off"
-    assert _digit_limit() == limit, "the test left the int/str digit limit changed"
 
 
 # 5-vertex example used throughout: edges a-b, a-c, b-c, b-d, c-e. The

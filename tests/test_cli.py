@@ -8,6 +8,7 @@ no single output shows.
 """
 
 import contextlib
+import decimal
 import gc
 import io
 import itertools
@@ -517,16 +518,34 @@ class TestSolveComplete:
         a = "1" + "234567890" * 555 + "1231"
         b = "9" + "876543210" * 555 + "9873"
         assert len(a) == len(b) == 5000
-        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
         code, out, err = run("solve", "complete", "--parts", a, b)
         assert (code, err) == (0, "")
         assert out.strip() == _schoolbook_product_plus_one(a, b)
-        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
-    def test_runs_on_an_interpreter_without_a_digit_limit(self, run, monkeypatch):
-        # Before Python 3.10.7 sys has no int/str digit limit to lift.
-        monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
-        assert run("solve", "complete", "--parts", "3", "3") == (0, "10\n", "")
+    def test_parts_agree_with_int_arithmetic(self, run):
+        # --parts computes in decimal; int() reads every Unicode decimal digit
+        # to the same value. Sizes of 1-60 digits, each parity pair, some
+        # with leading zeros or in Arabic-Indic, Devanagari or fullwidth digits.
+        rng = random.Random(36)
+        scripts = ["0123456789", "٠١٢٣٤٥٦٧٨٩", "०१२३४५६७८९", "０１２３４５６７８９"]
+
+        def size(parity):
+            n = rng.randint(1, 60)
+            head = [rng.randint(1, 9)] + [rng.randint(0, 9) for _ in range(n - 2)]
+            last = rng.randrange(2 - parity if n == 1 else parity, 10, 2)
+            zeros = [0] * rng.choice([0, 0, 1, 2])
+            return "".join(rng.choice(scripts)[d] for d in zeros + head[: n - 1] + [last])
+
+        for parities in list(itertools.product((0, 1), repeat=2)) * 100:
+            a, b = map(size, parities)
+            want = int(a) * int(b) + (int(a) % 2) * (int(b) % 2)
+            assert run("solve", "complete", "--parts", a, b) == (0, f"{want}\n", "")
+        assert run("solve", "complete", "--parts", "007", "٣") == (0, "22\n", "")
+
+    def test_other_numbers_past_the_int_str_digit_limit_are_parse_errors(self, run):
+        code, out, err = run("oracle", "path.txt", "--max-n", "7" * 5000)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: number too long: ")
 
 
 class TestSolveChained:
@@ -696,6 +715,14 @@ class TestOracle:
         assert witness.split()[600] == "x1"
         assert count == str(math.factorial(1200))
 
+    def test_count_past_the_int_str_digit_limit_prints_exactly(self, run, write):
+        # 1600! has 4,434 digits, past the 4,300 that str() converts by default.
+        g = write("star.txt", "".join(f"x1 y{i}\n" for i in range(1, 1601)))
+        code, out, err = run("oracle", g, "--max-n", "1601", "--enumerate")
+        assert (code, err) == (0, "")
+        count = out.splitlines()[2]
+        assert len(count) == 4434 and decimal.Decimal(count) == math.factorial(1600)
+
 
 class TestGen:
     def test_shuffle_names_is_deterministic(self, run):
@@ -724,15 +751,15 @@ class TestGen:
                 assert code == 0 and {len(tokens) for tokens in lines} == {2}
                 assert lines == sorted(sorted([m[u], m[v]]) for u, v in g.edges())
 
-    def test_spec_size_beyond_the_int_str_digit_limit_is_read_exactly(self, run, write):
+    def test_spec_size_beyond_the_int_str_digit_limit_is_a_parse_error(self, run, write):
+        # Only --parts reads numbers of any length. Python's own text follows
+        # the prefix, and it differs across versions.
         size = "1" + "234567890" * 555 + "1231"
         assert len(size) == 5000
         spec = write("big.txt", f"component {size} 0\n")
-        assert run("gen", "chained", "--spec", spec) == (
-            3,
-            "",
-            f"error: component 1 has an empty part: ({size}, 0)\n",
-        )
+        code, out, err = run("gen", "chained", "--spec", spec)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line 1: component size too long: ")
 
 
 class TestRepeatedCalls:
@@ -967,8 +994,8 @@ for argv in json.loads(sys.argv[2]):
 
 
 class TestCollectorPause:
-    """main pauses the cyclic collector and lifts the int/str digit limit while
-    a command runs, and gives both back as the caller had them."""
+    """main pauses the cyclic collector while a command runs, and gives it back
+    as the caller had it."""
 
     @pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
     def collecting(self, request):
@@ -977,28 +1004,12 @@ class TestCollectorPause:
         yield request.param
         gc.enable()
 
-    @pytest.fixture
-    def digit_limit(self):
-        """Sets an int/str digit limit that is no default, and gives it (None
-        where sys has no limit); the old limit is set back afterwards."""
-        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-        if limit is None:
-            yield None
-            return
-        sys.set_int_max_str_digits(5001)
-        yield 5001
-        sys.set_int_max_str_digits(limit)
-
-    @staticmethod
-    def _caller_state():
-        return gc.isenabled(), getattr(sys, "get_int_max_str_digits", lambda: None)()
-
     @pytest.mark.parametrize("argv", CLI_PINS, ids=_row_id)
-    def test_main_restores_the_callers_state(self, run, collecting, digit_limit, argv):
+    def test_main_restores_the_callers_state(self, run, collecting, argv):
         assert run(*argv.split())[0] == CLI_PINS[argv][0]
-        assert self._caller_state() == (collecting, digit_limit)
+        assert gc.isenabled() == collecting
 
-    def test_a_bug_in_a_command_propagates(self, collecting, digit_limit, monkeypatch, pin_paths):
+    def test_a_bug_in_a_command_propagates(self, collecting, monkeypatch, pin_paths):
         # _run turns only the package's errors and ValueError into exit codes.
         def bug(args):
             raise KeyError("bug")
@@ -1007,7 +1018,7 @@ class TestCollectorPause:
         monkeypatch.setitem(cli._GRAMMAR[1], "decompose", (help_text, (bug, positionals, options)))
         with pytest.raises(KeyError, match="bug"):
             main(["decompose", pin_paths["k22.txt"]])
-        assert self._caller_state() == (collecting, digit_limit)
+        assert gc.isenabled() == collecting
 
     @pytest.fixture(scope="class")
     def cycles_left(self, pin_paths):
