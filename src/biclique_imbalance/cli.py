@@ -46,6 +46,7 @@ from .oracle import DEFAULT_CAP, brute_force_min
 
 # The package's errors, each with its exit code, and a bare ValueError (exit 2).
 _ERRORS = (ValueError, *(getattr(errors, name) for name in errors.__all__))
+_GEN_BLOCK = 4096  # the most lines that gen complete writes at once
 
 
 def _read(path: str) -> str:
@@ -158,11 +159,15 @@ def _cmd_gen_complete(args) -> None:
     nx_size, ny_size = map(_parse_nat, (args.nx, args.ny))
     if nx_size < 1 or ny_size < 1:
         raise GraphParseError("part sizes must be at least 1")
-    # One write per row: "x{i}" joins the row's line tails.
-    tails = [f" y{j}\n" for j in range(1, ny_size + 1)]
+    # One write per block of up to _GEN_BLOCK lines of a row: "x{i}" joins the
+    # block's line tails. The first block's tails are built once.
+    def tails(j):
+        return [f" y{k}\n" for k in range(j, min(j + _GEN_BLOCK, ny_size + 1))]
+    first = tails(1)
     for i in range(1, nx_size + 1):
         x = f"x{i}"
-        sys.stdout.write(x + x.join(tails))
+        for j in range(1, ny_size + 1, _GEN_BLOCK):
+            sys.stdout.write(x + x.join(first if j == 1 else tails(j)))
 
 
 def _cmd_gen_chained(args) -> None:

@@ -9,6 +9,7 @@ no single output shows.
 
 import contextlib
 import decimal
+import functools
 import gc
 import io
 import itertools
@@ -16,6 +17,7 @@ import json
 import math
 import os
 import random
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -761,6 +763,14 @@ class TestGen:
         assert (code, out) == (2, "")
         assert err.startswith("error: line 1: component size too long: ")
 
+    @pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (2, 3)])
+    def test_complete_rows_past_one_block_match_one_line_per_edge(self, run, blocks, extra):
+        # A row of more than cli._GEN_BLOCK lines is written a block at a time.
+        ny_size = blocks * cli._GEN_BLOCK + extra
+        code, out, err = run("gen", "complete", "2", str(ny_size))
+        lines = [f"x{i} y{j}\n" for i in (1, 2) for j in range(1, ny_size + 1)]
+        assert (code, out, err) == (0, "".join(lines), "")
+
 
 class TestRepeatedCalls:
     """One process, several main calls: no option leaks into the next call."""
@@ -868,15 +878,24 @@ class TestPinnedBytes:
         proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60, env=env)
         assert (proc.returncode, proc.stdout, proc.stderr) == run(*words)
 
-    @pytest.mark.parametrize("words", [["-h"], ["gen", "complete", "2000", "2000"]], ids=" ".join)
+    @pytest.mark.parametrize(
+        "words",
+        [["-h"], ["gen", "complete", "2000", "2000"], ["gen", "complete", "1", "1000000000"]],
+        ids=" ".join,
+    )
     def test_a_closed_pipe_exits_1_with_empty_stderr(self, words):
-        # The pipe's read end is closed before the child starts: no race.
+        # The pipe's read end is closed before the child starts: no race. The
+        # child's address space is capped at 1 GiB, so a writer that builds
+        # all its output first fails with a MemoryError, not the host.
         read_end, write_end = os.pipe()
         os.close(read_end)
         cmd = [sys.executable, "-m", "biclique_imbalance.cli", *words]
         env = {**os.environ, "PYTHONPATH": str(SRC)}
+        cap = functools.partial(resource.setrlimit, resource.RLIMIT_AS, (1 << 30, 1 << 30))
         try:
-            proc = subprocess.run(cmd, stdout=write_end, stderr=subprocess.PIPE, timeout=60, env=env)
+            proc = subprocess.run(
+                cmd, stdout=write_end, stderr=subprocess.PIPE, timeout=60, env=env, preexec_fn=cap
+            )
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (1, b"")

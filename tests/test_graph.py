@@ -2,6 +2,7 @@
 
 import random
 import sys
+import tracemalloc
 from collections import deque
 from itertools import islice
 
@@ -31,7 +32,12 @@ from biclique_imbalance import (
     vertex_imbalance,
     vertex_imbalances,
 )
-from biclique_imbalance.graph import _bipartition_and_roots, _check_tokens, _tokenize_lines
+from biclique_imbalance.graph import (
+    _bipartition_and_roots,
+    _check_tokens,
+    _plain_tokens,
+    _tokenize_lines,
+)
 from conftest import (
     CHAINED_EDGES,
     chained_example_graph,
@@ -210,6 +216,89 @@ class TestParseEdgeList:
                 edges.append((u, v))
                 lines.append(u + data.draw(gap) + v + data.draw(comment))
         assert parse_edge_list("\n".join(lines)) == Graph(vertices, edges)
+
+
+def _random_edge_text(rng):
+    """Mostly plain `u v` lines, some repeated or reversed, with now and then
+    a self-loop, a lone vertex, a tab, a third token, a comment or a blank
+    line; a final newline or not."""
+    names = rng.sample(["a", "b", "c", "x1", "y1", "é", "日本", "n3f", "w"], rng.randint(2, 9))
+    odd = rng.choice([0.0, 0.0, 0.03, 0.15])
+    lines: list[str] = []
+    for _ in range(rng.randint(0, 40)):
+        u, v = rng.sample(names, 2)
+        if lines and rng.random() < 0.2:
+            line = rng.choice(lines)  # a duplicate line, maybe reversed
+            lines.append(" ".join(reversed(line.split(" "))) if rng.random() < 0.5 else line)
+        elif rng.random() >= odd:
+            lines.append(f"{u} {v}")
+        else:
+            lines.append(rng.choice([f"{u} {u}", u, f"{u}\t{v}", f"{u} {v} {u}", "# note", f"{u} {v} # c", ""]))
+    return "\n".join(lines) + rng.choice(["", "\n"])
+
+
+def _parse_outcome(text):
+    try:
+        g = parse_edge_list(text)
+    except GraphParseError as exc:
+        return type(exc), str(exc), exc.line
+    return g, list(g._adj)
+
+
+def _complete_text(rng, a, b):
+    """K(a, b) in shuffled rows of shuffled lines, each edge either way round,
+    on names like the benchmark's."""
+    names = [f"n{k:04x}" for k in rng.sample(range(1, 20 * (a + b) + 100), a + b)]
+    xs, ys = names[:a], names[a:]
+    return "".join(
+        f"{x} {y}\n" if rng.random() < 0.5 else f"{y} {x}\n"
+        for x in rng.sample(xs, a)
+        for y in rng.sample(ys, b)
+    )
+
+
+class TestChunkedReading:
+    """A text longer than graph._CHUNK is split a chunk at a time, each cut
+    just after a newline."""
+
+    @pytest.mark.parametrize("chunk", [1, 3, 8, 20])
+    def test_every_chunk_size_reads_like_one_chunk(self, monkeypatch, chunk):
+        rng = random.Random(chunk)
+        texts = [_random_edge_text(rng) for _ in range(3000)]
+        whole = [_parse_outcome(text) for text in texts]
+        monkeypatch.setattr("biclique_imbalance.graph._CHUNK", chunk)
+        assert [_parse_outcome(text) for text in texts] == whole
+        # Some texts went to the line reader, some were plain and longer than
+        # a chunk, and some were rejected.
+        plain = [_plain_tokens(text) is not None for text in texts]
+        assert not all(plain) and any(p and len(t) > chunk for p, t in zip(plain, texts))
+        assert any(outcome[0] is GraphParseError for outcome in whole)
+
+    def test_names_share_one_string_per_chunk(self, monkeypatch):
+        # 400 lines of 8 characters: each chunk is the next 100 lines, 5 rows.
+        text = "".join(f"x{i:02} y{j:02}\n" for i in range(1, 21) for j in range(1, 21))
+        monkeypatch.setattr("biclique_imbalance.graph._CHUNK", 100 * 8 - 1)
+        g = parse_edge_list(text)
+        assert g == Graph((), [(f"x{i:02}", f"y{j:02}") for i in range(1, 21) for j in range(1, 21)])
+        # One string per endpoint would be 800.
+        held = {id(v) for v in g._adj} | {id(w) for nb in g._adj.values() for w in nb}
+        assert len(held) <= 160
+
+    def test_a_long_text_peaks_lower_than_one_chunk(self, monkeypatch):
+        text = _complete_text(random.Random(5), 150, 150)
+        assert len(text) > 256 * 1024
+
+        def parse_peak():
+            tracemalloc.start()
+            try:
+                parse_edge_list(text)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        chunked = parse_peak()
+        monkeypatch.setattr("biclique_imbalance.graph._CHUNK", len(text) + 1)
+        assert chunked <= 0.75 * parse_peak()
 
 
 class TestOrdering:
