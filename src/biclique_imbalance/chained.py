@@ -16,17 +16,18 @@ sizes and overlap letters: ChainSpec.minimum() computes it with no graph.
 The decomposer walks the chain in time linear in the graph up to sorting: it
 starts from the component of a vertex that is no overlap on a chain, and
 steps from each component to the next through the one vertex with neighbors
-beyond it. Each component, the closure of a neighborhood, is one
-intersection of adjacency sets, and a degree scan finds its exits. A walk
-whose components cover every vertex and edge proves the graph connected and
-bipartite, and guarantees every chain condition but maximality, which fails
-only at an overlap alone in its part of the component the walk enters through
-it, so the walk tests that size as it enters each component (see
-_walk_chain); only exits and failure witnesses get sorted.
-The bipartition search runs only to explain a rejection. Construction of
-optimal orderings lays out each component between its two boundary vertices
-as at most six alternating runs of its two parts, dealt by _fill_runs of the
-complete case. Which vertices fill a run does not change the imbalance: the
+beyond it. Inline, each component, the closure of a neighborhood, is one
+set.intersection of adjacency sets, and one degree scan finds its exits. A
+walk whose components cover every vertex and edge proves the graph connected
+and bipartite, and guarantees every chain condition but maximality, which
+fails only at an overlap alone in its part of the component the walk enters
+through it, so the walk tests that size as it enters each component (see
+_walk_chain); only the first component's exits, a branch's exits and failure
+witnesses get sorted. The bipartition search runs only to explain a
+rejection. Construction lays out each component between its two boundary
+vertices as at most six alternating runs of its two parts, dealt by
+_fill_runs of the complete case into an index table once per block shape in
+a call. Which vertices fill a run does not change the imbalance: the
 rest go in sorted order, descending (the mirror image of the block built
 from the far end) when the boundaries lie in different parts, the first
 one's even and the last one's odd. Each block is checked against the closed
@@ -37,7 +38,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property
-from itertools import count, islice
+from itertools import compress, count, islice
+from operator import itemgetter
 
 from .complete import _fill_runs, min_imbalance_formula
 from .errors import (
@@ -133,32 +135,6 @@ class ChainSpec(namedtuple("ChainSpec", "sizes overlap_parts")):
         return total
 
 
-def _biclique_closure(g: Graph, side: set[str], side_is_x: bool) -> ChainComponent:
-    """The maximal biclique with one part side, side_is_x telling which: the
-    common neighbors of side, none in side, are the other part."""
-    common = set.intersection(*map(g._adj.__getitem__, side))
-    return ChainComponent(side, common) if side_is_x else ChainComponent(common, side)
-
-
-def _exits(g: Graph, comp: ChainComponent, entry: str, limit: int) -> list[str]:
-    """The vertices of comp other than entry with a neighbor outside comp: comp
-    is complete, so their degree exceeds the size of the opposite part. More
-    than limit of them means the chain branches at comp."""
-    adj = g._adj
-    x, y = comp.x_part, comp.y_part
-    out = []
-    for part, opposite in ((x, len(y)), (y, len(x))):
-        for v in part:
-            if len(adj[v]) > opposite and v != entry:
-                out.append(v)
-    out.sort()
-    if len(out) > limit:
-        raise NotChainedError(
-            f"the chain branches at the component reached through {entry}: {', '.join(out)}"
-        )
-    return out
-
-
 def _start(g: Graph, r: str) -> str:
     """Where the walk starts, r the smallest vertex: r unless r is lone, else
     the smallest vertex of least degree unless that is 2 and it is lone too,
@@ -171,10 +147,10 @@ def _start(g: Graph, r: str) -> str:
 
     if adj[r] and not lone(r):
         return r
-    delta = min(map(len, adj.values()))
+    delta = min(degrees := list(map(len, adj.values())))
     if delta == 0:  # an isolated vertex in a graph with an edge
         raise NotChainedError("a vertex has no neighbors")
-    v = min(v for v, nb in adj.items() if len(nb) == delta)
+    v = min(compress(adj, map(delta.__eq__, degrees)))
     if delta != 2 or not lone(v):
         return v
     mixed = (v for v, nb in adj.items() if len(nb) == 2 and any(len(adj[w]) != 2 for w in nb))
@@ -186,9 +162,11 @@ def _walk_chain(g: Graph, start: str) -> tuple[list[ChainComponent], list[str]]:
 
     The first component is the closure of N(start), its Y part; from exit s
     the next is the closure of s's neighbors outside the last component, the
-    part opposite s. It has at most one exit besides s and meets the earlier
-    components only at s. The second direction, from the first component's
-    second exit, runs on a valid chain whose start lies in a middle component.
+    part opposite s: one set.intersection of their adjacency sets. It has at
+    most one exit besides s, a vertex of degree above the opposite part's
+    size found by one scan, and meets the earlier components only at s. The
+    second direction, from the first component's second exit, runs on a
+    valid chain whose start lies in a middle component.
 
     A walk that returns is accepted on its own certificate: its components
     cover the V vertices and hold the E edges. Each is complete with two
@@ -226,28 +204,49 @@ def _walk_chain(g: Graph, start: str) -> tuple[list[ChainComponent], list[str]]:
     which has no overlap.
     """
     adj = g._adj
-    first = _biclique_closure(g, adj[start], False)
-    comps, overlaps = [first], []
-    seen = set(first.vertices)
-    for s in _exits(g, first, start, 2):
-        # Reversed, the first direction's components end at first, so the
-        # second direction extends the chain on first's other side.
+    get = adj.__getitem__
+    side = adj[start]
+    common = set.intersection(*map(get, side))  # holds start
+    last = ChainComponent(common, side)
+    comps, overlaps, seen = [last], [], set(last.vertices)
+    ends = [v for v in side if len(adj[v]) > len(common)]
+    ends = sorted(ends + [v for v in common if len(adj[v]) > len(side) and v != start])
+    if len(ends) > 2:
+        raise NotChainedError(
+            f"the chain branches at the component reached through {start}: {', '.join(ends)}"
+        )
+    for s in ends:
+        # Reversed, the first direction's components end at the first one, so
+        # the second direction extends the chain on its other side.
         comps.reverse()
         overlaps.reverse()
+        last = comps[-1]
         while s is not None:
-            last = comps[-1]
             side = adj[s] - last.vertices
             if not side:  # s has a neighbor in its own part: not bipartite
                 raise NotChainedError(f"{s} has no neighbor outside its component")
+            common = set.intersection(*map(get, side))  # holds s
             in_y = s in last.y_part
-            nxt = _biclique_closure(g, side, in_y)
+            nxt = ChainComponent(side, common) if in_y else ChainComponent(common, side)
             if len(seen & nxt.vertices) > 1:  # s lies in both
                 raise NotChainedError(
                     f"the component entered through {s} meets an earlier one at "
                     f"{min(seen & nxt.vertices - {s})}"
                 )
-            onward = _exits(g, nxt, s, 1)
-            if len(nxt.y_part if in_y else nxt.x_part) == 1:  # s alone in its part
+            n_side, n_common = len(side), len(common)
+            onward = []
+            for v in side:
+                if len(adj[v]) > n_common:
+                    onward.append(v)
+            for v in common:
+                if len(adj[v]) > n_side and v != s:
+                    onward.append(v)
+            if len(onward) > 1:
+                raise NotChainedError(
+                    f"the chain branches at the component reached through {s}: "
+                    f"{', '.join(sorted(onward))}"
+                )
+            if n_common == 1:  # s alone in its part
                 raise NotChainedError(
                     f"the component entered through {s} is not maximal: extendable by "
                     f"{min(last.x_part if in_y else last.y_part)}"
@@ -255,8 +254,10 @@ def _walk_chain(g: Graph, start: str) -> tuple[list[ChainComponent], list[str]]:
             seen |= nxt.vertices
             comps.append(nxt)
             overlaps.append(s)
+            last = nxt
             s = onward[0] if onward else None
-    if len(seen) != len(adj) or sum([c.nx * c.ny for c in comps]) != g.edge_count:
+    edges = sum([len(c.x_part) * len(c.y_part) for c in comps])
+    if len(seen) != len(adj) or edges != g.edge_count:
         raise NotChainedError(f"the walk from {start} leaves vertices or edges uncovered")
     return comps, overlaps
 
@@ -311,13 +312,17 @@ def min_imbalance_chained(d: ChainDecomposition) -> int:
     return d.profile().minimum()
 
 
-def _validated_subordering(comp: ChainComponent, s_prev: str, s_next: str) -> list[str]:
+def _validated_subordering(
+    comp: ChainComponent, s_prev: str, s_next: str, deals: dict | None = None
+) -> list[str] | tuple[str, ...]:
     """The tokens of comp between its boundary vertices s_prev and s_next.
 
     The boundaries are two distinct vertices of comp: the real overlaps, or
-    the synthesized endpoints for the first and last components. One deal into
-    the run table builds the block. It must cover comp exactly, run from s_prev
-    to s_next and evaluate to the closed form.
+    the synthesized endpoints for the first and last components. Each part is
+    sorted once, its boundaries moved to its ends, then dealt by _fill_runs,
+    or by deals[|A|, |B|, same]: an itemgetter of index ranges dealt by
+    _fill_runs, kept for one construction. The block must cover comp
+    exactly, run from s_prev to s_next and evaluate to the closed form.
     """
     x, y, vertices = comp.x_part, comp.y_part, comp.vertices
     if s_prev == s_next or s_prev not in vertices or s_next not in vertices:
@@ -328,10 +333,15 @@ def _validated_subordering(comp: ChainComponent, s_prev: str, s_next: str) -> li
     a, b = (x, y) if s_prev in x else (y, x)
     same = s_next in a
     descending = not same and len(a) % 2 == 0 and len(b) % 2 == 1
-    a_seq = [s_prev, *sorted(a - {s_prev, s_next}, reverse=descending)]
-    b_seq = sorted(b - {s_next}, reverse=descending)
-    (a_seq if same else b_seq).append(s_next)
-    block = _fill_runs(a_seq, b_seq, same)
+    a_seq, b_seq = sorted(a, reverse=descending), sorted(b, reverse=descending)
+    a_seq.insert(0, a_seq.pop(a_seq.index(s_prev)))
+    end = a_seq if same else b_seq
+    end.append(end.pop(end.index(s_next)))
+    shape = len(a), len(b), same
+    if deals is not None and shape not in deals:
+        ids = [*range(len(a) + len(b))]
+        deals[shape] = itemgetter(*_fill_runs(ids[: len(a)], ids[len(a) :], same))
+    block = _fill_runs(a_seq, b_seq, same) if deals is None else deals[shape](a_seq + b_seq)
     if len(block) != len(vertices) or frozenset(block) != vertices:
         raise ConstructionInvariantViolatedError(
             "component subordering does not cover the component exactly"
@@ -383,9 +393,10 @@ def construct_optimal_chained(d: ChainDecomposition) -> Ordering:
     """
     s0 = _pick_endpoint(d.components[0], set(d.overlaps[:1]))
     bounds = [s0, *d.overlaps, _pick_endpoint(d.components[-1], set(d.overlaps[-1:]) or {s0})]
-    seq = [s0]
+    seq, deals = [s0], {}
     for comp, s_prev, s_next in zip(d.components, bounds, bounds[1:]):
-        seq += [*_validated_subordering(comp, s_prev, s_next), s_next]
+        seq += _validated_subordering(comp, s_prev, s_next, deals)
+        seq.append(s_next)
     return Ordering(seq)
 
 

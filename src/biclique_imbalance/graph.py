@@ -145,6 +145,7 @@ class Bipartition:
 
     The same value describes one complete bipartite component of a chain.
     Immutable; compared, hashed and shown by its parts like a frozen dataclass.
+    __init__ sets the slots through their descriptors' __set__, bound once.
     """
 
     __slots__ = ("x_part", "y_part", "vertices")
@@ -154,9 +155,9 @@ class Bipartition:
         x, y = frozenset(x_part), frozenset(y_part)
         if not x.isdisjoint(y):
             raise ValueError(f"parts are not disjoint: {sorted(x & y)}")
-        object.__setattr__(self, "x_part", x)
-        object.__setattr__(self, "y_part", y)
-        object.__setattr__(self, "vertices", x | y)
+        _set_x(self, x)
+        _set_y(self, y)
+        _set_vertices(self, x | y)
 
     def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -184,6 +185,9 @@ class Bipartition:
     @property
     def ny(self) -> int:
         return len(self.y_part)
+
+
+_set_x, _set_y, _set_vertices = [getattr(Bipartition, f).__set__ for f in Bipartition.__slots__]
 
 
 class Ordering:

@@ -811,6 +811,63 @@ class TestWalkFirst:
                 done += 1
 
 
+class TestWalkPrecedence:
+    """A component the walk enters may fail more than one of its three tests.
+    The meet test comes first, then the branch test, then maximality; each
+    hand-built graph below is connected and bipartite, and the walk starts at
+    a, whose neighbors' common neighbors are a and one more vertex."""
+
+    # From a: C1 = {a, e} x {f, z}; its exits are e and z, and the walk takes
+    # e first into C2 = {e, h} x {g1, g2}, whose exit h enters
+    # C3 = {h, h2} x {z, k1, k2}. C3 meets C1 at z, and z, k1 and k2 all have
+    # neighbors outside C3; h and h2 make C3 maximal.
+    MEET_AND_BRANCH = [
+        *[(x, y) for x in ("a", "e") for y in ("f", "z")],
+        *[(x, y) for x in ("e", "h") for y in ("g1", "g2")],
+        *[(x, y) for x in ("h", "h2") for y in ("z", "k1", "k2")],
+        ("k1", "m1"),
+        ("k2", "m2"),
+    ]
+    # From a: C1 = {a, s} x {b1, b2}; its exit s enters C2 = {s} x {c1, c10, c2},
+    # where s is alone in its part, and c1, c10 and c2 each lead on.
+    BRANCH_AND_NOT_MAXIMAL = [
+        *[(x, y) for x in ("a", "s") for y in ("b1", "b2")],
+        *[("s", c) for c in ("c1", "c10", "c2")],
+        ("c1", "d1"),
+        ("c10", "d10"),
+        ("c2", "d2"),
+    ]
+
+    def test_meet_beats_branch(self):
+        with rejects("the component entered through h meets an earlier one at z"):
+            decompose(Graph((), self.MEET_AND_BRANCH))
+        # Without z in it, the same walk branches at C3 = {h, h2} x {k1, k2}.
+        unmet = [e for e in self.MEET_AND_BRANCH if e[1] != "z" or e[0] in ("a", "e")]
+        with rejects("the chain branches at the component reached through h: k1, k2"):
+            decompose(Graph((), unmet))
+
+    def test_branch_beats_not_maximal(self):
+        # The exits are named in sorted order, whatever order the sets hold.
+        with rejects("the chain branches at the component reached through s: c1, c10, c2"):
+            decompose(Graph((), self.BRANCH_AND_NOT_MAXIMAL))
+        # Without its exits, C2 is only not maximal: b1 and b2 extend {s}.
+        no_exits = [e for e in self.BRANCH_AND_NOT_MAXIMAL if e[1][0] != "d"]
+        with rejects("the component entered through s is not maximal: extendable by b1"):
+            decompose(Graph((), no_exits))
+
+    def test_branch_names_exits_of_both_parts_sorted(self):
+        # C2 = {s, t} x {c, z}: its exits are z, in the part the walk scans
+        # first, and t, in the part of s; sorted, t comes first.
+        edges = [
+            *[(x, y) for x in ("a", "s") for y in ("b1", "b2")],
+            *[(x, y) for x in ("s", "t") for y in ("c", "z")],
+            ("t", "u"),
+            ("z", "w"),
+        ]
+        with rejects("the chain branches at the component reached through s: t, z"):
+            decompose(Graph((), edges))
+
+
 class TestGCount:
     def test_paper_figure_values(self):
         d = decompose(chained_example_graph())
@@ -1236,6 +1293,78 @@ class TestConstructChained:
             assert ordering_imbalance(block, local) == min_imbalance_formula(
                 comp.nx, comp.ny
             )
+
+
+def plain_construction(d, blocks=None):
+    """construct_optimal_chained(d) with no deal table: s0, then each
+    component's _validated_subordering, dealt by _fill_runs itself, and its
+    s_next. blocks, if given, counts the (|A| mod 2, |B| mod 2, same) kinds."""
+    s0 = _pick_endpoint(d.components[0], set(d.overlaps[:1]))
+    bounds = [s0, *d.overlaps, _pick_endpoint(d.components[-1], set(d.overlaps[-1:]) or {s0})]
+    seq = [s0]
+    for comp, s_prev, s_next in zip(d.components, bounds, bounds[1:]):
+        seq += [*_validated_subordering(comp, s_prev, s_next), s_next]
+        if blocks is not None:
+            a, b = sorted((comp.x_part, comp.y_part), key=lambda part: s_prev not in part)
+            blocks[len(a) % 2, len(b) % 2, s_next in a] += 1
+    return Ordering(seq)
+
+
+class TestConstructionDifferential:
+    """construct_optimal_chained deals each block through the itemgetter it
+    builds once per block shape (|A|, |B|, same) in one call. The plain deal
+    must give the same ordering."""
+
+    def test_random_chains_of_every_parity_pair(self):
+        rng = random.Random(38)
+        blocks = collections.Counter()
+        for _ in range(300):
+            spec = random_chain_spec(rng, max_comps=10, max_total=150, max_part=7)
+            if spec is None:
+                continue
+            g, _ = renamed(*generate_chained(spec), rng)
+            d = decompose(g)
+            assert construct_optimal_chained(d) == plain_construction(d, blocks), spec
+        # Both parities of each part, with the block's ends in one part or two.
+        assert len(blocks) == 8 and min(blocks.values()) > 50, blocks
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ChainSpec(((1, 1),), ()),
+            ChainSpec(((1, 2),), ()),
+            ChainSpec(((2, 1),), ()),
+            ChainSpec(((1, 2), (3, 2)), ("Y",)),
+            ChainSpec(((2, 1), (2, 3)), ("X",)),
+            ChainSpec(((2, 2), (1, 2)), ("Y",)),
+            ChainSpec(((3, 2), (2, 1)), ("X",)),
+            ChainSpec(((1, 2), (2, 2), (2, 1)), ("Y", "X")),
+            ChainSpec(((2, 1), (2, 2), (1, 2)), ("X", "Y")),
+        ],
+    )
+    def test_chains_ending_in_k11_k12_or_k21(self, spec):
+        g, generated = generate_chained(spec)
+        for d in (generated, decompose(g)):
+            o = construct_optimal_chained(d)
+            assert o == plain_construction(d)
+            assert ordering_imbalance(o, g) == min_imbalance_chained(d)
+
+    def test_thousand_k33_chain(self):
+        g, generated = k33_chain(1000)
+        for d in (generated, decompose(g)):
+            assert construct_optimal_chained(d) == plain_construction(d)
+
+    def test_the_table_lives_for_one_call(self, monkeypatch):
+        # A table kept across calls would deal the second call's blocks with
+        # the first call's itemgetters, and never see the patch.
+        _, d = k33_chain(3)
+        assert construct_optimal_chained(d) == plain_construction(d)
+        fill_runs = chained._fill_runs
+        monkeypatch.setattr(
+            chained, "_fill_runs", lambda a, b, same: [*reversed(fill_runs(a, b, same))]
+        )
+        with pytest.raises(ConstructionInvariantViolatedError, match="does not run from"):
+            construct_optimal_chained(d)
 
 
 class TestGenerate:
