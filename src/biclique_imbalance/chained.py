@@ -313,16 +313,16 @@ def min_imbalance_chained(d: ChainDecomposition) -> int:
 
 
 def _validated_subordering(
-    comp: ChainComponent, s_prev: str, s_next: str, deals: dict | None = None
-) -> list[str] | tuple[str, ...]:
+    comp: ChainComponent, s_prev: str, s_next: str, deals: dict
+) -> tuple[str, ...]:
     """The tokens of comp between its boundary vertices s_prev and s_next.
 
     The boundaries are two distinct vertices of comp: the real overlaps, or
     the synthesized endpoints for the first and last components. Each part is
-    sorted once, its boundaries moved to its ends, then dealt by _fill_runs,
-    or by deals[|A|, |B|, same]: an itemgetter of index ranges dealt by
-    _fill_runs, kept for one construction. The block must cover comp
-    exactly, run from s_prev to s_next and evaluate to the closed form.
+    sorted once, its boundaries moved to its ends, then dealt by
+    deals[|A|, |B|, same]: an itemgetter of index ranges dealt by _fill_runs,
+    added on first use and kept for one construction. The block must cover
+    comp exactly, run from s_prev to s_next and evaluate to the closed form.
     """
     x, y, vertices = comp.x_part, comp.y_part, comp.vertices
     if s_prev == s_next or s_prev not in vertices or s_next not in vertices:
@@ -338,10 +338,10 @@ def _validated_subordering(
     end = a_seq if same else b_seq
     end.append(end.pop(end.index(s_next)))
     shape = len(a), len(b), same
-    if deals is not None and shape not in deals:
+    if shape not in deals:
         ids = [*range(len(a) + len(b))]
         deals[shape] = itemgetter(*_fill_runs(ids[: len(a)], ids[len(a) :], same))
-    block = _fill_runs(a_seq, b_seq, same) if deals is None else deals[shape](a_seq + b_seq)
+    block = deals[shape](a_seq + b_seq)
     if len(block) != len(vertices) or frozenset(block) != vertices:
         raise ConstructionInvariantViolatedError(
             "component subordering does not cover the component exactly"

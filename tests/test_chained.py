@@ -1136,40 +1136,42 @@ class TestChainMinPlus:
             assert chain_minimum_by_dp(spec) == min_imbalance_chained(d) == achieved, spec
 
 
+def mirror_and_flip(comp, s_prev, s_next):
+    """Reference block of comp from s_prev to s_next: ascending deals by
+    _fill_runs, but across parts with only s_next's part odd, built from
+    s_next's end and flipped. It uses no deal table and no descending sort."""
+    a, b = comp.x_part, comp.y_part
+    if s_prev not in a:
+        a, b = b, a
+    same = s_next in a
+    mirror = not same and len(a) % 2 == 0 and len(b) % 2 == 1
+    if mirror:
+        a, b, s_prev, s_next = b, a, s_next, s_prev
+    a_seq = [s_prev, *sorted(a - {s_prev, s_next})]
+    b_seq = sorted(b - {s_next})
+    (a_seq if same else b_seq).append(s_next)
+    full = tuple(_fill_runs(a_seq, b_seq, same))
+    return full[::-1] if mirror else full
+
+
 class TestComponentSubordering:
     def test_k22_same_part(self):
         comp = ChainComponent(frozenset({"a", "s1"}), frozenset({"b", "c"}))
-        assert _validated_subordering(comp, "a", "s1") == ["b", "c"]
+        assert _validated_subordering(comp, "a", "s1", {}) == ("b", "c")
 
     def test_k12_sandwich_on_singleton_x(self):
         comp = ChainComponent(frozenset({"x"}), frozenset({"y", "z"}))
-        assert _validated_subordering(comp, "y", "z") == ["x"]
+        assert _validated_subordering(comp, "y", "z", {}) == ("x",)
 
     def test_k77_same_part_evaluates_to_formula(self):
         g, bp = complete_bigraph(7, 7)
-        mid = _validated_subordering(ChainComponent(bp.x_part, bp.y_part), "x1", "x7")
+        mid = _validated_subordering(ChainComponent(bp.x_part, bp.y_part), "x1", "x7", {})
         full = Ordering(["x1", *mid, "x7"])
         assert ordering_imbalance(full, g) == 50
         assert vertex_imbalance("x1", full, g) == 7
         assert vertex_imbalance("x7", full, g) == 7
 
     def test_all_boundary_placements_of_small_components(self):
-        def mirror_and_flip(comp, s_prev, s_next):
-            # Reference layout: ascending deals, but across parts with only
-            # s_next's part odd, build from s_next's end and flip the block.
-            a, b = comp.x_part, comp.y_part
-            if s_prev not in a:
-                a, b = b, a
-            same = s_next in a
-            mirror = not same and len(a) % 2 == 0 and len(b) % 2 == 1
-            if mirror:
-                a, b, s_prev, s_next = b, a, s_next, s_prev
-            a_seq = [s_prev, *sorted(a - {s_prev, s_next})]
-            b_seq = sorted(b - {s_next})
-            (a_seq if same else b_seq).append(s_next)
-            full = _fill_runs(a_seq, b_seq, same)
-            return full[::-1] if mirror else full
-
         # every legal boundary pair must produce that block, meeting the closed form
         for a, b in itertools.product(range(1, 7), repeat=2):
             g, bp = complete_bigraph(a, b)
@@ -1180,9 +1182,9 @@ class TestComponentSubordering:
                 if (a, b) != (1, 1) and 1 in (len(part_of(s_prev)), len(part_of(s_next))):
                     # no optimal ordering pins a singleton-part vertex
                     with pytest.raises(ConstructionInvariantViolatedError):
-                        _validated_subordering(comp, s_prev, s_next)
+                        _validated_subordering(comp, s_prev, s_next, {})
                     continue
-                full = [s_prev, *_validated_subordering(comp, s_prev, s_next), s_next]
+                full = (s_prev, *_validated_subordering(comp, s_prev, s_next, {}), s_next)
                 assert full == mirror_and_flip(comp, s_prev, s_next), (a, b, s_prev, s_next)
                 assert ordering_imbalance(Ordering(full), g) == want, (a, b, s_prev, s_next)
         # An overlap alone in its part of C1, which decompose never returns.
@@ -1209,8 +1211,8 @@ class TestComponentSubordering:
         ]
         for a, b, s_prev, s_next, want in cases:
             _, bp = complete_bigraph(a, b)
-            mid = _validated_subordering(ChainComponent(bp.x_part, bp.y_part), s_prev, s_next)
-            assert mid == want.split(), (a, b, s_prev, s_next)
+            mid = _validated_subordering(ChainComponent(bp.x_part, bp.y_part), s_prev, s_next, {})
+            assert mid == tuple(want.split()), (a, b, s_prev, s_next)
         for a, b, want in [
             (3, 3, "y1 x1 y2 x2 x3 y3"),
             (2, 3, "x1 y1 y2 y3 x2"),
@@ -1223,14 +1225,14 @@ class TestComponentSubordering:
     def test_bad_boundaries_rejected(self):
         comp = ChainComponent(frozenset({"a"}), frozenset({"b"}))
         with pytest.raises(ValueError):
-            _validated_subordering(comp, "a", "a")
+            _validated_subordering(comp, "a", "a", {})
 
     def test_empty_part_fails_the_closed_form_call(self):
         # The block of K(2, 0) deals, covers and runs end to end; only the
         # closed form's part-size check stops it.
         comp = ChainComponent(frozenset({"a", "b"}), frozenset())
         with pytest.raises(ValueError, match=r"^part sizes must be at least 1, got \(2, 0\)$"):
-            _validated_subordering(comp, "a", "b")
+            _validated_subordering(comp, "a", "b", {})
 
 
 class TestConstructChained:
@@ -1295,37 +1297,41 @@ class TestConstructChained:
             )
 
 
-def plain_construction(d, blocks=None):
-    """construct_optimal_chained(d) with no deal table: s0, then each
-    component's _validated_subordering, dealt by _fill_runs itself, and its
-    s_next. blocks, if given, counts the (|A| mod 2, |B| mod 2, same) kinds."""
+def plain_construction(d, shapes=None):
+    """construct_optimal_chained(d) from the reference layout: s0, then each
+    component's mirror_and_flip block after its first vertex. shapes, if
+    given, counts the blocks of each shape (|A|, |B|, same)."""
     s0 = _pick_endpoint(d.components[0], set(d.overlaps[:1]))
     bounds = [s0, *d.overlaps, _pick_endpoint(d.components[-1], set(d.overlaps[-1:]) or {s0})]
     seq = [s0]
     for comp, s_prev, s_next in zip(d.components, bounds, bounds[1:]):
-        seq += [*_validated_subordering(comp, s_prev, s_next), s_next]
-        if blocks is not None:
+        seq += mirror_and_flip(comp, s_prev, s_next)[1:]
+        if shapes is not None:
             a, b = sorted((comp.x_part, comp.y_part), key=lambda part: s_prev not in part)
-            blocks[len(a) % 2, len(b) % 2, s_next in a] += 1
+            shapes[len(a), len(b), s_next in a] += 1
     return Ordering(seq)
 
 
 class TestConstructionDifferential:
     """construct_optimal_chained deals each block through the itemgetter it
-    builds once per block shape (|A|, |B|, same) in one call. The plain deal
-    must give the same ordering."""
+    builds once per block shape (|A|, |B|, same) in one call, from parts
+    sorted descending in one case. The reference layout, which shares
+    neither, must give the same ordering."""
 
     def test_random_chains_of_every_parity_pair(self):
         rng = random.Random(38)
-        blocks = collections.Counter()
+        shapes = collections.Counter()
         for _ in range(300):
             spec = random_chain_spec(rng, max_comps=10, max_total=150, max_part=7)
             if spec is None:
                 continue
             g, _ = renamed(*generate_chained(spec), rng)
             d = decompose(g)
-            assert construct_optimal_chained(d) == plain_construction(d, blocks), spec
+            assert construct_optimal_chained(d) == plain_construction(d, shapes), spec
         # Both parities of each part, with the block's ends in one part or two.
+        blocks = collections.Counter()
+        for (a, b, same), n in shapes.items():
+            blocks[a % 2, b % 2, same] += n
         assert len(blocks) == 8 and min(blocks.values()) > 50, blocks
 
     @pytest.mark.parametrize(
@@ -1353,6 +1359,30 @@ class TestConstructionDifferential:
         g, generated = k33_chain(1000)
         for d in (generated, decompose(g)):
             assert construct_optimal_chained(d) == plain_construction(d)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ChainSpec(((3, 3),) * 1000, tuple("XY"[i % 2] for i in range(999))),
+            random_chain_spec(random.Random(39), max_comps=200, max_total=10**4, max_part=5),
+        ],
+        ids=["1000_k33", "mixed"],
+    )
+    def test_one_deal_per_block_shape(self, spec, monkeypatch):
+        # The table pays _fill_runs once per shape in a call, not once per block.
+        _, d = generate_chained(spec)
+        shapes = collections.Counter()
+        plain_construction(d, shapes)
+        assert len(shapes) < len(d.components), shapes
+        calls, fill_runs = [], chained._fill_runs
+
+        def counted(a, b, same):
+            calls.append((len(a), len(b), same))
+            return fill_runs(a, b, same)
+
+        monkeypatch.setattr(chained, "_fill_runs", counted)
+        assert construct_optimal_chained(d) == plain_construction(d)
+        assert sorted(calls) == sorted(shapes), shapes
 
     def test_the_table_lives_for_one_call(self, monkeypatch):
         # A table kept across calls would deal the second call's blocks with
