@@ -18,6 +18,7 @@ from biclique_imbalance import (
     shift_left,
     shift_right,
     verify_optimal_complete,
+    vertex_imbalance,
     y_position_profile,
 )
 from biclique_imbalance.complete import _fill_runs
@@ -84,6 +85,13 @@ class TestConstructor:
     def test_empty_part_rejected(self):
         with pytest.raises(ValueError):
             construct_optimal_complete(Bipartition(frozenset({"x"}), frozenset()))
+
+    @pytest.mark.parametrize("a", range(1, 13))
+    def test_soundness_small_grid(self, a):
+        for b in range(1, 13):
+            g, bp = complete_bigraph(a, b)
+            o = construct_optimal_complete(bp)
+            assert ordering_imbalance(o, g) == min_imbalance_formula(a, b)
 
     def test_deal_matches_a_run_length_loop(self):
         def run_length_deal(a, b, same):
@@ -264,6 +272,29 @@ class TestVerifier:
                     assert verify_optimal_complete(o, designation).failed_property == want
                     seen.add(want)
         assert seen == {None, "P1", "P2", "P3"}
+
+
+class TestShiftInvarianceOnOptima:
+    @pytest.mark.parametrize("a,b", [(2, 2), (1, 3), (3, 2), (2, 3), (3, 3)])
+    def test_shifts_preserve_optimal_imbalance(self, a, b):
+        from biclique_imbalance import enumerate_optima
+
+        g, bp = complete_bigraph(a, b)
+        want = min_imbalance_formula(a, b)
+        for o in enumerate_optima(g):
+            if b >= 2:
+                assert ordering_imbalance(shift_left(o, bp), g) == want
+                assert ordering_imbalance(shift_right(o, bp), g) == want
+
+    @pytest.mark.parametrize("a,b", [(1, 1), (1, 3), (3, 1), (3, 3)])
+    def test_median_vertex_has_unit_imbalance_when_both_odd(self, a, b):
+        from biclique_imbalance import enumerate_optima
+
+        g, bp = complete_bigraph(a, b)
+        for o in enumerate_optima(g):
+            prof = y_position_profile(o, bp)
+            median = prof.y_at((b + 1) // 2)
+            assert vertex_imbalance(median, o, g) == 1
 
 
 def _halves_balanced(pattern: str, a: int, b: int) -> bool:

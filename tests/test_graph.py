@@ -672,6 +672,10 @@ class TestBipartition:
             verdicts[_check_against_sorted_scan(g) is None] += 1
         assert verdicts == {True: 300, False: 150}
 
+    def test_parts_must_be_disjoint(self):
+        with pytest.raises(ValueError, match="disjoint"):
+            Bipartition(frozenset({"a"}), frozenset({"a"}))
+
 
 class TestIsCompleteBipartite:
     def test_k22(self):
